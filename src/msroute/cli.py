@@ -18,7 +18,7 @@ from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError,
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
 from .routegraph import LayerModel, junction_graph_csv
-from .router import PRESETS, RouteRun, RoutingState, RunConfig, route_all
+from .router import PRESETS, RoutingState, RunConfig, route_all, route_floorplan
 from .staircase import BalanceMode, segments_csv, tree_text
 
 _LAYER_MODELS = {"reserved-hv": LayerModel.RESERVED_HV, "unreserved": LayerModel.UNRESERVED}
@@ -61,11 +61,6 @@ def _make_config(args, name: str | None = None) -> RunConfig:
     )
 
 
-def _run_one(fp: Floorplan, config: RunConfig) -> RouteRun:
-    state = RoutingState.prepare(fp, config)
-    return route_all(state)
-
-
 def _print_summary(report) -> None:
     t = report.totals
     c = report.congestion
@@ -81,7 +76,7 @@ def _cmd_route(args) -> int:
     fp = _resolve_instance(args)
     fp.require_valid()
     config = _make_config(args)
-    report = summarize(_run_one(fp, config))
+    report = summarize(route_floorplan(fp, config))
     paths = write_report(report, args.out, config.name, args.report)
     _print_summary(report)
     for p in paths:
@@ -107,7 +102,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for name in names:
         config = _make_config(args, name)
-        report = summarize(_run_one(fp, config))
+        report = summarize(route_floorplan(fp, config))
         write_report(report, args.out, config.name, args.report)
         _print_summary(report)
         rows.append({

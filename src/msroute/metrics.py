@@ -129,7 +129,10 @@ class RouteReport:
 
 
 def summarize(run: RouteRun) -> RouteReport:
-    """Fold a finished run into totals, per-net rows and congestion metrics."""
+    """Fold a finished run into totals, per-net rows and congestion metrics.
+
+    totals.runtime_seconds covers route_all only, not RoutingState.prepare.
+    """
     state = run.state
     fp: Floorplan = state.fp
     nets_rows: list[dict] = []

@@ -11,12 +11,17 @@ Per-net routing runs on the GSRG: the junction graph plus one node per pin,
 attached by two pin-junction edges to the endpoints of the pin's host
 segment.  Pin edges are priced like segment edges, with the host's usage
 penalty applied to the Manhattan pin-to-junction distance.
+
+The junction graph memoises each pin coordinate's host segment and caches
+every segment's weight and pin penalty, both filled at first use.  During a
+run all usage changes go through `charge` and the router's rollback, because
+the weight cache is refreshed only there (for exactly the segments touched).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .adjacency import Axis, TJunction
@@ -110,23 +115,19 @@ def effective_layer(seg: Segment, profile: CapacityProfile) -> int | None:
     return None
 
 
-def edge_weight(seg: Segment, profile: CapacityProfile) -> float:
-    """Congestion-penalized weight: length / (1 - u/cap) at the effective
-    layer; UNUSABLE (infinity) when no permitted layer has room left."""
-    layer = effective_layer(seg, profile)
-    if layer is None:
-        return UNUSABLE
-    p = seg.u[layer - 1] / capacity_at(profile, seg.r, layer)
-    return seg.length / (1.0 - p)
-
-
-def usage_penalty(seg: Segment, profile: CapacityProfile) -> float | None:
-    """1 / (1 - p) at the effective layer; None when the segment is unusable."""
+def _free_share(seg: Segment, profile: CapacityProfile) -> float | None:
+    """1 - u/cap at the effective layer; None when no permitted layer has room."""
     layer = effective_layer(seg, profile)
     if layer is None:
         return None
-    p = seg.u[layer - 1] / capacity_at(profile, seg.r, layer)
-    return 1.0 / (1.0 - p)
+    return 1.0 - seg.u[layer - 1] / capacity_at(profile, seg.r, layer)
+
+
+def edge_weight(seg: Segment, profile: CapacityProfile) -> float:
+    """Congestion-penalized weight: length / (1 - u/cap) at the effective
+    layer; UNUSABLE (infinity) when no permitted layer has room left."""
+    free = _free_share(seg, profile)
+    return UNUSABLE if free is None else seg.length / free
 
 
 def charge(seg: Segment, profile: CapacityProfile) -> int:
@@ -155,6 +156,37 @@ class JunctionGraph:
     segments: list[Segment]                  # indexed by segment id
     edges: dict[int, tuple[int, int]]        # usable segment id -> (j1, j2)
     adj: list[list[tuple[int, int]]]         # junction -> [(neighbor, segment id)]
+    hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
+    weight: list[float] = field(default_factory=list)    # segment id -> edge_weight
+    penalty: list[float] = field(default_factory=list)   # segment id -> 1 / (1 - p)
+    weighted_for: CapacityProfile | None = None          # profile of weight and penalty
+
+    def host(self, x: float, y: float) -> Segment:
+        """host_segment, memoised per pin coordinate (segment r never changes)."""
+        seg = self.hosts.get((x, y))
+        if seg is None:
+            seg = self.hosts[(x, y)] = host_segment(self, x, y)
+        return seg
+
+    def weights(self, profile: CapacityProfile) -> list[float]:
+        """Per-segment edge weights under profile, filled at the first call."""
+        if profile != self.weighted_for:
+            self.weighted_for = profile
+            n = len(self.segments)
+            self.weight, self.penalty = [UNUSABLE] * n, [UNUSABLE] * n
+            self.refresh(range(n))
+        return self.weight
+
+    def refresh(self, sids) -> None:
+        """Recompute the cached weight and penalty of segments whose usage changed."""
+        profile = self.weighted_for
+        if profile is None:
+            return  # nothing cached yet; the first search fills every entry
+        for sid in sids:
+            seg = self.segments[sid]
+            free = _free_share(seg, profile)
+            self.weight[sid] = UNUSABLE if free is None else seg.length / free
+            self.penalty[sid] = UNUSABLE if free is None else 1.0 / free
 
 
 def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:
@@ -227,9 +259,8 @@ def host_segment(jg: JunctionGraph, x: float, y: float) -> Segment:
 def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
     """Attach each pin of the net to its host segment's endpoint junctions."""
     pins: list[PinAttachment] = []
-    junction_xy = None  # junction coordinates come from the segments themselves
     for idx, pin in enumerate(net.pins):
-        host = host_segment(jg, pin.x, pin.y)
+        host = jg.host(pin.x, pin.y)
         (x1, y1), (x2, y2) = _segment_endpoints(host)
         pins.append(PinAttachment(
             pin_index=idx,
@@ -250,8 +281,9 @@ def _segment_endpoints(seg: Segment):
 
 def pin_edge_weights(att: PinAttachment, jg: JunctionGraph, profile: CapacityProfile) -> tuple[float, float]:
     """Weights of the two pin-junction edges under the host's usage penalty."""
-    penalty = usage_penalty(jg.segments[att.host_seg], profile)
-    if penalty is None:
+    jg.weights(profile)
+    penalty = jg.penalty[att.host_seg]
+    if penalty == UNUSABLE:
         return UNUSABLE, UNUSABLE
     return att.d1 * penalty, att.d2 * penalty
 

@@ -35,7 +35,6 @@ from .routegraph import (
     build_gsrg,
     build_junction_graph,
     charge,
-    edge_weight,
     init_layer_state,
     pin_edge_weights,
 )
@@ -238,6 +237,7 @@ def dijkstra_ssp(gsrg: Gsrg, profile: CapacityProfile, source_pin: int, sink_pin
     """
     jg = gsrg.base
     segs = jg.segments
+    weight = jg.weights(profile)
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
     sw1, sw2 = pin_edge_weights(src, jg, profile)
     dw1, dw2 = pin_edge_weights(dst, jg, profile)
@@ -272,7 +272,7 @@ def dijkstra_ssp(gsrg: Gsrg, profile: CapacityProfile, source_pin: int, sink_pin
             if cand < best or (cand == best and (best_j == -1 or j < best_j)):
                 best, best_j = cand, j
         for nb, sid in adj[j]:
-            w = edge_weight(segs[sid], profile)
+            w = weight[sid]
             if w == UNUSABLE:
                 continue
             nd = d + w
@@ -370,6 +370,7 @@ def _charge_path(state: RoutingState, path: RoutePath,
         if sid not in saved:
             saved[sid] = (seg.u.copy(), seg.curr_layer)
         charged[sid] = charge(seg, state.profile)
+        state.graph.refresh((sid,))
     path.layers = [charged[sid] for sid in path.segments]
     path.vias = count_vias(path)
 
@@ -379,6 +380,7 @@ def _rollback(state: RoutingState, saved: dict[int, tuple[list[int], int]]) -> N
         seg = state.segments[sid]
         seg.u = u
         seg.curr_layer = cur
+    state.graph.refresh(saved)
 
 
 def route_net(state: RoutingState, net: Net) -> NetResult:

@@ -1,11 +1,16 @@
 """Routing: ordering, decomposition, shortest paths, rollback, vias."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msroute import (
+    PRESETS,
+    UNUSABLE,
     Axis,
     CapacityProfile,
     LayerModel,
@@ -20,11 +25,13 @@ from msroute import (
     TJunction,
     build_gsrg,
     build_junction_graph,
+    capacity_at,
     charge,
     compute_hpwl,
     count_vias,
     decompose_net,
     dijkstra_ssp,
+    effective_layer,
     generate_random_floorplan,
     identify_source,
     identify_steiner_points,
@@ -35,7 +42,7 @@ from msroute import (
     route_net,
     summarize,
 )
-from msroute.routegraph import Gsrg, PinAttachment, edge_weight, pin_edge_weights
+from msroute.routegraph import Gsrg, PinAttachment, edge_weight, host_segment, pin_edge_weights
 
 from test_floorplan import make_fp, make_net
 
@@ -555,3 +562,56 @@ def test_preset_names_round_trip():
         assert config.name == name
     assert RunConfig.from_name("FCN").profile_kind is ProfileKind.UNIFORM
     assert RunConfig.from_name("BCH").search is SearchDir.BACK
+
+
+# ---------------------------------------------------------------------------
+# byte-identical reports
+
+#: sha256 of summarize(...).to_json(include_timing=False) for
+#: generate_random_floorplan(40, 400, 6, seed=7) at layers=4, recorded before
+#: the junction graph cached pin hosts and edge weights.  FCH and BCH fail 7
+#: nets each here, so the digests also pin down rollback.
+GOLDEN_DIGESTS = {
+    "FCN": "27f39cd164437b09db4029477ec6e067bc6ab8d8b15945b99f36a1a61f957cf4",
+    "FCH": "99d6dc35b00968be896f778e01c3b3902332a3363c78f0097bd5573f9d37c474",
+    "FCL": "e8caefe83e17fc1a7f772702e102abdb6463753a5639616c32165d0be7c5c1cc",
+    "BCN": "46ed7d276a2dbce106aeff3eba542d04ec329b4ddcf2a9097f176a240833ba47",
+    "BCH": "e94c7c580552d631627037413c846bb74f96a7ca0cceda795541b531366a9aa0",
+    "BCL": "f587377be0653c45f1c0ea204f456705277ade79f529b1bf948396ad02d7ecd2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_reports_byte_identical_to_golden(name):
+    fp = generate_random_floorplan(40, 400, 6, seed=7)
+    report = summarize(route_floorplan(fp, RunConfig.from_name(name, layers=4)))
+    if name in ("FCH", "BCH"):
+        assert report.totals["failed"] == 7
+    digest = hashlib.sha256(report.to_json(include_timing=False).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# cached pin hosts and edge weights stay equal to the live rule
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 30), nets_per_block=st.integers(1, 8), seed=st.integers(0, 10_000),
+       layers=st.integers(1, 4), name=st.sampled_from(sorted(PRESETS)),
+       layer_model=st.sampled_from(list(LayerModel)))
+def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers, name, layer_model):
+    fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
+    state = RoutingState.prepare(fp, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
+    jg, profile = state.graph, state.profile
+    for net in order_nets(state.nets):
+        route_net(state, net)
+        if not jg.edges:
+            continue
+        assert jg.weighted_for == profile
+        for sid in jg.edges:
+            seg = jg.segments[sid]
+            assert jg.weight[sid] == edge_weight(seg, profile)
+            layer = effective_layer(seg, profile)
+            live = UNUSABLE if layer is None else 1.0 / (1.0 - seg.u[layer - 1] / capacity_at(profile, seg.r, layer))
+            assert jg.penalty[sid] == live
+    for (x, y), host in jg.hosts.items():
+        assert host is host_segment(jg, x, y)
