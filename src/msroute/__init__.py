@@ -94,7 +94,6 @@ from .staircase import (
     assign_capacities,
     bipartition,
     build_msc_tree,
-    estimate_capacity,
     extract_segments,
     is_monotone_chain,
 )

@@ -13,7 +13,7 @@ import io
 import sys
 from pathlib import Path
 
-from .adjacency import Orientation, build_bag
+from .adjacency import Orientation
 from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
@@ -137,8 +137,8 @@ def _cmd_dump_graph(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {
-        "bag_mis.dot": build_bag(fp, Orientation.MIS).as_dot(),
-        "bag_mds.dot": build_bag(fp, Orientation.MDS).as_dot(),
+        "bag_mis.dot": state.tree.bags[Orientation.MIS].as_dot(),
+        "bag_mds.dot": state.tree.bags[Orientation.MDS].as_dot(),
         "msc_tree.txt": tree_text(state.tree),
         "segments.csv": segments_csv(state.segments),
         "junction_graph.csv": junction_graph_csv(state.graph, state.profile),

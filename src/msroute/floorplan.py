@@ -293,6 +293,8 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
                 raise ParseError(f"pin on unknown block {bname!r}", pl_no)
             dx = dy = 0.0
             numeric = [t.lstrip("%") for t in tokens[2:]]
+            if len(numeric) == 1:
+                raise ParseError(f"pin offset needs both dx and dy in {pin_line!r}", pl_no)
             if len(numeric) >= 2:
                 try:
                     dx, dy = float(numeric[0]), float(numeric[1])

@@ -8,7 +8,10 @@ the source that minimizes the resulting cut-net count (ties to the smaller
 block id) and stops at the balance point.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
-tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Every
+tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
+child gets only its own nets (those with at least 2 pins on its blocks, cut
+down to those pins) and its own MIS and MDS edges, so a node's work scales
+with its size, not with the whole instance.  Every
 adjacency wall is consumed by exactly one cut (the tree node separating its
 two blocks), so the cut walls plus the floorplan border cover all routing
 channels.
@@ -17,10 +20,13 @@ channels.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .adjacency import Axis, Bag, BagEdge, Orientation, Span, all_junctions, build_bag
+import numpy as np
+
+from .adjacency import Axis, Bag, BagEdge, Orientation, Span, build_bag
 from .errors import GeometryError, InternalError
 from .floorplan import Floorplan, Net
 
@@ -59,6 +65,7 @@ class MscNode:
 class MscTree:
     root: MscNode
     cuts: list[MsCut]  # preorder
+    bags: dict[Orientation, Bag]  # the full MIS and MDS BAGs it was cut from
 
     @property
     def n_internal(self) -> int:
@@ -115,40 +122,44 @@ class _NetSide:
         return 0 < self.in_a < self.total
 
 
-def _restrict_nets(nets: list[Net], node_set: set[int]):
-    views: list[_NetSide] = []
+def _nets_within(nets: list[Net], blocks: set[int]) -> list[Net]:
+    """The nets with at least 2 pins on `blocks`, each cut down to those pins
+    (net order and pin order kept)."""
+    kept = []
     for net in nets:
-        per_block: dict[int, int] = {}
-        xs, ys = [], []
-        for pin in net.pins:
-            if pin.block_id in node_set:
-                per_block[pin.block_id] = per_block.get(pin.block_id, 0) + 1
-                xs.append(pin.x)
-                ys.append(pin.y)
-        if sum(per_block.values()) >= 2:
-            box = (min(xs), min(ys), max(xs), max(ys))
-            views.append(_NetSide(net.id, per_block, box))
-    return views
+        pins = [p for p in net.pins if p.block_id in blocks]
+        if len(pins) >= 2:
+            kept.append(Net(net.id, net.name, pins))
+    return kept
+
+
+def _restrict_nets(nets: list[Net], node_set: set[int]) -> list[_NetSide]:
+    return [_NetSide(net.id, Counter(p.block_id for p in net.pins), _net_box(net))
+            for net in _nets_within(nets, node_set)]
+
+
+def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, float, float]:
+    """A wall's (min_x, min_y, max_x, max_y), with y mirrored for MDS so that
+    both orientations sort and chain alike."""
+    if orientation is Orientation.MIS:
+        return (span.min_x, span.min_y, span.max_x, span.max_y)
+    return (span.min_x, -span.max_y, span.max_x, -span.min_y)
 
 
 def _staircase_sorted(edges: list[BagEdge], orientation: Orientation) -> list[BagEdge]:
-    if orientation is Orientation.MIS:
-        return sorted(edges, key=lambda e: (e.span.min_x, e.span.min_y, e.span.max_x, e.span.max_y))
-    return sorted(edges, key=lambda e: (e.span.min_x, -e.span.max_y, e.span.max_x, -e.span.min_y))
+    return sorted(edges, key=lambda e: _staircase_key(e.span, orientation))
+
+
+def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
+    # in staircase order each wall ends, in x and in (mirrored) y, where the next begins or before
+    ordered = sorted(keys)
+    return all(a[2] <= b[0] and a[3] <= b[1] for a, b in zip(ordered, ordered[1:]))
 
 
 def is_monotone_chain(edges: list[BagEdge], orientation: Orientation) -> bool:
     """True when the cut walls, in staircase order, advance monotonically in x
     and in y (non-decreasing for MIS, non-increasing for MDS)."""
-    ordered = _staircase_sorted(edges, orientation)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.span.max_x > b.span.min_x:
-            return False
-        if orientation is Orientation.MIS and a.span.max_y > b.span.min_y:
-            return False
-        if orientation is Orientation.MDS and a.span.min_y < b.span.max_y:
-            return False
-    return True
+    return _is_monotone_keys([_staircase_key(e.span, orientation) for e in edges])
 
 
 def bipartition(
@@ -179,6 +190,7 @@ def bipartition(
         indeg[e.dst] += 1
         in_edges[e.dst].append(idx)
         out_edges[e.src].append(idx)
+    keys = [_staircase_key(e.span, bag.orientation) for e in bag.edges]
 
     views = _restrict_nets(nets, node_set)
     block_to_views: dict[int, list[tuple[_NetSide, int]]] = {v: [] for v in nodes}
@@ -230,7 +242,7 @@ def bipartition(
         best_cut = None
         for v in sources:
             new_cut = cut_after(v)
-            if not is_monotone_chain([bag.edges[i] for i in new_cut], bag.orientation):
+            if not _is_monotone_keys([keys[i] for i in new_cut]):
                 continue
             key = (eval_candidate(v), v)
             if best_key is None or key < best_key:
@@ -309,28 +321,28 @@ def build_msc_tree(
     fp.require_valid()
     if nets is None:
         nets = fp.nets
-    full = {
-        Orientation.MIS: build_bag(fp, Orientation.MIS),
-        Orientation.MDS: build_bag(fp, Orientation.MDS),
-    }
+    full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
 
-    def rec(block_ids: tuple[int, ...], depth: int) -> MscNode:
+    def rec(block_ids: tuple[int, ...], nets: list[Net], bags: dict[Orientation, Bag], depth: int) -> MscNode:
+        # nets and bags are the parent's; cut them down to this node's blocks
         if len(block_ids) == 1:
             return MscNode(block_id=block_ids[0])
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
-        sub = _induce(full[orientation], set(block_ids))
-        cut = bipartition(sub, nets, balance, areas)
+        blocks = set(block_ids)
+        nets = _nets_within(nets, blocks)
+        bags = {o: _induce(bag, blocks) for o, bag in bags.items()}
+        cut = bipartition(bags[orientation], nets, balance, areas)
         cut.id = len(cuts)
         cuts.append(cut)
         node = MscNode(cut=cut)
-        node.left = rec(cut.left_set, depth + 1)
-        node.right = rec(cut.right_set, depth + 1)
+        node.left = rec(cut.left_set, nets, bags, depth + 1)
+        node.right = rec(cut.right_set, nets, bags, depth + 1)
         return node
 
-    root = rec(tuple(range(len(fp.blocks))), 0)
-    return MscTree(root=root, cuts=cuts)
+    root = rec(tuple(range(len(fp.blocks))), nets, full, 0)
+    return MscTree(root=root, cuts=cuts, bags=full)
 
 
 # ---------------------------------------------------------------------------
@@ -398,66 +410,36 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     return segments
 
 
-def _box_intersects_span(box, span: Span, tol: float) -> bool:
-    x1, y1, x2, y2 = box
-    if span.axis is Axis.V:
-        return (x1 - tol <= span.fixed <= x2 + tol
-                and max(span.lo, y1) <= min(span.hi, y2) + tol)
-    return (y1 - tol <= span.fixed <= y2 + tol
-            and max(span.lo, x1) <= min(span.hi, x2) + tol)
-
-
 def _net_box(net: Net) -> tuple[float, float, float, float]:
     xs = [p.x for p in net.pins]
     ys = [p.y for p in net.pins]
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def estimate_capacity(seg: Segment, cut: MsCut | None, nets: list[Net], tol: float = 1e-9) -> int:
-    """Reference capacity of a segment (nets per base layer).
+def assign_capacities(segments: list[Segment], tree: MscTree, nets: list[Net], tol: float) -> None:
+    """Set every segment's reference capacity r (nets per base layer).
 
-    Interior segments (cut is the owning ms-cut) count the nets whose pin
-    bounding box touches the segment's wall — the nets that may need to cross
-    it when routed within their box — with a floor of 1 so no interior wall
+    Interior segments (owned by an ms-cut) count the nets whose pin bounding
+    box touches the segment's wall — the nets that may need to cross it when
+    routed within their box — with a floor of 1 so no interior wall
     disconnects the junction graph.  Border (non-MS) segments count the pins
     sitting on the wall piece itself; zero makes the segment unusable.
     """
-    if cut is not None or seg.region_id >= 0:
-        count = sum(1 for net in nets if _box_intersects_span(_net_box(net), seg.span, tol))
-        return max(1, count)
-    count = 0
-    for net in nets:
-        for pin in net.pins:
-            along, perp = (pin.y, pin.x) if seg.axis is Axis.V else (pin.x, pin.y)
-            if abs(perp - seg.fixed) <= tol and seg.lo - tol <= along <= seg.hi + tol:
-                count += 1
-    return count
-
-
-def assign_capacities(segments: list[Segment], tree: MscTree, nets: list[Net], tol: float) -> None:
-    """Vectorized estimate_capacity over all segments."""
-    import numpy as np
-
-    if not segments:
-        return
-    interior = [s for s in segments if s.region_id >= 0]
-    border = [s for s in segments if s.region_id < 0]
-    if nets and interior:
-        boxes = np.array([_net_box(net) for net in nets])  # k x 4
-        bx1, by1, bx2, by2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-        for seg in interior:
-            if seg.axis is Axis.V:
-                hit = (bx1 - tol <= seg.fixed) & (seg.fixed <= bx2 + tol) \
-                    & (np.maximum(seg.lo, by1) <= np.minimum(seg.hi, by2) + tol)
-            else:
-                hit = (by1 - tol <= seg.fixed) & (seg.fixed <= by2 + tol) \
-                    & (np.maximum(seg.lo, bx1) <= np.minimum(seg.hi, bx2) + tol)
+    bx1, by1, bx2, by2 = np.array([_net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
+    px, py = np.array([(p.x, p.y) for net in nets for p in net.pins], dtype=float).reshape(-1, 2).T
+    for seg in segments:
+        if seg.region_id < 0:
+            along, perp = (py, px) if seg.axis is Axis.V else (px, py)
+            hit = (np.abs(perp - seg.fixed) <= tol) & (seg.lo - tol <= along) & (along <= seg.hi + tol)
+            seg.r = int(hit.sum())
+        elif seg.axis is Axis.V:
+            hit = (bx1 - tol <= seg.fixed) & (seg.fixed <= bx2 + tol) \
+                & (np.maximum(seg.lo, by1) <= np.minimum(seg.hi, by2) + tol)
             seg.r = max(1, int(hit.sum()))
-    else:
-        for seg in interior:
-            seg.r = 1
-    for seg in border:
-        seg.r = estimate_capacity(seg, None, nets, tol)
+        else:
+            hit = (by1 - tol <= seg.fixed) & (seg.fixed <= by2 + tol) \
+                & (np.maximum(seg.lo, bx1) <= np.minimum(seg.hi, bx2) + tol)
+            seg.r = max(1, int(hit.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from msroute import (
     serialize_floorplan,
     validate_floorplan,
 )
+from msroute.cli import main
 
 
 def make_fp(rects, nets=None, bbox=None):
@@ -159,6 +160,18 @@ def test_parse_nets_degree_mismatch():
     bt, pt = _two_block_texts()
     with pytest.raises(ParseError, match="declares"):
         parse_floorplan(bt, pt, "NetDegree : 3\na B\nb B")
+
+
+def test_parse_nets_single_offset_reports_lineno(tmp_path):
+    bt, pt = _two_block_texts()
+    nt = "NetDegree : 2\na B : 0.5 0.5\nb B : 0.0"
+    with pytest.raises(ParseError, match="dx and dy") as exc:
+        parse_floorplan(bt, pt, nt)
+    assert "line 3" in str(exc.value)
+    for ext, text in (("blocks", bt), ("pl", pt), ("nets", nt)):
+        (tmp_path / f"one.{ext}").write_text(text)
+    args = [f"--{ext}={tmp_path / f'one.{ext}'}" for ext in ("blocks", "pl", "nets")]
+    assert main(["route", *args, "--out", str(tmp_path)]) == 1
 
 
 def test_parse_nets_degree_below_two():

@@ -1,21 +1,25 @@
 """Staircase bipartitioning, MSC tree, segment extraction, capacities."""
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msroute import (
     Axis,
+    Bag,
     BalanceMode,
     Net,
     Orientation,
     Pin,
     all_junctions,
+    assign_capacities,
     bipartition,
     build_bag,
     build_msc_tree,
     compute_hpwl,
-    estimate_capacity,
     extract_segments,
     generate_random_floorplan,
     is_monotone_chain,
@@ -302,19 +306,20 @@ def test_junction_incident_segments_degree():
 
 def test_capacity_counts_nets_whose_box_touches_the_wall():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    tree, junctions, segments = _prepared(fp)
+    tree, _, segments = _prepared(fp)
     wall = next(s for s in segments if s.region_id >= 0)
     crossing = [make_net(i, [(1.0, 0.5 + 0.2 * i), (3.0, 0.5 + 0.2 * i)]) for i in range(5)]
     away = [make_net(5, [(0.2, 0.1), (0.4, 0.3)])]
-    r = estimate_capacity(wall, tree.cuts[0], crossing + away, fp.tol)
-    assert r == 5
+    assign_capacities(segments, tree, crossing + away, fp.tol)
+    assert wall.r == 5
 
 
 def test_capacity_floor_one_for_interior():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
     tree, _, segments = _prepared(fp)
     wall = next(s for s in segments if s.region_id >= 0)
-    assert estimate_capacity(wall, tree.cuts[0], [], fp.tol) == 1
+    assign_capacities(segments, tree, [], fp.tol)
+    assert wall.r == 1
 
 
 def test_capacity_matches_brute_force_oracle():
@@ -327,11 +332,24 @@ def test_capacity_matches_brute_force_oracle():
     for i in range(7):
         pts = [(rng.uniform(0, fp.width), rng.uniform(0, fp.height)) for _ in range(3)]
         nets.append(make_net(i, pts))
+    # pins on border pieces: at midpoints, and at a junction shared by two pieces
+    border = [s for s in segments if s.region_id < 0]
+    on_wall = [((s.fixed, (s.lo + s.hi) / 2) if s.axis is Axis.V else ((s.lo + s.hi) / 2, s.fixed))
+               for s in border[::2]]
+    on_wall.append((border[0].fixed, border[0].hi) if border[0].axis is Axis.V
+                   else (border[0].hi, border[0].fixed))
+    nets.append(make_net(7, on_wall))
+    assign_capacities(segments, tree, nets, fp.tol)
+    pins = [(p.x, p.y) for net in nets for p in net.pins]
     for seg in segments:
         if seg.region_id < 0:
+            expect = 0
+            for x, y in pins:
+                along, perp = (y, x) if seg.axis is Axis.V else (x, y)
+                expect += int(abs(perp - seg.fixed) <= fp.tol
+                              and seg.lo - fp.tol <= along <= seg.hi + fp.tol)
+            assert seg.r == expect
             continue
-        cut = tree.cuts[seg.region_id]
-        got = estimate_capacity(seg, cut, nets, fp.tol)
         expect = 0
         for net in nets:
             xs = [p.x for p in net.pins]
@@ -344,25 +362,71 @@ def test_capacity_matches_brute_force_oracle():
                 hit = y1 - fp.tol <= seg.fixed <= y2 + fp.tol and \
                     max(seg.lo, x1) <= min(seg.hi, x2) + fp.tol
             expect += int(hit)
-        assert got == max(1, expect)
+        assert seg.r == max(1, expect)
+    assert sum(s.r for s in border) >= len(on_wall)
 
 
 def test_boundary_capacity_counts_pins_on_the_wall():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    _, _, segments = _prepared(fp)
+    tree, _, segments = _prepared(fp)
     bottom_left = next(s for s in segments
                        if s.region_id < 0 and s.axis is Axis.H and s.fixed == 0.0 and s.lo == 0.0)
     # two pins on that border piece, one elsewhere
     nets = [make_net(0, [(0.5, 0.0), (1.5, 0.0)]), make_net(1, [(0.5, 1.0), (3.0, 2.0)])]
-    assert estimate_capacity(bottom_left, None, nets, fp.tol) == 2
+    assign_capacities(segments, tree, nets, fp.tol)
+    assert bottom_left.r == 2
 
 
 def test_boundary_capacity_zero_without_pins():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    _, _, segments = _prepared(fp)
+    tree, _, segments = _prepared(fp)
     border = [s for s in segments if s.region_id < 0]
     nets = [make_net(0, [(1.0, 1.0), (3.0, 1.0)])]
-    assert all(estimate_capacity(s, None, nets, fp.tol) == 0 for s in border)
+    assign_capacities(segments, tree, nets, fp.tol)
+    assert all(s.r == 0 for s in border)
+
+
+# ---------------------------------------------------------------------------
+# the tree build hands each node only its own nets and BAG edges
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 40), nets_per_block=st.integers(0, 6), seed=st.integers(0, 10_000),
+       balance=st.sampled_from(list(BalanceMode)))
+def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, seed, balance):
+    fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
+    tree = build_msc_tree(fp, fp.nets, balance)
+    full = {o: build_bag(fp, o) for o in Orientation}
+    areas = {b.id: b.area for b in fp.blocks}
+    for cut in tree.cuts:
+        blocks = set(cut.left_set) | set(cut.right_set)
+        edges = [e for e in full[cut.orientation].edges if e.src in blocks and e.dst in blocks]
+        ref = bipartition(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
+        assert ref.left_set == cut.left_set
+        assert ref.cut_edges == cut.cut_edges
+        assert ref.cut_nets == cut.cut_nets
+        assert ref.cut_net_boxes == cut.cut_net_boxes
+
+
+# sha256 of tree_text + segments_csv, recorded before the tree build stopped
+# rescanning every net and BAG edge at every node
+REGION_DIGESTS = {
+    (30, 160, 11, "NUMBER"): "b6868c8dc63ae440d7db93a2ca56c6a2498f2e15bbb2df482be17502f637d241",
+    (30, 160, 11, "AREA"): "ac174780c3a492062e6bc381edf5f04f031d24a25da4f387afb20ca42ca8aa3d",
+    (80, 435, 3, "NUMBER"): "fa503142ef7a16e842322caf9e784122fdaa308ba3a985fbbd905f7e1762098b",
+    (80, 435, 3, "AREA"): "aac539e4af8d7dab6c5559e5435a4129b5e8cd1eb1de3be2e774e71c7c5135cb",
+    (150, 816, 5, "NUMBER"): "6384d112e9b704ed31115f575fa98c04d640fee40bbbe5b7840c2a6c6e96a807",
+    (150, 816, 5, "AREA"): "a1ddaff8d21cbaaf99dfdc254795c0bd2544fad0ae66df2cdd36166c297da2e3",
+}
+
+
+@pytest.mark.parametrize("n, k, seed, balance", sorted(REGION_DIGESTS))
+def test_region_model_byte_identical_to_golden(n, k, seed, balance):
+    fp = generate_random_floorplan(n, k, 6, seed=seed)
+    tree = build_msc_tree(fp, fp.nets, BalanceMode(balance))
+    segments = extract_segments(tree, fp, all_junctions(fp))
+    assign_capacities(segments, tree, fp.nets, fp.tol)
+    text = tree_text(tree) + segments_csv(segments)
+    assert hashlib.sha256(text.encode()).hexdigest() == REGION_DIGESTS[(n, k, seed, balance)]
 
 
 # ---------------------------------------------------------------------------
