@@ -4,7 +4,7 @@ Run as: python3 demos/03_junction_graph.py
 """
 
 import msroute as msr
-from msroute import Axis, CapacityProfile, LayerModel, ProfileKind, Segment
+from msroute import CapacityProfile, LayerModel, ProfileKind
 
 
 def section(title):
@@ -20,45 +20,36 @@ for kind in ProfileKind:
 print("UNIFORM keeps r everywhere; HYPERBOLIC scales by 1/layer;")
 print("LADDER steps r, r, r/2, r/2, r/4, ... -- always between the other two.")
 
-section("Edge weight grows as a segment fills up")
-profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0, lo=0, hi=100, j1=0, j2=1)
-seg.r = 10
-msr.init_layer_state([seg], profile)
-print("usage -> weight (length 100, capacity 10):")
-for u in (0, 2, 5, 8, 9):
-    seg.u[0] = u
-    print(f"  u={u}: {msr.edge_weight(seg, profile):8.1f}")
-seg.u[0] = 10
-print(f"  u=10: {msr.edge_weight(seg, profile)}  (saturated at the top layer -> unusable)")
-
-section("Layer advancement under the reserved-HV model")
-profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-h = Segment(id=0, region_id=0, axis=Axis.H, fixed=0, lo=0, hi=10, j1=0, j2=1)
-v = Segment(id=1, region_id=0, axis=Axis.V, fixed=0, lo=0, hi=10, j1=0, j2=1)
-h.r = v.r = 1
-msr.init_layer_state([h, v], profile)
-print(f"horizontal wires use odd layers: start {h.curr_layer}", end="")
-for _ in range(3):
-    h.u[h.curr_layer - 1] = 1
-    print(f" -> {msr.advance_layer(h, profile)}", end="")
-print()
-print(f"vertical wires use even layers:  start {v.curr_layer}", end="")
-for _ in range(3):
-    v.u[v.curr_layer - 1] = 1
-    print(f" -> {msr.advance_layer(v, profile)}", end="")
-print()
-
-section("Junction graph over a floorplan")
+section("One region model, built once per floorplan")
 fp = msr.generate_random_floorplan(n=10, k=30, max_degree=4, seed=5)
-tree = msr.build_msc_tree(fp)
-junctions = msr.all_junctions(fp)
-segments = msr.extract_segments(tree, fp, junctions)
-msr.assign_capacities(segments, tree, fp.nets, fp.tol)
-msr.init_layer_state(segments, CapacityProfile(ProfileKind.UNIFORM, 8))
-graph = msr.build_junction_graph(segments, junctions)
+region = msr.RegionModel.build(fp)
+graph = region.graph
 print(f"{graph.n_nodes} junction nodes, {len(graph.edges)} usable edges "
       f"(segments with r = 0 are excluded)")
+print("the MSC tree, segments, capacities r and junction graph depend only on the")
+print("floorplan, its nets and the balance mode; every run configuration reuses them.")
+
+section("Edge weight grows as a segment fills up")
+state = msr.RoutingState.prepare(region, msr.RunConfig.from_name("FCN", layers=1,
+                                                                 layer_model=LayerModel.UNRESERVED))
+seg = max((s for s in region.segments if s.r > 0), key=lambda s: (s.r, -s.id))
+print(f"segment {seg.id}, length {seg.length:.1f}, capacity {seg.r}, one layer; "
+      "usage changes only by charging a routed net:")
+while state.weight[seg.id] != msr.UNUSABLE:
+    print(f"  u={state.usage[seg.id].u[0]:>2}: weight {state.weight[seg.id]:8.1f}")
+    state.charge(seg.id)
+print(f"  u={state.usage[seg.id].u[0]:>2}: weight {state.weight[seg.id]}  "
+      "(saturated at the top layer -> unusable)")
+
+section("Layer advancement under the reserved-HV model")
+state = msr.RoutingState.prepare(region, msr.RunConfig.from_name("FCN", layers=8))
+for axis, parity in (("H", "odd"), ("V", "even")):
+    seg = min((s for s in region.segments if s.r > 0 and s.axis.value == axis),
+              key=lambda s: (s.r, s.id))
+    landed = [state.charge(seg.id) for _ in range(3 * seg.r + 1)]
+    print(f"{axis} segment {seg.id} (r = {seg.r}) uses {parity} layers: "
+          + " -> ".join(str(layer) for layer in dict.fromkeys(landed)))
+print("a new run configuration prepares fresh usage over the same region.")
 
 section("Per-net GSRG: pins attach to their host segment's junctions")
 net = fp.nets[0]

@@ -47,7 +47,7 @@ for path in smst.paths[:2]:
           f"layers {path.layers}")
 
 section("Congestion after routing")
-snap = msr.snapshot(run.state.segments, run.state.profile)
+snap = msr.snapshot(run.state)
 print(f"max normalized usage p = {snap.max_p:.3f} (never exceeds 1.0)")
 print(f"wACE4 per layer: "
       f"{[round(w, 3) for w in report.congestion['wace4_per_layer']]}")

@@ -10,14 +10,17 @@ import msroute as msr
 
 fp = msr.generate_random_floorplan(n=40, k=220, max_degree=4, seed=1)
 print(f"instance: {len(fp.blocks)} blocks, {len(fp.nets)} nets, "
-      f"hash {msr.instance_hash(fp)}\n")
+      f"hash {msr.instance_hash(fp)}")
+# the MSC tree, segments and capacities do not depend on the configuration
+region = msr.RegionModel.build(fp)
+print(f"region model: {len(region.segments)} segments, built once for all six runs\n")
 
 header = f"{'config':<7}{'routed %':>9}{'wirelength':>13}{'vias':>7}{'wACE4max':>10}{'runtime':>9}"
 print(header)
 print("-" * len(header))
 reports = {}
 for name in ("FCN", "FCH", "FCL", "BCN", "BCH", "BCL"):
-    run = msr.route_floorplan(fp, msr.RunConfig.from_name(name, layers=8))
+    run = msr.route_all(msr.RoutingState.prepare(region, msr.RunConfig.from_name(name, layers=8)))
     report = msr.summarize(run)
     reports[name] = report
     t, c = report.totals, report.congestion

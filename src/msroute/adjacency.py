@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError
-from .floorplan import Floorplan
+from .floorplan import Floorplan, corner_counts
 
 
 class Orientation(str, Enum):
@@ -145,14 +145,9 @@ def enumerate_tjunctions(fp: Floorplan) -> list[TJunction]:
     buckets) are not included here — see corner_junctions.
     """
     fp.require_valid()
-    x1, y1, x2, y2, bbox = fp.snapped_rects()
-    bx1, by1, bx2, by2 = bbox
+    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
     fp_corners = {(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)}
-    buckets: dict[tuple[float, float], int] = {}
-    for i in range(len(fp.blocks)):
-        for cx, cy in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i])):
-            key = (float(cx), float(cy))
-            buckets[key] = buckets.get(key, 0) + 1
+    buckets = corner_counts(fp)
     junctions: list[TJunction] = []
     for key in sorted(buckets):
         count = buckets[key]

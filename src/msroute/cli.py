@@ -17,7 +17,7 @@ from .adjacency import Orientation
 from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
-from .routegraph import LayerModel, junction_graph_csv
+from .routegraph import LayerModel, RegionModel, junction_graph_csv
 from .router import PRESETS, RoutingState, RunConfig, route_all, route_floorplan
 from .staircase import BalanceMode, segments_csv, tree_text
 
@@ -52,12 +52,15 @@ def _resolve_instance(args) -> Floorplan:
     raise ParseError("give either --blocks/--pl/--nets or --n/--k")
 
 
+def _region(args) -> RegionModel:
+    return RegionModel.build(_resolve_instance(args), balance=_BALANCES[args.balance])
+
+
 def _make_config(args, name: str | None = None) -> RunConfig:
     return RunConfig.from_name(
         name or args.config,
         layers=args.layers,
         layer_model=_LAYER_MODELS[args.layer_model],
-        balance=_BALANCES[args.balance],
     )
 
 
@@ -73,10 +76,8 @@ def _print_summary(report) -> None:
 
 
 def _cmd_route(args) -> int:
-    fp = _resolve_instance(args)
-    fp.require_valid()
     config = _make_config(args)
-    report = summarize(route_floorplan(fp, config))
+    report = summarize(route_floorplan(_resolve_instance(args), config, balance=_BALANCES[args.balance]))
     paths = write_report(report, args.out, config.name, args.report)
     _print_summary(report)
     for p in paths:
@@ -94,19 +95,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    fp = _resolve_instance(args)
-    fp.require_valid()
     names = sorted(PRESETS) if args.all_configs or not args.configs else [
-        s.strip().upper() for s in args.configs.split(",") if s.strip()
+        s.strip() for s in args.configs.split(",") if s.strip()
     ]
+    configs = [_make_config(args, name) for name in names]  # an unknown name fails before any routing
+    region = _region(args)
     rows = []
-    for name in names:
-        config = _make_config(args, name)
-        report = summarize(route_floorplan(fp, config))
+    for config in configs:
+        report = summarize(route_all(RoutingState.prepare(region, config)))
         write_report(report, args.out, config.name, args.report)
         _print_summary(report)
         rows.append({
-            "config": name,
+            "config": config.name,
             "routed_pct": report.totals["routed_pct"],
             "wirelength": report.totals["wirelength"],
             "vias": report.totals["vias"],
@@ -128,20 +128,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_dump_graph(args) -> int:
-    fp = _resolve_instance(args)
-    fp.require_valid()
     config = _make_config(args)
-    state = RoutingState.prepare(fp, config)
+    region = _region(args)
+    state = RoutingState.prepare(region, config)
     if args.route_first:
         route_all(state)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {
-        "bag_mis.dot": state.tree.bags[Orientation.MIS].as_dot(),
-        "bag_mds.dot": state.tree.bags[Orientation.MDS].as_dot(),
-        "msc_tree.txt": tree_text(state.tree),
-        "segments.csv": segments_csv(state.segments),
-        "junction_graph.csv": junction_graph_csv(state.graph, state.profile),
+        "bag_mis.dot": region.tree.bags[Orientation.MIS].as_dot(),
+        "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),
+        "msc_tree.txt": tree_text(region.tree),
+        "segments.csv": segments_csv(region.segments),
+        "junction_graph.csv": junction_graph_csv(region.graph, state.usage, state.profile.layers),
     }
     for name, text in artifacts.items():
         path = out / name

@@ -17,6 +17,7 @@ import hashlib
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -401,6 +402,16 @@ def compute_hpwl(net: Net) -> float:
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
+def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
+    """How many block corners sit at each snapped point."""
+    x1, y1, x2, y2, _ = fp.snapped_rects()
+    return Counter(
+        (float(cx), float(cy))
+        for i in range(len(fp.blocks))
+        for cx, cy in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
+    )
+
+
 def validate_floorplan(fp: Floorplan) -> ValidationReport:
     """Check the mosaic properties: containment, non-overlap, full coverage,
     and absence of four-block '+' crossings.  Violations are report entries,
@@ -439,13 +450,7 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
             "coverage", f"block area {area:.6f} != bounding area {w * h:.6f}", ox, oy))
 
     # '+' crossing: a point shared as a corner by four blocks
-    sx1, sy1, sx2, sy2, _bbox = fp.snapped_rects()
-    buckets: dict[tuple[float, float], int] = {}
-    for i in range(n):
-        for cx, cy in ((sx1[i], sy1[i]), (sx1[i], sy2[i]), (sx2[i], sy1[i]), (sx2[i], sy2[i])):
-            key = (float(cx), float(cy))
-            buckets[key] = buckets.get(key, 0) + 1
-    for (cx, cy), count in sorted(buckets.items()):
+    for (cx, cy), count in sorted(corner_counts(fp).items()):
         if count >= 4:
             violations.append(Violation("crossing", f"four blocks meet at ({cx:.6f}, {cy:.6f})", cx, cy))
 

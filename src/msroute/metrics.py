@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
-from .floorplan import Floorplan, instance_hash
-from .routegraph import CapacityProfile, capacity_at
-from .router import RouteRun
-from .staircase import Segment
+from .floorplan import instance_hash
+from .router import RouteRun, RoutingState
 
 
 @dataclass
@@ -41,15 +39,14 @@ class CongestionSnapshot:
         return float(flat.max()) if flat.size else 0.0
 
 
-def snapshot(segments: list[Segment], profile: CapacityProfile) -> CongestionSnapshot:
-    usable = [seg for seg in segments if seg.r > 0]
-    per_layer = []
-    for layer in range(1, profile.layers + 1):
-        per_layer.append(np.array(
-            [seg.u[layer - 1] / capacity_at(profile, seg.r, layer) for seg in usable],
-            dtype=float,
-        ))
-    return CongestionSnapshot(per_layer=per_layer)
+def snapshot(state: RoutingState) -> CongestionSnapshot:
+    """u / capacity per usable (r > 0) segment and layer; 0 where the axis may not go."""
+    usable = [state.usage[seg.id] for seg in state.region.segments if seg.r > 0]
+    shape = (len(usable), state.profile.layers)
+    u = np.array([usage.u for usage in usable], dtype=float).reshape(shape)
+    cap = np.array([usage.cap for usage in usable], dtype=float).reshape(shape)
+    p = np.divide(u, cap, out=np.zeros(shape), where=cap > 0)
+    return CongestionSnapshot(per_layer=list(p.T))
 
 
 def _as_values(snap) -> np.ndarray:
@@ -131,17 +128,19 @@ class RouteReport:
 def summarize(run: RouteRun) -> RouteReport:
     """Fold a finished run into totals, per-net rows and congestion metrics.
 
-    totals.runtime_seconds covers route_all only, not RoutingState.prepare.
+    totals.runtime_seconds covers route_all only, not RegionModel.build or
+    RoutingState.prepare.
     """
     state = run.state
-    fp: Floorplan = state.fp
+    region = state.region
+    fp = region.fp
     nets_rows: list[dict] = []
     total_wl = 0.0
     total_vias = 0
     routed = 0
     routed_hpwl = 0.0
     detours: list[float] = []
-    for result, net in zip(run.results, state.nets):
+    for result, net in zip(run.results, region.nets):
         wl = result.smst.wirelength if result.smst else 0.0
         vias = result.smst.vias if result.smst else 0
         if result.status == "ROUTED":
@@ -163,7 +162,7 @@ def summarize(run: RouteRun) -> RouteReport:
             "hpwl": net.hpwl,
         })
 
-    n_nets = len(state.nets)
+    n_nets = len(region.nets)
     totals = {
         "nets": n_nets,
         "routed": routed,
@@ -178,7 +177,7 @@ def summarize(run: RouteRun) -> RouteReport:
         "runtime_seconds": run.runtime,
     }
 
-    snap = snapshot(state.segments, state.profile)
+    snap = snapshot(state)
     if snap.flat.size:
         per_layer = [wace4(p) for p in snap.per_layer]
         congestion = {
@@ -202,7 +201,7 @@ def summarize(run: RouteRun) -> RouteReport:
             "profile": state.config.profile_kind.value,
             "layers": state.config.layers,
             "layer_model": state.config.layer_model.value,
-            "balance": state.config.balance.value,
+            "balance": region.balance.value,
         },
         totals=totals,
         congestion=congestion,

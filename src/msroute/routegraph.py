@@ -1,35 +1,41 @@
-"""Congestion-weighted junction graph over the staircase segments.
+"""The region model: the static routing graph every run of an instance reads.
 
-Each usable segment (r > 0) is one undirected edge between its endpoint
-junctions.  Edge weight is length / (1 - p) where p is the normalized usage
-at the segment's effective layer: the first permitted layer at or above
-curr_layer with free capacity.  When every permitted layer up to M is full
-the edge weight is infinite (UNUSABLE) and the edge drops out of relaxation,
-so usage can never exceed capacity on any layer.
+A `RegionModel` holds what depends only on (floorplan, nets, balance): the
+MSC tree, the junctions, the segments with their base capacity r and the
+junction graph.  Build it once with `RegionModel.build`; every run
+configuration routes over the same region, and no run writes to it.
 
-Per-net routing runs on the GSRG: the junction graph plus one node per pin,
-attached by two pin-junction edges to the endpoints of the pin's host
-segment.  Pin edges are priced like segment edges, with the host's usage
-penalty applied to the Manhattan pin-to-junction distance.
+The junction graph has one undirected edge per usable segment (r > 0)
+between its endpoint junctions.  Per-net routing runs on the GSRG: the
+junction graph plus one node per pin, attached by two pin-junction edges to
+the endpoints of the pin's host segment.  The graph memoises each pin
+coordinate's host segment, filled at first use.
 
-The junction graph memoises each pin coordinate's host segment and caches
-every segment's weight and pin penalty, both filled at first use.  During a
-run all usage changes go through `charge` and the router's rollback, because
-the weight cache is refreshed only there (for exactly the segments touched).
+Capacity profiles scale r across the metal layers (`capacity_at`) and the
+layer model says which layers a wire axis may use (`layer_permitted`).  A
+run reads both once per segment, into the capacity row of the segment's
+`SegmentUsage` (0 on layers its axis may not use).  The layer rule reads
+only that row: a segment's effective layer is the first layer at or above
+its current layer with spare capacity, and `charge` lands a net there, so
+usage never exceeds capacity.  A run keeps one `SegmentUsage` per segment
+in its `router.RoutingState`.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .adjacency import Axis, TJunction
+from .adjacency import Axis, TJunction, all_junctions
 from .errors import InternalError, PinHostError
-from .floorplan import Net
-from .staircase import Segment
+from .floorplan import Floorplan, Net
+from .staircase import BalanceMode, MscTree, Segment, assign_capacities, build_msc_tree, extract_segments
 
 UNUSABLE = math.inf
+
+logger = logging.getLogger("msroute")
 
 
 class ProfileKind(str, Enum):
@@ -48,6 +54,10 @@ class CapacityProfile:
     kind: ProfileKind
     layers: int = 8  # M
     layer_model: LayerModel = LayerModel.RESERVED_HV
+
+    def __post_init__(self):
+        if self.layers < 1:
+            raise ValueError(f"layers must be at least 1, got {self.layers}")
 
 
 def capacity_at(profile: CapacityProfile, r: int, layer: int) -> int:
@@ -78,72 +88,40 @@ def first_layer(profile: CapacityProfile, axis: Axis) -> int:
     return 2
 
 
-def init_layer_state(segments: list[Segment], profile: CapacityProfile) -> None:
-    """Attach fresh per-layer usage state to every segment."""
-    for seg in segments:
-        seg.u = [0] * profile.layers
-        seg.curr_layer = min(first_layer(profile, seg.axis), profile.layers)
+@dataclass
+class SegmentUsage:
+    """One segment's usage in one run."""
+
+    sid: int
+    cap: list[int]       # capacity per layer, 0 where the segment's axis may not go
+    u: list[int]         # usage per layer
+    curr_layer: int      # layer of the last charge; never decreases
+
+    @classmethod
+    def fresh(cls, seg: Segment, profile: CapacityProfile) -> "SegmentUsage":
+        layers = range(1, profile.layers + 1)
+        cap = [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l) else 0 for l in layers]
+        return cls(seg.id, cap, [0] * profile.layers, min(first_layer(profile, seg.axis), profile.layers))
 
 
-def advance_layer(seg: Segment, profile: CapacityProfile) -> int | None:
-    """Move a full segment to its next permitted layer; None when saturated.
-
-    Precondition: the current layer's capacity is exhausted (or the current
-    layer is not permitted for the segment's axis at all).
-    """
-    cur = seg.curr_layer
-    if layer_permitted(profile, seg.axis, cur) and seg.u[cur - 1] < capacity_at(profile, seg.r, cur):
-        raise ValueError("advance_layer called before the current layer saturated")
-    nxt = cur + 1
-    while nxt <= profile.layers and not layer_permitted(profile, seg.axis, nxt):
-        nxt += 1
-    if nxt > profile.layers:
-        return None
-    seg.curr_layer = nxt
-    return nxt
-
-
-def effective_layer(seg: Segment, profile: CapacityProfile) -> int | None:
-    """First permitted layer at or above curr_layer with spare capacity."""
-    if seg.r <= 0:
-        return None
-    layer = seg.curr_layer
-    while layer <= profile.layers:
-        if layer_permitted(profile, seg.axis, layer) and seg.u[layer - 1] < capacity_at(profile, seg.r, layer):
+def effective_layer(usage: SegmentUsage) -> int | None:
+    """First layer at or above curr_layer with spare capacity."""
+    u, cap = usage.u, usage.cap
+    for layer in range(usage.curr_layer, len(cap) + 1):
+        if u[layer - 1] < cap[layer - 1]:
             return layer
-        layer += 1
     return None
 
 
-def _free_share(seg: Segment, profile: CapacityProfile) -> float | None:
-    """1 - u/cap at the effective layer; None when no permitted layer has room."""
-    layer = effective_layer(seg, profile)
+def charge(usage: SegmentUsage) -> int:
+    """Account one routed net on the segment; returns the layer it landed on."""
+    layer = effective_layer(usage)
     if layer is None:
-        return None
-    return 1.0 - seg.u[layer - 1] / capacity_at(profile, seg.r, layer)
-
-
-def edge_weight(seg: Segment, profile: CapacityProfile) -> float:
-    """Congestion-penalized weight: length / (1 - u/cap) at the effective
-    layer; UNUSABLE (infinity) when no permitted layer has room left."""
-    free = _free_share(seg, profile)
-    return UNUSABLE if free is None else seg.length / free
-
-
-def charge(seg: Segment, profile: CapacityProfile) -> int:
-    """Account one routed net on the segment; returns the layer it landed on.
-
-    Advances curr_layer to the effective layer first, so curr_layer never
-    decreases and usage never exceeds the per-layer capacity.
-    """
-    layer = effective_layer(seg, profile)
-    if layer is None:
-        raise InternalError(f"charging unusable segment {seg.id}")
-    if layer > seg.curr_layer:
-        seg.curr_layer = layer
-    seg.u[layer - 1] += 1
-    if seg.u[layer - 1] > capacity_at(profile, seg.r, layer):
-        raise InternalError(f"segment {seg.id} over capacity on layer {layer}")
+        raise InternalError(f"charging unusable segment {usage.sid}")
+    usage.curr_layer = layer
+    usage.u[layer - 1] += 1
+    if usage.u[layer - 1] > usage.cap[layer - 1]:
+        raise InternalError(f"segment {usage.sid} over capacity on layer {layer}")
     return layer
 
 
@@ -157,9 +135,6 @@ class JunctionGraph:
     edges: dict[int, tuple[int, int]]        # usable segment id -> (j1, j2)
     adj: list[list[tuple[int, int]]]         # junction -> [(neighbor, segment id)]
     hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
-    weight: list[float] = field(default_factory=list)    # segment id -> edge_weight
-    penalty: list[float] = field(default_factory=list)   # segment id -> 1 / (1 - p)
-    weighted_for: CapacityProfile | None = None          # profile of weight and penalty
 
     def host(self, x: float, y: float) -> Segment:
         """host_segment, memoised per pin coordinate (segment r never changes)."""
@@ -167,26 +142,6 @@ class JunctionGraph:
         if seg is None:
             seg = self.hosts[(x, y)] = host_segment(self, x, y)
         return seg
-
-    def weights(self, profile: CapacityProfile) -> list[float]:
-        """Per-segment edge weights under profile, filled at the first call."""
-        if profile != self.weighted_for:
-            self.weighted_for = profile
-            n = len(self.segments)
-            self.weight, self.penalty = [UNUSABLE] * n, [UNUSABLE] * n
-            self.refresh(range(n))
-        return self.weight
-
-    def refresh(self, sids) -> None:
-        """Recompute the cached weight and penalty of segments whose usage changed."""
-        profile = self.weighted_for
-        if profile is None:
-            return  # nothing cached yet; the first search fills every entry
-        for sid in sids:
-            seg = self.segments[sid]
-            free = _free_share(seg, profile)
-            self.weight[sid] = UNUSABLE if free is None else seg.length / free
-            self.penalty[sid] = UNUSABLE if free is None else 1.0 / free
 
 
 def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:
@@ -279,24 +234,54 @@ def _segment_endpoints(seg: Segment):
     return (seg.lo, seg.fixed), (seg.hi, seg.fixed)
 
 
-def pin_edge_weights(att: PinAttachment, jg: JunctionGraph, profile: CapacityProfile) -> tuple[float, float]:
+def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, float]:
     """Weights of the two pin-junction edges under the host's usage penalty."""
-    jg.weights(profile)
-    penalty = jg.penalty[att.host_seg]
-    if penalty == UNUSABLE:
+    host_penalty = penalty[att.host_seg]
+    if host_penalty == UNUSABLE:
         return UNUSABLE, UNUSABLE
-    return att.d1 * penalty, att.d2 * penalty
+    return att.d1 * host_penalty, att.d2 * host_penalty
 
 
-def junction_graph_csv(jg: JunctionGraph, profile: CapacityProfile | None = None) -> str:
+def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage], layers: int) -> str:
     """CSV dump: one row per usable edge with its per-layer usage."""
-    m = profile.layers if profile else (len(jg.segments[0].u) if jg.segments and jg.segments[0].u else 0)
-    header = "segment,j1,j2,length,r," + ",".join(f"u{l}" for l in range(1, m + 1))
+    header = "segment,j1,j2,length,r," + ",".join(f"u{l}" for l in range(1, layers + 1))
     lines = [header]
     for sid in sorted(jg.edges):
         seg = jg.segments[sid]
-        u = seg.u if seg.u is not None else [0] * m
-        lines.append(
-            f"{sid},{seg.j1},{seg.j2},{seg.length:.6f},{seg.r}," + ",".join(str(v) for v in u[:m])
-        )
+        lines.append(f"{sid},{seg.j1},{seg.j2},{seg.length:.6f},{seg.r}," + ",".join(map(str, usage[sid].u)))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# region model
+
+@dataclass(frozen=True)
+class RegionModel:
+    """Everything the runs over one (floorplan, nets, balance) read and none writes."""
+
+    fp: Floorplan
+    nets: list[Net]
+    balance: BalanceMode
+    tree: MscTree
+    junctions: list[TJunction]
+    segments: list[Segment]   # indexed by segment id, base capacity r set
+    graph: JunctionGraph
+
+    @classmethod
+    def build(cls, fp: Floorplan, nets: list[Net] | None = None,
+              balance: BalanceMode = BalanceMode.NUMBER) -> "RegionModel":
+        fp.require_valid()
+        if nets is None:
+            nets = fp.nets
+        tree = build_msc_tree(fp, nets, balance)
+        junctions = all_junctions(fp)
+        segments = extract_segments(tree, fp, junctions)
+        assign_capacities(segments, tree, nets, fp.tol)
+        graph = build_junction_graph(segments, junctions)
+        n = len(fp.blocks)
+        logger.debug(
+            "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
+            graph.n_nodes, len(graph.edges), 3 * n - 7,
+        )
+        return cls(fp=fp, nets=nets, balance=balance, tree=tree, junctions=junctions,
+                   segments=segments, graph=graph)

@@ -1,4 +1,12 @@
-"""Congestion-aware routing over the junction graph.
+"""Congestion-aware routing over the junction graph of a region model.
+
+A run is a `RoutingState`: one `SegmentUsage` per segment of a
+`RegionModel` it only reads, under one run configuration.  A segment's edge
+weight is length / (1 - p), with p its usage share at its effective layer,
+and UNUSABLE when no layer has room.  The state caches every weight and pin
+penalty; usage changes only through `RoutingState.charge` and the rollback
+of a failed net, which refresh exactly the segments they touch.  Several
+states can share one region.
 
 Nets route one at a time in non-decreasing (HPWL, degree) order.  A
 multi-terminal net is first decomposed into t-1 two-terminal pairs by a
@@ -16,31 +24,27 @@ different equal-weight paths with different via counts.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .adjacency import all_junctions
-from .errors import PinHostError
+from .errors import ParseError, PinHostError
 from .floorplan import Floorplan, Net, Pin
 from .routegraph import (
     UNUSABLE,
     CapacityProfile,
     Gsrg,
-    JunctionGraph,
     LayerModel,
     ProfileKind,
+    RegionModel,
+    SegmentUsage,
     build_gsrg,
-    build_junction_graph,
     charge,
-    init_layer_state,
+    effective_layer,
     pin_edge_weights,
 )
-from .staircase import BalanceMode, MscTree, Segment, assign_capacities, build_msc_tree, extract_segments
-
-logger = logging.getLogger("msroute")
+from .staircase import BalanceMode, Segment
 
 
 class SearchDir(str, Enum):
@@ -65,7 +69,6 @@ class RunConfig:
     profile_kind: ProfileKind
     layers: int = 8
     layer_model: LayerModel = LayerModel.RESERVED_HV
-    balance: BalanceMode = BalanceMode.NUMBER
 
     @property
     def profile(self) -> CapacityProfile:
@@ -80,6 +83,8 @@ class RunConfig:
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "RunConfig":
+        if name.upper() not in PRESETS:
+            raise ParseError(f"unknown configuration {name!r}; choose from {', '.join(PRESETS)}")
         search, kind = PRESETS[name.upper()]
         return cls(search=search, profile_kind=kind, **kwargs)
 
@@ -124,36 +129,42 @@ class NetResult:
 
 @dataclass
 class RoutingState:
-    """Everything route_all mutates: segments carry the live usage."""
+    """Everything one run writes, per segment id, over a region it only reads."""
 
-    fp: Floorplan
+    region: RegionModel
     config: RunConfig
     profile: CapacityProfile
-    nets: list[Net]
-    tree: MscTree
-    junctions: list
-    segments: list[Segment]
-    graph: JunctionGraph
+    usage: list[SegmentUsage]
+    weight: list[float]           # length / (1 - p) at the effective layer
+    penalty: list[float]          # 1 / (1 - p), priced onto pin edges
 
     @classmethod
-    def prepare(cls, fp: Floorplan, config: RunConfig, nets: list[Net] | None = None) -> "RoutingState":
-        fp.require_valid()
-        if nets is None:
-            nets = fp.nets
+    def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
         profile = config.profile
-        tree = build_msc_tree(fp, nets, config.balance)
-        junctions = all_junctions(fp)
-        segments = extract_segments(tree, fp, junctions)
-        assign_capacities(segments, tree, nets, fp.tol)
-        init_layer_state(segments, profile)
-        graph = build_junction_graph(segments, junctions)
-        n = len(fp.blocks)
-        logger.debug(
-            "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
-            graph.n_nodes, len(graph.edges), 3 * n - 7,
-        )
-        return cls(fp=fp, config=config, profile=profile, nets=nets, tree=tree,
-                   junctions=junctions, segments=segments, graph=graph)
+        n = len(region.segments)
+        state = cls(region=region, config=config, profile=profile,
+                    usage=[SegmentUsage.fresh(seg, profile) for seg in region.segments],
+                    weight=[UNUSABLE] * n, penalty=[UNUSABLE] * n)
+        for sid in range(n):
+            state.refresh(sid)
+        return state
+
+    def refresh(self, sid: int) -> None:
+        """Recompute the segment's weight and penalty from its usage."""
+        usage = self.usage[sid]
+        layer = effective_layer(usage)
+        if layer is None:
+            self.weight[sid] = self.penalty[sid] = UNUSABLE
+            return
+        free = 1.0 - usage.u[layer - 1] / usage.cap[layer - 1]
+        self.weight[sid] = self.region.segments[sid].length / free
+        self.penalty[sid] = 1.0 / free
+
+    def charge(self, sid: int) -> int:
+        """routegraph.charge on the segment, then refresh its weight; returns the layer."""
+        layer = charge(self.usage[sid])
+        self.refresh(sid)
+        return layer
 
 
 @dataclass
@@ -227,7 +238,7 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # shortest path
 
-def dijkstra_ssp(gsrg: Gsrg, profile: CapacityProfile, source_pin: int, sink_pin: int) -> RoutePath | None:
+def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int) -> RoutePath | None:
     """Minimum-weight source->sink path under the current congestion weights.
 
     Runs on the junction level with the two pin-junction edges of each
@@ -237,10 +248,10 @@ def dijkstra_ssp(gsrg: Gsrg, profile: CapacityProfile, source_pin: int, sink_pin
     """
     jg = gsrg.base
     segs = jg.segments
-    weight = jg.weights(profile)
+    weight = state.weight
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
-    sw1, sw2 = pin_edge_weights(src, jg, profile)
-    dw1, dw2 = pin_edge_weights(dst, jg, profile)
+    sw1, sw2 = pin_edge_weights(src, state.penalty)
+    dw1, dw2 = pin_edge_weights(dst, state.penalty)
     sink_w: dict[int, float] = {}
     if dw1 != UNUSABLE:
         sink_w[dst.j1] = dw1
@@ -366,27 +377,25 @@ def _charge_path(state: RoutingState, path: RoutePath,
     for sid in list(path.segments) + [path.entry_host, path.exit_host]:
         if sid in charged:
             continue
-        seg = state.segments[sid]
         if sid not in saved:
-            saved[sid] = (seg.u.copy(), seg.curr_layer)
-        charged[sid] = charge(seg, state.profile)
-        state.graph.refresh((sid,))
+            usage = state.usage[sid]
+            saved[sid] = (usage.u.copy(), usage.curr_layer)
+        charged[sid] = state.charge(sid)
     path.layers = [charged[sid] for sid in path.segments]
     path.vias = count_vias(path)
 
 
 def _rollback(state: RoutingState, saved: dict[int, tuple[list[int], int]]) -> None:
     for sid, (u, cur) in saved.items():
-        seg = state.segments[sid]
-        seg.u = u
-        seg.curr_layer = cur
-    state.graph.refresh(saved)
+        usage = state.usage[sid]
+        usage.u, usage.curr_layer = u, cur
+        state.refresh(sid)
 
 
 def route_net(state: RoutingState, net: Net) -> NetResult:
     """Route one net; on any pair failure the net fails and its usage rolls back."""
     try:
-        gsrg = build_gsrg(state.graph, net)
+        gsrg = build_gsrg(state.region.graph, net)
     except PinHostError as exc:
         return NetResult(net_id=net.id, status="FAILED", reason=str(exc))
 
@@ -400,7 +409,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
         a, b = net.pins[i], net.pins[j]
         src_pin, _ = identify_source(a, b, state.config.search)
         si, ti = (i, j) if src_pin is a else (j, i)
-        path = dijkstra_ssp(gsrg, state.profile, si, ti)
+        path = dijkstra_ssp(gsrg, state, si, ti)
         if path is None:
             _rollback(state, saved)
             return NetResult(net_id=net.id, status="FAILED", failure_pair=(i, j),
@@ -408,23 +417,24 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
         _charge_path(state, path, charged, saved)
         paths.append(path)
 
-    smst = identify_steiner_points(net, paths, state.segments)
+    smst = identify_steiner_points(net, paths, state.region.segments)
     return NetResult(net_id=net.id, status="ROUTED", smst=smst)
 
 
 def route_all(state: RoutingState) -> RouteRun:
     """Route every net in priority order; failures are recorded, not raised."""
-    ordered = order_nets(state.nets)
+    nets = state.region.nets
+    ordered = order_nets(nets)
     t0 = time.perf_counter()
     by_id: dict[int, NetResult] = {}
     for net in ordered:
         by_id[net.id] = route_net(state, net)
     runtime = time.perf_counter() - t0
-    results = [by_id[net.id] for net in state.nets]
+    results = [by_id[net.id] for net in nets]
     return RouteRun(state=state, results=results, order=[n.id for n in ordered], runtime=runtime)
 
 
-def route_floorplan(fp: Floorplan, config: RunConfig, nets: list[Net] | None = None) -> RouteRun:
-    """Build all routing structures for fp and route its nets under config."""
-    state = RoutingState.prepare(fp, config, nets)
-    return route_all(state)
+def route_floorplan(fp: Floorplan, config: RunConfig, nets: list[Net] | None = None,
+                    balance: BalanceMode = BalanceMode.NUMBER) -> RouteRun:
+    """Build the region model of fp and route its nets under config."""
+    return route_all(RoutingState.prepare(RegionModel.build(fp, nets, balance), config))

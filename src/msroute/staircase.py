@@ -77,8 +77,7 @@ class Segment:
     """Atomic routing resource: a junction-bounded piece of a wall.
 
     region_id is the owning cut's id, or -(side+1) for the four border
-    (non-MS) walls.  Layer state (u, curr_layer) is attached by the routing
-    graph before use.
+    (non-MS) walls.  A run's usage lives in router.RoutingState, not here.
     """
 
     id: int
@@ -90,8 +89,6 @@ class Segment:
     j1: int
     j2: int
     r: int = 0
-    u: list[int] | None = None
-    curr_layer: int = 1
 
     @property
     def length(self) -> float:

@@ -16,37 +16,31 @@ import time
 
 import pytest
 
-from msroute import (
-    CapacityProfile,
-    LayerModel,
-    Orientation,
-    ProfileKind,
+from msroute.adjacency import Orientation, build_bag, enumerate_tjunctions
+from msroute.floorplan import generate_random_floorplan
+from msroute.metrics import snapshot, summarize
+from msroute.routegraph import CapacityProfile, LayerModel, ProfileKind, RegionModel, capacity_at
+from msroute.router import (
     RoutingState,
     RunConfig,
     SearchDir,
-    build_bag,
-    build_junction_graph,
-    capacity_at,
-    dijkstra_ssp,
     decompose_net,
-    enumerate_tjunctions,
-    generate_random_floorplan,
-    init_layer_state,
+    dijkstra_ssp,
     route_all,
     route_floorplan,
     route_net,
-    snapshot,
-    summarize,
-    wace4,
 )
+from msroute.staircase import build_msc_tree
 
 from test_router import (
     _mst_brute_force,
     _net,
     _random_gsrg,
+    _starved,
     _t_mosaic_state,
     _usage_snapshot,
     brute_force_shortest,
+    with_capacities,
 )
 
 SIZES = (3, 5, 10, 50, 100, 300)
@@ -73,7 +67,6 @@ def structural_counts():
             fp = generate_random_floorplan(n, 0, 2, seed=seed)
             junctions = enumerate_tjunctions(fp)
             bag = build_bag(fp, Orientation.MIS)
-            from msroute import build_msc_tree
             tree = build_msc_tree(fp)
             bx1, by1 = fp.origin
             bx2, by2 = bx1 + fp.width, by1 + fp.height
@@ -130,9 +123,9 @@ def test_criterion_2_dijkstra_oracle():
     mismatches = 0
     reachable = 0
     for _ in range(200):
-        gsrg = _random_gsrg(rng, rng.randint(4, 12), profile)
-        expect = brute_force_shortest(gsrg, profile)
-        path = dijkstra_ssp(gsrg, profile, 0, 1)
+        gsrg, state = _random_gsrg(rng, rng.randint(4, 12), profile)
+        expect = brute_force_shortest(gsrg, state)
+        path = dijkstra_ssp(gsrg, state, 0, 1)
         got = path.weight if path is not None else math.inf
         if expect == math.inf:
             if got != math.inf:
@@ -174,11 +167,12 @@ def test_criterion_3_mst_oracle():
 @pytest.fixture(scope="session")
 def paper_scale_runs():
     fp = generate_random_floorplan(300, 1632, 6, seed=1)
+    region = RegionModel.build(fp)
     runs = {}
     for kind in (ProfileKind.UNIFORM, ProfileKind.LADDER):
         config = RunConfig(search=SearchDir.FWD, profile_kind=kind, layers=8,
                            layer_model=LayerModel.RESERVED_HV)
-        run = route_floorplan(fp, config)
+        run = route_all(RoutingState.prepare(region, config))
         runs[kind] = (run, summarize(run))
     return fp, runs
 
@@ -203,12 +197,12 @@ def test_criterion_4_congestion_never_exceeds_capacity(paper_scale_runs):
     wace_ok = True
     for kind, (run, report) in runs.items():
         state = run.state
-        for seg in state.segments:
+        for seg in state.region.segments:
             if seg.r <= 0:
                 continue
             for layer in range(1, state.profile.layers + 1):
-                assert seg.u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
-        snap = snapshot(state.segments, state.profile)
+                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
+        snap = snapshot(state)
         worst = max(worst, snap.max_p)
         wace_ok = wace_ok and all(w <= 1.0 for w in report.congestion["wace4_per_layer"])
 
@@ -217,15 +211,10 @@ def test_criterion_4_congestion_never_exceeds_capacity(paper_scale_runs):
     fp = generate_random_floorplan(12, 80, 4, seed=6)
     config = RunConfig(SearchDir.FWD, ProfileKind.HYPERBOLIC, layers=1,
                        layer_model=LayerModel.UNRESERVED)
-    state = RoutingState.prepare(fp, config)
-    for seg in state.segments:
-        if seg.r > 0:
-            seg.r = max(1, seg.r // 8)
-    init_layer_state(state.segments, state.profile)
-    state.graph = build_junction_graph(state.segments, state.junctions)
+    state = RoutingState.prepare(with_capacities(RegionModel.build(fp), _starved), config)
     run = route_all(state)
     failed = sum(1 for r in run.results if r.status == "FAILED")
-    stress_snap = snapshot(state.segments, state.profile)
+    stress_snap = snapshot(state)
     worst = max(worst, stress_snap.max_p)
 
     _verdict("4 (usage <= capacity, p <= 1.0, wACE4 <= 1.0)",
@@ -240,7 +229,7 @@ def test_criterion_6_wirelength_bounds(paper_scale_runs):
     fp, runs = paper_scale_runs
     run, report = runs[ProfileKind.UNIFORM]
     lower_ok = True
-    for result, net in zip(run.results, run.state.nets):
+    for result, net in zip(run.results, run.state.region.nets):
         if result.status != "ROUTED":
             continue
         for path in result.smst.paths:
@@ -273,13 +262,13 @@ def test_criterion_7_profile_ordering_and_via_trend():
     # logged alongside the raw count.
     wins = both_full = wins_full = 0
     for seed in range(50):
-        fp = generate_random_floorplan(40, 220, 4, seed=seed)
+        region = RegionModel.build(generate_random_floorplan(40, 220, 4, seed=seed))
         vias = {}
         pct = {}
         for kind in (ProfileKind.UNIFORM, ProfileKind.HYPERBOLIC):
             config = RunConfig(SearchDir.FWD, kind, layers=8,
                                layer_model=LayerModel.RESERVED_HV)
-            report = summarize(route_floorplan(fp, config))
+            report = summarize(route_all(RoutingState.prepare(region, config)))
             vias[kind] = report.totals["vias"]
             pct[kind] = report.totals["routed_pct"]
         won = vias[ProfileKind.HYPERBOLIC] >= vias[ProfileKind.UNIFORM]

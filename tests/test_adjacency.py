@@ -2,16 +2,16 @@
 
 import pytest
 
-from msroute import (
+from msroute.adjacency import (
     Orientation,
     Relation,
-    ValidationError,
     all_junctions,
     build_bag,
     enumerate_tjunctions,
-    generate_random_floorplan,
     topological_order,
 )
+from msroute.errors import ValidationError
+from msroute.floorplan import generate_random_floorplan
 
 from test_floorplan import make_fp
 

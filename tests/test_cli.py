@@ -5,8 +5,11 @@ import json
 
 import pytest
 
-from msroute import load_floorplan, validate_floorplan
+import msroute.routegraph
 from msroute.cli import main
+from msroute.floorplan import generate_random_floorplan, load_floorplan, validate_floorplan
+from msroute.metrics import summarize
+from msroute.router import PRESETS, RunConfig, route_floorplan
 
 
 def test_gen_writes_valid_instance(tmp_path):
@@ -96,6 +99,46 @@ def test_sweep_selected_configs(tmp_path):
     assert (tmp_path / "report_FCN.json").exists()
     assert (tmp_path / "report_BCH.json").exists()
     assert not (tmp_path / "report_FCL.json").exists()
+
+
+def test_sweep_builds_one_region_and_matches_separate_routes(tmp_path, monkeypatch):
+    calls = []
+    build = msroute.routegraph.build_msc_tree
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(msroute.routegraph, "build_msc_tree", counted)
+    assert main(["sweep", "--n", "12", "--k", "60", "--seed", "4", "--layers", "2",
+                 "--all-configs", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    fp = generate_random_floorplan(12, 60, 6, seed=4)
+    for name in PRESETS:
+        payload = json.loads((tmp_path / f"report_{name}.json").read_text())
+        del payload["totals"]["runtime_seconds"]
+        swept = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        alone = summarize(route_floorplan(fp, RunConfig.from_name(name, layers=2)))
+        assert swept == alone.to_json(include_timing=False)
+    assert len(calls) == 1 + len(PRESETS)
+
+
+def test_sweep_unknown_config_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep", "--n", "6", "--k", "10", "--configs", "FCN,XYZ", "--out", str(out)])
+    assert code == 1
+    assert "'XYZ'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["route", "sweep", "dump-graph"])
+@pytest.mark.parametrize("layers", ["0", "-2"])
+def test_fewer_than_one_layer_exits_one(tmp_path, capsys, command, layers):
+    out = tmp_path / "out"
+    code = main([command, "--n", "6", "--k", "10", "--layers", layers, "--out", str(out)])
+    assert code == 1
+    assert f"got {layers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_graph_artifacts(tmp_path):

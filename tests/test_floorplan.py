@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from msroute import (
+from msroute.errors import InvalidNetError, ParseError
+from msroute.floorplan import (
     Block,
     Floorplan,
-    InvalidNetError,
     Net,
-    ParseError,
     Pin,
     compute_hpwl,
     generate_random_floorplan,

@@ -8,16 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from msroute import (
-    MetricError,
-    RunConfig,
-    ace,
-    generate_random_floorplan,
-    route_floorplan,
-    snapshot,
-    summarize,
-    wace4,
-)
+from msroute.errors import MetricError
+from msroute.floorplan import generate_random_floorplan
+from msroute.metrics import ace, snapshot, summarize, wace4
+from msroute.routegraph import capacity_at
+from msroute.router import RunConfig, route_floorplan
 
 from test_floorplan import make_fp
 from test_router import _net
@@ -83,13 +78,25 @@ def _routed_report(n=10, k=30, seed=2, config="FCN"):
 
 def test_snapshot_entries_in_unit_interval():
     run, _ = _routed_report()
-    snap = snapshot(run.state.segments, run.state.profile)
+    snap = snapshot(run.state)
     flat = snap.flat
     assert flat.size > 0
     assert float(flat.min()) >= 0.0
     assert float(flat.max()) <= 1.0
-    usable = sum(1 for s in run.state.segments if s.r > 0)
+    usable = sum(1 for s in run.state.region.segments if s.r > 0)
     assert flat.size == usable * run.state.profile.layers
+
+
+def test_snapshot_matches_loop_reference():
+    # the reserved model forbids every segment half of the layers, which read 0
+    run, _ = _routed_report(n=12, k=80, seed=3, config="FCH")
+    state = run.state
+    usable = [seg for seg in state.region.segments if seg.r > 0]
+    snap = snapshot(state)
+    assert len(snap.per_layer) == state.profile.layers
+    for layer, got in enumerate(snap.per_layer, start=1):
+        expect = [state.usage[seg.id].u[layer - 1] / capacity_at(state.profile, seg.r, layer) for seg in usable]
+        assert got.tolist() == expect
 
 
 def test_summarize_zero_nets():
@@ -129,7 +136,7 @@ def test_summarize_congestion_fields():
     assert len(per_layer) == run.state.profile.layers
     assert report.congestion["wace4_max"] == pytest.approx(max(per_layer))
     assert all(0.0 <= w <= 1.0 for w in per_layer)
-    snap = snapshot(run.state.segments, run.state.profile)
+    snap = snapshot(run.state)
     assert report.congestion["wace4_all"] == pytest.approx(wace4(snap))
 
 

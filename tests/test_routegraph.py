@@ -1,44 +1,45 @@
-"""Capacity profiles, layer state, junction graph and GSRG construction."""
+"""Capacity profiles, the layer rule of a run, junction graph and GSRG construction."""
 
 import math
 
 import pytest
 
-from msroute import (
+from msroute.adjacency import Axis, TJunction, all_junctions
+from msroute.errors import InternalError, PinHostError
+from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.routegraph import (
     UNUSABLE,
-    Axis,
     CapacityProfile,
     LayerModel,
-    Net,
-    Pin,
-    PinHostError,
     ProfileKind,
-    Segment,
-    advance_layer,
-    all_junctions,
+    RegionModel,
     build_gsrg,
     build_junction_graph,
-    build_msc_tree,
     capacity_at,
-    charge,
-    compute_hpwl,
-    edge_weight,
     effective_layer,
-    extract_segments,
-    generate_random_floorplan,
-    init_layer_state,
+    pin_edge_weights,
 )
-from msroute.routegraph import pin_edge_weights
+from msroute.router import RoutingState, RunConfig, SearchDir
+from msroute.staircase import BalanceMode, Segment, build_msc_tree, extract_segments
 
 from test_floorplan import make_fp
 
 
-def make_seg(seg_id=0, axis=Axis.H, length=100.0, r=10, profile=None):
-    seg = Segment(id=seg_id, region_id=0, axis=axis, fixed=0.0, lo=0.0, hi=length, j1=0, j2=1)
-    seg.r = r
-    if profile is not None:
-        init_layer_state([seg], profile)
-    return seg
+def make_seg(seg_id=0, axis=Axis.H, length=100.0, r=10, j1=0, j2=1):
+    return Segment(id=seg_id, region_id=0, axis=axis, fixed=0.0, lo=0.0, hi=length, j1=j1, j2=j2, r=r)
+
+
+def hand_state(segments, profile, junctions=None, nets=(), search=SearchDir.FWD):
+    """A run over hand-built segments, made by the constructors RegionModel.build
+    and route_floorplan use; junctions default to one per referenced id."""
+    if junctions is None:
+        n = 1 + max(max(seg.j1, seg.j2) for seg in segments)
+        junctions = [TJunction(i, float(i), 0.0) for i in range(n)]
+    region = RegionModel(fp=None, nets=list(nets), balance=BalanceMode.NUMBER, tree=None,
+                         junctions=junctions, segments=segments,
+                         graph=build_junction_graph(segments, junctions))
+    config = RunConfig(search, profile.kind, profile.layers, profile.layer_model)
+    return RoutingState.prepare(region, config)
 
 
 UNIFORM8 = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.UNRESERVED)
@@ -85,145 +86,171 @@ def test_capacity_layer_out_of_range():
         capacity_at(profile, 8, 0)
 
 
+@pytest.mark.parametrize("layers", [0, -2])
+def test_profile_rejects_fewer_than_one_layer(layers):
+    with pytest.raises(ValueError, match=f"got {layers}"):
+        CapacityProfile(ProfileKind.UNIFORM, layers)
+
+
 # ---------------------------------------------------------------------------
-# edge weight and layers
+# edge weight and layers: usage changes only through RoutingState.charge
 
 def test_edge_weight_zero_usage_is_length():
-    seg = make_seg(length=100.0, r=10, profile=UNIFORM8)
-    assert edge_weight(seg, UNIFORM8) == pytest.approx(100.0)
+    state = hand_state([make_seg(length=100.0, r=10)], UNIFORM8)
+    assert state.weight[0] == pytest.approx(100.0)
 
 
 def test_edge_weight_half_full_doubles():
-    seg = make_seg(length=100.0, r=10, profile=UNIFORM8)
-    seg.u[0] = 5
-    assert edge_weight(seg, UNIFORM8) == pytest.approx(200.0)
+    state = hand_state([make_seg(length=100.0, r=10)], UNIFORM8)
+    for _ in range(5):
+        state.charge(0)
+    assert state.usage[0].u[0] == 5
+    assert state.weight[0] == pytest.approx(200.0)
 
 
 def test_edge_weight_unusable_at_top_layer():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    seg = make_seg(length=100.0, r=3, profile=profile)
-    seg.u[0] = 3
-    assert edge_weight(seg, profile) == UNUSABLE
-    assert math.isinf(edge_weight(seg, profile))
+    state = hand_state([make_seg(length=100.0, r=3)], profile)
+    for _ in range(3):
+        state.charge(0)
+    assert state.weight[0] == UNUSABLE
+    assert math.isinf(state.weight[0])
 
 
 def test_edge_weight_strictly_increasing_in_usage():
-    seg = make_seg(length=50.0, r=10, profile=UNIFORM8)
+    state = hand_state([make_seg(length=50.0, r=10)], UNIFORM8)
     last = 0.0
     for u in range(10):
-        seg.u[0] = u
-        w = edge_weight(seg, UNIFORM8)
-        assert w > last
-        last = w
+        assert state.usage[0].u[0] == u
+        assert state.weight[0] > last
+        last = state.weight[0]
+        state.charge(0)
 
 
 def test_zero_capacity_segment_is_unusable():
-    seg = make_seg(r=0, profile=UNIFORM8)
-    assert edge_weight(seg, UNIFORM8) == UNUSABLE
+    state = hand_state([make_seg(r=0)], UNIFORM8)
+    assert state.weight[0] == UNUSABLE
 
 
 def test_advance_layer_reserved_parity():
+    # a full horizontal layer advances to the next odd layer
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-    seg = make_seg(axis=Axis.H, r=2, profile=profile)
-    seg.u[0] = 2
-    assert advance_layer(seg, profile) == 3
-    assert seg.curr_layer == 3
+    state = hand_state([make_seg(axis=Axis.H, r=2)], profile)
+    assert [state.charge(0) for _ in range(2)] == [1, 1]
+    assert effective_layer(state.usage[0]) == 3
+    assert state.charge(0) == 3
+    assert state.usage[0].curr_layer == 3
 
 
 def test_advance_layer_unreserved_increments():
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.UNRESERVED)
-    seg = make_seg(axis=Axis.V, r=1, profile=profile)
-    seg.curr_layer = 2
-    seg.u[1] = 1
-    assert advance_layer(seg, profile) == 3
+    state = hand_state([make_seg(axis=Axis.V, r=1)], profile)
+    assert [state.charge(0) for _ in range(2)] == [1, 2]
+    assert state.usage[0].curr_layer == 2
+    assert effective_layer(state.usage[0]) == 3
+    assert state.charge(0) == 3
 
 
 def test_advance_layer_saturated():
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-    seg = make_seg(axis=Axis.H, r=1, profile=profile)
-    seg.curr_layer = 7
-    seg.u[6] = 1
-    assert advance_layer(seg, profile) is None
-    assert seg.curr_layer == 7
+    state = hand_state([make_seg(axis=Axis.H, r=1)], profile)
+    assert [state.charge(0) for _ in range(4)] == [1, 3, 5, 7]
+    assert effective_layer(state.usage[0]) is None
+    assert state.weight[0] == UNUSABLE
+    with pytest.raises(InternalError):
+        state.charge(0)
+    assert state.usage[0].curr_layer == 7
 
 
 def test_advance_layer_requires_saturation():
+    # a layer with room left keeps every charge
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.UNRESERVED)
-    seg = make_seg(r=5, profile=profile)
-    with pytest.raises(ValueError):
-        advance_layer(seg, profile)
+    state = hand_state([make_seg(r=5)], profile)
+    for _ in range(4):
+        assert state.charge(0) == 1
+        assert effective_layer(state.usage[0]) == 1
+    assert state.charge(0) == 1
+    assert state.usage[0].curr_layer == 1
+    assert effective_layer(state.usage[0]) == 2
 
 
 def test_reserved_vertical_segments_start_on_layer_two():
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-    seg = make_seg(axis=Axis.V, r=1, profile=profile)
-    assert seg.curr_layer == 2
-    assert effective_layer(seg, profile) == 2
+    state = hand_state([make_seg(axis=Axis.V, r=1)], profile)
+    assert state.usage[0].curr_layer == 2
+    assert effective_layer(state.usage[0]) == 2
 
 
 def test_reserved_vertical_with_single_layer_is_unusable():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.RESERVED_HV)
-    seg = make_seg(axis=Axis.V, r=5, profile=profile)
-    assert effective_layer(seg, profile) is None
-    assert edge_weight(seg, profile) == UNUSABLE
+    state = hand_state([make_seg(axis=Axis.V, r=5)], profile)
+    assert effective_layer(state.usage[0]) is None
+    assert state.weight[0] == UNUSABLE
 
 
 def test_charge_fills_then_advances():
     profile = CapacityProfile(ProfileKind.HYPERBOLIC, 4, LayerModel.UNRESERVED)
-    seg = make_seg(r=2, profile=profile)
-    layers = [charge(seg, profile) for _ in range(4)]
+    state = hand_state([make_seg(r=2)], profile)
+    layers = [state.charge(0) for _ in range(4)]
     # capacities: 2, 1, 1, 1
     assert layers == [1, 1, 2, 3]
-    assert seg.curr_layer == 3
+    assert state.usage[0].curr_layer == 3
     for layer in range(1, 5):
-        assert seg.u[layer - 1] <= capacity_at(profile, seg.r, layer)
+        assert state.usage[0].u[layer - 1] <= capacity_at(profile, 2, layer)
 
 
 def test_charge_weight_reflects_next_free_layer():
     # a full layer quotes the next layer's (empty) congestion, same length
     profile = CapacityProfile(ProfileKind.UNIFORM, 2, LayerModel.UNRESERVED)
-    seg = make_seg(length=70.0, r=1, profile=profile)
-    charge(seg, profile)
-    assert edge_weight(seg, profile) == pytest.approx(70.0)
+    state = hand_state([make_seg(length=70.0, r=1)], profile)
+    state.charge(0)
+    assert state.weight[0] == pytest.approx(70.0)
+
+
+def test_capacity_table_reads_the_profile_and_layer_model():
+    profile = CapacityProfile(ProfileKind.LADDER, 6, LayerModel.RESERVED_HV)
+    state = hand_state([make_seg(0, Axis.H, r=8), make_seg(1, Axis.V, r=8), make_seg(2, r=0)], profile)
+    assert [usage.cap for usage in state.usage] == [[8, 0, 4, 0, 2, 0], [0, 8, 0, 4, 0, 2], [0] * 6]
 
 
 # ---------------------------------------------------------------------------
 # junction graph
 
-def _prepared(fp, profile=UNIFORM8, r_override=None):
+def _segments(fp, r_of):
+    """The floorplan's segments with r = r_of(segment) instead of its net count."""
     tree = build_msc_tree(fp)
     junctions = all_junctions(fp)
     segments = extract_segments(tree, fp, junctions)
     for seg in segments:
-        seg.r = r_override if (r_override is not None and seg.region_id >= 0) else \
-            (1 if seg.region_id >= 0 else 0)
-    init_layer_state(segments, profile)
-    return junctions, segments, build_junction_graph(segments, junctions)
+        seg.r = r_of(seg)
+    return junctions, segments
+
+
+def _prepared(fp):
+    """A run over fp's junction graph where every interior wall has r = 1."""
+    junctions, segments = _segments(fp, lambda seg: 1 if seg.region_id >= 0 else 0)
+    return hand_state(segments, UNIFORM8, junctions)
 
 
 def test_junction_graph_two_blocks():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    junctions, segments, jg = _prepared(fp)
+    region = _prepared(fp).region
+    jg = region.graph
     assert jg.n_nodes == 6
     assert len(jg.edges) == 1  # only the interior wall is usable
-    interior = next(s for s in segments if s.region_id >= 0)
+    interior = next(s for s in region.segments if s.region_id >= 0)
     assert jg.edges[interior.id] == (interior.j1, interior.j2)
 
 
 def test_junction_graph_node_count_matches_junctions():
     fp = generate_random_floorplan(10, 0, 2, seed=2)
-    junctions, segments, jg = _prepared(fp)
-    assert jg.n_nodes == len(junctions) == (2 * 10 - 2) + 4
+    region = _prepared(fp).region
+    assert region.graph.n_nodes == len(region.junctions) == (2 * 10 - 2) + 4
 
 
 def test_junction_graph_zero_capacity_everywhere():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    tree = build_msc_tree(fp)
-    junctions = all_junctions(fp)
-    segments = extract_segments(tree, fp, junctions)
-    for seg in segments:
-        seg.r = 0
-    init_layer_state(segments, UNIFORM8)
+    junctions, segments = _segments(fp, lambda seg: 0)
     jg = build_junction_graph(segments, junctions)
     assert jg.n_nodes == 6 and len(jg.edges) == 0
 
@@ -240,17 +267,17 @@ def _net_on(fp, points):
 
 def test_gsrg_two_pin_net_has_two_attachments():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    _, segments, jg = _prepared(fp)
+    state = _prepared(fp)
     net = _net_on(fp, [(1.0, 1.0), (3.0, 1.0)])
-    gsrg = build_gsrg(jg, net)
+    gsrg = build_gsrg(state.region.graph, net)
     assert len(gsrg.pins) == 2
-    weights = [w for att in gsrg.pins for w in pin_edge_weights(att, jg, UNIFORM8)]
+    weights = [w for att in gsrg.pins for w in pin_edge_weights(att, state.penalty)]
     assert len(weights) == 4 and all(w < UNUSABLE for w in weights)
 
 
 def test_gsrg_five_pin_net_has_ten_edges():
     fp = generate_random_floorplan(10, 0, 2, seed=3)
-    _, segments, jg = _prepared(fp)
+    jg = _prepared(fp).region.graph
     import random
     rng = random.Random(0)
     net = _net_on(fp, [(rng.uniform(0, fp.width), rng.uniform(0, fp.height)) for _ in range(5)])
@@ -261,17 +288,17 @@ def test_gsrg_five_pin_net_has_ten_edges():
 
 def test_gsrg_pin_on_junction_gets_near_zero_edge():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    _, segments, jg = _prepared(fp)
+    state = _prepared(fp)
     net = _net_on(fp, [(2.0, 0.0), (2.0, 2.0)])  # exactly on the wall's junctions
-    gsrg = build_gsrg(jg, net)
-    w1, w2 = pin_edge_weights(gsrg.pins[0], jg, UNIFORM8)
+    gsrg = build_gsrg(state.region.graph, net)
+    w1, w2 = pin_edge_weights(gsrg.pins[0], state.penalty)
     assert min(w1, w2) == pytest.approx(0.0)
     assert max(w1, w2) == pytest.approx(2.0)
 
 
 def test_gsrg_host_distances_are_manhattan():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    _, segments, jg = _prepared(fp)
+    jg = _prepared(fp).region.graph
     net = _net_on(fp, [(1.0, 0.5), (3.0, 1.5)])
     gsrg = build_gsrg(jg, net)
     att = gsrg.pins[0]
@@ -284,13 +311,8 @@ def test_gsrg_host_prefers_lower_id_on_ties():
     from msroute.routegraph import _point_interval_dist, host_segment
 
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
-    tree = build_msc_tree(fp)
-    junctions = all_junctions(fp)
-    segments = extract_segments(tree, fp, junctions)
     # give the (otherwise unusable) border walls capacity so several hosts tie
-    for seg in segments:
-        seg.r = max(seg.r, 1)
-    init_layer_state(segments, UNIFORM8)
+    junctions, segments = _segments(fp, lambda seg: max(seg.r, 1))
     jg = build_junction_graph(segments, junctions)
 
     interior = next(s for s in segments if s.region_id >= 0)
@@ -305,7 +327,7 @@ def test_gsrg_host_prefers_lower_id_on_ties():
 
 def test_gsrg_reversibility():
     fp = generate_random_floorplan(8, 0, 2, seed=1)
-    junctions, segments, jg = _prepared(fp)
+    jg = _prepared(fp).region.graph
     adj_before = [list(lst) for lst in jg.adj]
     edges_before = dict(jg.edges)
     net = _net_on(fp, [(1.0, 1.0), (fp.width - 1.0, fp.height - 1.0)])
@@ -316,12 +338,7 @@ def test_gsrg_reversibility():
 
 def test_gsrg_no_usable_host_raises():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    tree = build_msc_tree(fp)
-    junctions = all_junctions(fp)
-    segments = extract_segments(tree, fp, junctions)
-    for seg in segments:
-        seg.r = 0
-    init_layer_state(segments, UNIFORM8)
+    junctions, segments = _segments(fp, lambda seg: 0)
     jg = build_junction_graph(segments, junctions)
     with pytest.raises(PinHostError):
         build_gsrg(jg, _net_on(fp, [(0.5, 0.5), (1.5, 0.5)]))

@@ -3,48 +3,50 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msroute import (
-    PRESETS,
+from msroute.adjacency import Axis, TJunction
+from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.metrics import summarize
+from msroute.routegraph import (
     UNUSABLE,
-    Axis,
     CapacityProfile,
+    Gsrg,
     LayerModel,
-    Net,
-    Pin,
+    PinAttachment,
     ProfileKind,
+    RegionModel,
+    build_junction_graph,
+    capacity_at,
+    effective_layer,
+    host_segment,
+    layer_permitted,
+    pin_edge_weights,
+)
+from msroute.router import (
+    PRESETS,
     RoutePath,
     RoutingState,
     RunConfig,
     SearchDir,
-    Segment,
-    TJunction,
-    build_gsrg,
-    build_junction_graph,
-    capacity_at,
-    charge,
-    compute_hpwl,
     count_vias,
     decompose_net,
     dijkstra_ssp,
-    effective_layer,
-    generate_random_floorplan,
     identify_source,
     identify_steiner_points,
-    init_layer_state,
     order_nets,
     route_all,
     route_floorplan,
     route_net,
-    summarize,
 )
-from msroute.routegraph import Gsrg, PinAttachment, edge_weight, host_segment, pin_edge_weights
+from msroute.staircase import BalanceMode, Segment, segments_csv, tree_text
 
-from test_floorplan import make_fp, make_net
+from test_floorplan import make_fp
+from test_routegraph import hand_state
 
 
 def _pin(x, y, net_id=0, block_id=0):
@@ -157,7 +159,8 @@ def test_decompose_deterministic():
 # Dijkstra against exhaustive path enumeration
 
 def _random_gsrg(rng, n_junctions, profile):
-    """Random connected junction graph with random usage, plus 2 pins."""
+    """Random connected junction graph with random usage, plus 2 pins; returns
+    the GSRG and the run holding the usage."""
     junctions = [TJunction(id=i, x=float(i), y=0.0) for i in range(n_junctions)]
     segments = []
 
@@ -173,11 +176,12 @@ def _random_gsrg(rng, n_junctions, profile):
     for _ in range(extra):
         a, b = rng.sample(range(n_junctions), 2)
         add_seg(a, b)
-    init_layer_state(segments, profile)
+    state = hand_state(segments, profile, junctions)
     for seg in segments:
         # mostly partial usage; occasional saturation exercises edge skipping
-        seg.u[0] = seg.r if rng.random() < 0.15 else rng.randint(0, seg.r - 1)
-    jg = build_junction_graph(segments, junctions)
+        for _ in range(seg.r if rng.random() < 0.15 else rng.randint(0, seg.r - 1)):
+            state.charge(seg.id)
+    jg = state.region.graph
     src_host, dst_host = rng.randrange(len(segments)), rng.randrange(len(segments))
     net = _net([(0.0, 0.0), (1.0, 1.0)])
     pins = [
@@ -186,15 +190,15 @@ def _random_gsrg(rng, n_junctions, profile):
         PinAttachment(1, dst_host, segments[dst_host].j1, segments[dst_host].j2,
                       rng.uniform(0, 5), rng.uniform(0, 5)),
     ]
-    return Gsrg(base=jg, net=net, pins=pins)
+    return Gsrg(base=jg, net=net, pins=pins), state
 
 
-def brute_force_shortest(gsrg, profile):
+def brute_force_shortest(gsrg, state):
     """Minimum weight over all simple source->sink junction paths."""
     jg = gsrg.base
     src, dst = gsrg.pins
-    sw = pin_edge_weights(src, jg, profile)
-    dw = pin_edge_weights(dst, jg, profile)
+    sw = pin_edge_weights(src, state.penalty)
+    dw = pin_edge_weights(dst, state.penalty)
     sink_w = {}
     for j, w in ((dst.j1, dw[0]), (dst.j2, dw[1])):
         if w != float("inf"):
@@ -207,7 +211,7 @@ def brute_force_shortest(gsrg, profile):
         for nb, sid in jg.adj[j]:
             if nb in visited:
                 continue
-            w = edge_weight(jg.segments[sid], profile)
+            w = state.weight[sid]
             if w == float("inf"):
                 continue
             dfs(nb, cost + w, visited | {nb})
@@ -223,9 +227,9 @@ def test_dijkstra_matches_path_enumeration():
     rng = random.Random(7)
     checked = 0
     for _ in range(60):
-        gsrg = _random_gsrg(rng, rng.randint(4, 12), profile)
-        expect = brute_force_shortest(gsrg, profile)
-        path = dijkstra_ssp(gsrg, profile, 0, 1)
+        gsrg, state = _random_gsrg(rng, rng.randint(4, 12), profile)
+        expect = brute_force_shortest(gsrg, state)
+        path = dijkstra_ssp(gsrg, state, 0, 1)
         if path is None:
             assert expect == float("inf")
         else:
@@ -237,16 +241,14 @@ def test_dijkstra_matches_path_enumeration():
 def test_dijkstra_single_edge():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
     junctions = [TJunction(0, 0.0, 0.0), TJunction(1, 10.0, 0.0)]
-    seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1)
-    seg.r = 1
-    init_layer_state([seg], profile)
-    jg = build_junction_graph([seg], junctions)
+    seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1, r=1)
+    state = hand_state([seg], profile, junctions)
     # off-wall escape distances so the traversal is strictly cheapest
-    gsrg = Gsrg(jg, _net([(0, 0), (10, 0)]), [
+    gsrg = Gsrg(state.region.graph, _net([(0, 0), (10, 0)]), [
         PinAttachment(0, 0, 0, 1, 1.0, 30.0),
         PinAttachment(1, 0, 0, 1, 30.0, 1.0),
     ])
-    path = dijkstra_ssp(gsrg, profile, 0, 1)
+    path = dijkstra_ssp(gsrg, state, 0, 1)
     assert path.weight == pytest.approx(12.0)
     assert path.segments == [0]
     assert path.junctions == [0, 1]
@@ -257,16 +259,13 @@ def test_dijkstra_unreachable_sink():
     junctions = [TJunction(i, float(i), 0.0) for i in range(4)]
     segs = []
     for sid, (a, b) in enumerate([(0, 1), (2, 3)]):  # two disconnected edges
-        seg = Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b)
-        seg.r = 1
-        segs.append(seg)
-    init_layer_state(segs, profile)
-    jg = build_junction_graph(segs, junctions)
-    gsrg = Gsrg(jg, _net([(0, 0), (3, 0)]), [
+        segs.append(Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b, r=1))
+    state = hand_state(segs, profile, junctions)
+    gsrg = Gsrg(state.region.graph, _net([(0, 0), (3, 0)]), [
         PinAttachment(0, 0, 0, 1, 1.0, 1.0),
         PinAttachment(1, 1, 2, 3, 1.0, 1.0),
     ])
-    assert dijkstra_ssp(gsrg, profile, 0, 1) is None
+    assert dijkstra_ssp(gsrg, state, 0, 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +308,14 @@ def _ring_fixture():
     segments = [left, right, bottom, top]
     for seg in segments:
         seg.r = 1
-    init_layer_state(segments, profile)
-    charge(bottom, profile)  # fills layer 1 (r = 1)
-    graph = build_junction_graph(segments, junctions)
     net = _net([(0.0, 5.0), (10.0, 5.0)])
-    return profile, junctions, segments, graph, net
+    return profile, junctions, segments, net
 
 
 def _ring_state(search):
-    profile, junctions, segments, graph, net = _ring_fixture()
-    config = RunConfig(search=search, profile_kind=ProfileKind.UNIFORM, layers=8,
-                       layer_model=LayerModel.RESERVED_HV)
-    state = RoutingState(fp=None, config=config, profile=profile, nets=[net],
-                         tree=None, junctions=junctions, segments=segments, graph=graph)
+    profile, junctions, segments, net = _ring_fixture()
+    state = hand_state(segments, profile, junctions, nets=[net], search=search)
+    state.charge(2)  # fills the bottom wall's layer 1 (r = 1)
     return state, net
 
 
@@ -380,6 +374,17 @@ def test_identify_steiner_points_pure_chain_has_none():
 # ---------------------------------------------------------------------------
 # rollback on partial multi-terminal failure
 
+def with_capacities(region, r_of):
+    """The region with each segment's r replaced by r_of(segment), its junction
+    graph built again as RegionModel.build builds it."""
+    segments = [replace(seg, r=r_of(seg)) for seg in region.segments]
+    return replace(region, segments=segments, graph=build_junction_graph(segments, region.junctions))
+
+
+def _starved(seg):
+    return max(1, seg.r // 8) if seg.r > 0 else seg.r
+
+
 def _t_mosaic_state(layers=1, bc_capacity=1):
     """A over B/C with one 3-pin net whose second pair crosses a full wall."""
     fp = make_fp([(0, 0, 1, 2), (1, 0, 1, 1), (1, 1, 1, 1)])
@@ -392,21 +397,18 @@ def _t_mosaic_state(layers=1, bc_capacity=1):
     fp.nets.append(net)
     config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=layers,
                        layer_model=LayerModel.UNRESERVED)
-    state = RoutingState.prepare(fp, config)
-    ab = next(s for s in state.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 0.0)
-    ac = next(s for s in state.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 1.0)
-    bc = next(s for s in state.segments if s.axis is Axis.H and s.fixed == 1.0)
-    for seg in state.segments:
-        seg.r = 0
-    ab.r, ac.r, bc.r = 5, 5, bc_capacity
-    init_layer_state(state.segments, state.profile)
-    state.graph = build_junction_graph(state.segments, state.junctions)
-    charge(bc, state.profile)  # an earlier net already uses the B|C wall
+    region = RegionModel.build(fp)
+    ab = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 0.0)
+    ac = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 1.0)
+    bc = next(s for s in region.segments if s.axis is Axis.H and s.fixed == 1.0)
+    r = {ab.id: 5, ac.id: 5, bc.id: bc_capacity}
+    state = RoutingState.prepare(with_capacities(region, lambda seg: r.get(seg.id, 0)), config)
+    state.charge(bc.id)  # an earlier net already uses the B|C wall
     return state, net, (ab, ac, bc)
 
 
 def _usage_snapshot(state):
-    return [(list(s.u), s.curr_layer) for s in state.segments]
+    return [(list(usage.u), usage.curr_layer) for usage in state.usage]
 
 
 def test_route_net_rolls_back_partial_usage():
@@ -428,19 +430,19 @@ def test_failed_net_routes_with_more_capacity():
 def test_two_pin_route_charges_each_path_segment_once():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
     fp.nets.append(_net([(1.0, 1.0), (3.0, 1.0)]))
-    state = RoutingState.prepare(fp, RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
+    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
     result = route_net(state, fp.nets[0])
     assert result.status == "ROUTED"
-    charged = [s for s in state.segments if s.u and sum(s.u) > 0]
+    charged = [usage.u for usage in state.usage if sum(usage.u) > 0]
     assert charged, "the route must consume capacity"
-    assert all(sum(s.u) == 1 for s in charged)
+    assert all(sum(u) == 1 for u in charged)
 
 
 def test_three_pin_net_routes_two_pairs():
     fp = generate_random_floorplan(10, 0, 2, seed=4)
     net = _net([tuple(fp.blocks[i].center) for i in (0, 4, 8)])
     fp.nets.append(net)
-    state = RoutingState.prepare(fp, RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
+    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
     result = route_net(state, net)
     assert result.status == "ROUTED"
     assert len(result.smst.paths) == 2
@@ -467,30 +469,23 @@ def test_route_all_small_instance_full_routability():
 
 
 def test_route_all_stress_fails_some_but_never_over_capacity():
-    from msroute import capacity_at
-
     fp = generate_random_floorplan(10, 54, 4, seed=2)
     config = RunConfig(SearchDir.FWD, ProfileKind.HYPERBOLIC, layers=1,
                        layer_model=LayerModel.UNRESERVED)
-    state = RoutingState.prepare(fp, config)
-    for seg in state.segments:
-        if seg.r > 0:
-            seg.r = max(1, seg.r // 8)
-    init_layer_state(state.segments, state.profile)
-    state.graph = build_junction_graph(state.segments, state.junctions)
+    state = RoutingState.prepare(with_capacities(RegionModel.build(fp), _starved), config)
     run = route_all(state)
     statuses = {r.status for r in run.results}
     assert "FAILED" in statuses and "ROUTED" in statuses
-    for seg in state.segments:
+    for seg in state.region.segments:
         if seg.r > 0:
             for layer in range(1, state.profile.layers + 1):
-                assert seg.u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
+                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
 
 
 def test_routed_paths_are_connected_chains():
     fp = generate_random_floorplan(12, 40, 4, seed=5)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
-    segs = run.state.segments
+    segs = run.state.region.segments
     for result in run.results:
         if result.status != "ROUTED":
             continue
@@ -507,13 +502,13 @@ def test_routed_paths_are_connected_chains():
 def test_routed_length_at_least_manhattan():
     fp = generate_random_floorplan(15, 60, 4, seed=1)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
-    for result, net in zip(run.results, run.state.nets):
+    for result, net in zip(run.results, run.state.region.nets):
         if result.status != "ROUTED":
             continue
         for path in result.smst.paths:
             a, b = net.pins[path.source_pin], net.pins[path.sink_pin]
             manhattan = abs(a.x - b.x) + abs(a.y - b.y)
-            assert path.length >= manhattan - run.state.fp.tol
+            assert path.length >= manhattan - fp.tol
 
 
 def test_uncongested_path_weight_equals_length():
@@ -521,8 +516,9 @@ def test_uncongested_path_weight_equals_length():
     fp = generate_random_floorplan(12, 20, 3, seed=6)
     config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=8,
                        layer_model=LayerModel.UNRESERVED)
+    region = RegionModel.build(fp)
     for net in fp.nets[:5]:
-        state = RoutingState.prepare(fp, config)
+        state = RoutingState.prepare(region, config)
         result = route_net(state, net)
         assert result.status == "ROUTED"
         path = result.smst.paths[0]
@@ -530,18 +526,13 @@ def test_uncongested_path_weight_equals_length():
 
 
 def test_routability_monotone_in_layers_and_capacity():
-    fp = generate_random_floorplan(12, 80, 4, seed=3)
+    region = RegionModel.build(generate_random_floorplan(12, 80, 4, seed=3))
 
     def routed_with(layers, r_scale):
         config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=layers,
                            layer_model=LayerModel.UNRESERVED)
-        state = RoutingState.prepare(fp, config)
-        for seg in state.segments:
-            if seg.r > 0:
-                seg.r = max(1, (seg.r * r_scale) // 8)
-        init_layer_state(state.segments, state.profile)
-        state.graph = build_junction_graph(state.segments, state.junctions)
-        run = route_all(state)
+        scaled = with_capacities(region, lambda seg: max(1, (seg.r * r_scale) // 8) if seg.r > 0 else seg.r)
+        run = route_all(RoutingState.prepare(scaled, config))
         return sum(1 for r in run.results if r.status == "ROUTED")
 
     assert routed_with(1, 1) <= routed_with(2, 1) <= routed_with(8, 1)
@@ -592,7 +583,7 @@ def test_reports_byte_identical_to_golden(name):
 
 
 # ---------------------------------------------------------------------------
-# cached pin hosts and edge weights stay equal to the live rule
+# the cached weights and pin hosts stay equal to the live rule
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 30), nets_per_block=st.integers(1, 8), seed=st.integers(0, 10_000),
@@ -600,18 +591,46 @@ def test_reports_byte_identical_to_golden(name):
        layer_model=st.sampled_from(list(LayerModel)))
 def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers, name, layer_model):
     fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
-    state = RoutingState.prepare(fp, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
-    jg, profile = state.graph, state.profile
-    for net in order_nets(state.nets):
+    region = RegionModel.build(fp)
+    state = RoutingState.prepare(region, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
+    jg, profile = region.graph, state.profile
+    for seg in region.segments:
+        assert state.usage[seg.id].cap == [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
+                                           else 0 for l in range(1, layers + 1)]
+    for net in order_nets(region.nets):
         route_net(state, net)
-        if not jg.edges:
-            continue
-        assert jg.weighted_for == profile
         for sid in jg.edges:
-            seg = jg.segments[sid]
-            assert jg.weight[sid] == edge_weight(seg, profile)
-            layer = effective_layer(seg, profile)
-            live = UNUSABLE if layer is None else 1.0 / (1.0 - seg.u[layer - 1] / capacity_at(profile, seg.r, layer))
-            assert jg.penalty[sid] == live
+            seg, usage = region.segments[sid], state.usage[sid]
+            # the layer rule from the profile itself, not from the capacity rows
+            free = [l for l in range(usage.curr_layer, layers + 1)
+                    if layer_permitted(profile, seg.axis, l) and usage.u[l - 1] < capacity_at(profile, seg.r, l)]
+            assert effective_layer(usage) == (free[0] if free else None)
+            if not free:
+                assert state.weight[sid] == state.penalty[sid] == UNUSABLE
+                continue
+            share = 1.0 - usage.u[free[0] - 1] / capacity_at(profile, seg.r, free[0])
+            assert state.weight[sid] == seg.length / share
+            assert state.penalty[sid] == 1.0 / share
     for (x, y), host in jg.hosts.items():
         assert host is host_segment(jg, x, y)
+
+
+# ---------------------------------------------------------------------------
+# one region model serves every run configuration
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 25), nets_per_block=st.integers(1, 6), seed=st.integers(0, 10_000),
+       layers=st.integers(1, 4), first=st.sampled_from(sorted(PRESETS)),
+       second=st.sampled_from(sorted(PRESETS)), balance=st.sampled_from(list(BalanceMode)))
+def test_runs_leave_the_region_unchanged(n, nets_per_block, seed, layers, first, second, balance):
+    fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
+    region = RegionModel.build(fp, balance=balance)
+    before = tree_text(region.tree), segments_csv(region.segments)
+    route_all(RoutingState.prepare(region, RunConfig.from_name(first, layers=layers)))
+    assert (tree_text(region.tree), segments_csv(region.segments)) == before
+    for (x, y), host in region.graph.hosts.items():
+        assert host is host_segment(region.graph, x, y)
+    config = RunConfig.from_name(second, layers=layers)
+    reused = summarize(route_all(RoutingState.prepare(region, config)))
+    fresh = summarize(route_floorplan(fp, config, balance=balance))
+    assert reused.to_json(include_timing=False) == fresh.to_json(include_timing=False)

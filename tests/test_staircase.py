@@ -7,24 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msroute import (
-    Axis,
-    Bag,
+from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag
+from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.staircase import (
     BalanceMode,
-    Net,
-    Orientation,
-    Pin,
-    all_junctions,
     assign_capacities,
     bipartition,
-    build_bag,
     build_msc_tree,
-    compute_hpwl,
     extract_segments,
-    generate_random_floorplan,
     is_monotone_chain,
+    segments_csv,
+    tree_text,
 )
-from msroute.staircase import segments_csv, tree_text
 
 from test_floorplan import make_fp, make_net
 
