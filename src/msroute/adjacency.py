@@ -22,9 +22,6 @@ class Orientation(str, Enum):
     MIS = "MIS"  # monotone increasing staircase
     MDS = "MDS"  # monotone decreasing staircase
 
-    def flipped(self) -> "Orientation":
-        return Orientation.MDS if self is Orientation.MIS else Orientation.MIS
-
 
 class Relation(str, Enum):
     LEFT_OF = "LEFT_OF"

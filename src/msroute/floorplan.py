@@ -114,29 +114,12 @@ class Floorplan:
         self._snapped = None
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def diagonal(self) -> float:
         return math.hypot(self.width, self.height)
 
     @property
     def tol(self) -> float:
         return TOL_FRACTION * self.diagonal
-
-    @property
-    def corners(self) -> list[tuple[float, float]]:
-        (x0, y0), w, h = self.origin, self.width, self.height
-        return [(x0, y0), (x0, y0 + h), (x0 + w, y0), (x0 + w, y0 + h)]
-
-    def block_by_name(self, name: str) -> Block | None:
-        return self._name_index().get(name)
-
-    def _name_index(self) -> dict[str, Block]:
-        if not hasattr(self, "_names"):
-            self._names = {b.name: b for b in self.blocks}
-        return self._names
 
     def require_valid(self) -> ValidationReport:
         """Validate once and cache; raise if the floorplan is not a clean mosaic."""

@@ -8,8 +8,10 @@ configuration routes over the same region, and no run writes to it.
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions.  Per-net routing runs on the GSRG: the
 junction graph plus one node per pin, attached by two pin-junction edges to
-the endpoints of the pin's host segment.  The graph memoises each pin
-coordinate's host segment, filled at first use.
+the endpoints of the pin's host segment, the nearest usable one.  The graph
+indexes the usable segments at the first host lookup and memoises each pin
+coordinate's host.  It also keeps the junction coordinates and kappa, the
+scale of the router's A* bound.
 
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
@@ -27,6 +29,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .adjacency import Axis, TJunction, all_junctions
 from .errors import InternalError, PinHostError
@@ -128,27 +132,63 @@ def charge(usage: SegmentUsage) -> int:
 # ---------------------------------------------------------------------------
 # graphs
 
+#: kappa's relative shrink: it dwarfs the rounding of any float path sum
+#: (about edges x 2**-53), so the bound never overshoots a remaining cost and
+#: the A* search pops what Dijkstra's answer depends on
+KAPPA_MARGIN = 1e-6
+
+
 @dataclass
 class JunctionGraph:
     n_nodes: int
     segments: list[Segment]                  # indexed by segment id
     edges: dict[int, tuple[int, int]]        # usable segment id -> (j1, j2)
     adj: list[list[tuple[int, int]]]         # junction -> [(neighbor, segment id)]
+    jx: list[float]                          # junction coordinates, for the A* bound
+    jy: list[float]
+    kappa: float                             # min(1, length / L1 of its junctions), shrunk
     hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
+    host_index: tuple[np.ndarray, np.ndarray] | None = None  # usable ids; (is V, fixed, lo, hi) rows
 
     def host(self, x: float, y: float) -> Segment:
-        """host_segment, memoised per pin coordinate (segment r never changes)."""
+        """Nearest usable segment by Euclidean point-to-wall distance, memoised
+        per pin coordinate.  Walking the segments in id order, one replaces the
+        best so far when nearer by more than 1e-12.  numpy prices them all at
+        once; the walk then visits only those up to a cut that no other comes
+        within 1e-9 (relative) of, so it ends where the full walk would."""
         seg = self.hosts.get((x, y))
-        if seg is None:
-            seg = self.hosts[(x, y)] = host_segment(self, x, y)
+        if seg is not None:
+            return seg
+        if self.host_index is None:
+            usable = [self.segments[sid] for sid in sorted(self.edges)]
+            rows = [(s.axis is Axis.V, s.fixed, s.lo, s.hi) for s in usable]
+            self.host_index = (np.array([s.id for s in usable], dtype=np.int64),
+                               np.array(rows, dtype=float).reshape(-1, 4).T)
+        ids, (vertical, fixed, lo, hi) = self.host_index
+        if not ids.size:
+            raise PinHostError("no usable segment to host the pin")
+        along = np.where(vertical, y, x)
+        dist = np.hypot(np.where(vertical, x, y) - fixed, np.maximum(np.maximum(lo - along, along - hi), 0.0))
+        cut = dist.min()
+        while (near := dist[(dist > cut) & (dist <= cut + 1e-9 * (1.0 + cut))]).size:
+            cut = near.max()
+        best_d = math.inf
+        for sid in ids[dist <= cut].tolist():
+            d = _point_interval_dist(self.segments[sid], x, y)
+            if d < best_d - 1e-12:
+                seg, best_d = self.segments[sid], d
+        self.hosts[(x, y)] = seg
         return seg
 
 
 def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:
     """One edge per usable (r > 0) segment; touches each segment once."""
     n_nodes = len(junctions)
+    jx = [j.x for j in junctions]
+    jy = [j.y for j in junctions]
     edges: dict[int, tuple[int, int]] = {}
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    kappa = 1.0
     for seg in segments:
         if seg.j1 >= n_nodes or seg.j2 >= n_nodes:
             raise InternalError(f"segment {seg.id} references a missing junction")
@@ -157,9 +197,13 @@ def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) ->
         edges[seg.id] = (seg.j1, seg.j2)
         adj[seg.j1].append((seg.j2, seg.id))
         adj[seg.j2].append((seg.j1, seg.id))
+        l1 = abs(jx[seg.j1] - jx[seg.j2]) + abs(jy[seg.j1] - jy[seg.j2])
+        if l1 > 0:
+            kappa = min(kappa, seg.length / l1)
     for lst in adj:
         lst.sort()
-    return JunctionGraph(n_nodes=n_nodes, segments=segments, edges=edges, adj=adj)
+    return JunctionGraph(n_nodes=n_nodes, segments=segments, edges=edges, adj=adj,
+                         jx=jx, jy=jy, kappa=kappa * (1.0 - KAPPA_MARGIN))
 
 
 @dataclass
@@ -193,22 +237,6 @@ def _point_interval_dist(seg: Segment, x: float, y: float) -> float:
         dy = y - seg.fixed
         dx = 0.0 if seg.lo <= x <= seg.hi else min(abs(x - seg.lo), abs(x - seg.hi))
     return math.hypot(dx, dy)
-
-
-def host_segment(jg: JunctionGraph, x: float, y: float) -> Segment:
-    """Nearest usable segment by Euclidean point-to-wall distance (ties to the
-    lower segment id)."""
-    best = None
-    best_d = math.inf
-    for seg in jg.segments:
-        if seg.id not in jg.edges:
-            continue
-        d = _point_interval_dist(seg, x, y)
-        if d < best_d - 1e-12:
-            best, best_d = seg, d
-    if best is None:
-        raise PinHostError("no usable segment to host the pin")
-    return best
 
 
 def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:

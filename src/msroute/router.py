@@ -10,12 +10,14 @@ states can share one region.
 
 Nets route one at a time in non-decreasing (HPWL, degree) order.  A
 multi-terminal net is first decomposed into t-1 two-terminal pairs by a
-minimum spanning tree over pairwise pin HPWL; each pair routes by Dijkstra
-on the net's GSRG under the live congestion weights, charging segment usage
-after every successful pair.  If any pair is unroutable the whole net fails
-and the usage charged for its earlier pairs is rolled back.
+minimum spanning tree over pairwise pin HPWL; each pair routes by A* on the
+net's GSRG under the live congestion weights, charging segment usage after
+every successful pair.  If any pair is unroutable the whole net fails and
+the usage charged for its earlier pairs is rolled back.
 
-Search direction picks the Dijkstra source of each pair: FWD starts from the
+The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
+
+Search direction picks the source of each pair: FWD starts from the
 minimum-x pin (minimum y on ties), BACK from the maximum-x pin.  Both explore
 the same weighted graph but break ties differently, so they may return
 different equal-weight paths with different via counts.
@@ -184,7 +186,7 @@ def order_nets(nets: list[Net]) -> list[Net]:
 
 
 def identify_source(pin_a: Pin, pin_b: Pin, search: SearchDir) -> tuple[Pin, Pin]:
-    """Pick the Dijkstra source of a pin pair.
+    """Pick the search source of a pin pair.
 
     FWD: minimum x, minimum y on an x-tie.  BACK: maximum x / maximum y.
     Identical positions fall back to the given order (FWD) or its reverse.
@@ -243,8 +245,16 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
 
     Runs on the junction level with the two pin-junction edges of each
     terminal folded into the seed/finish distances; unusable edges are
-    skipped.  Ties expand the lower junction id first.  Returns None when the
-    sink is unreachable.
+    skipped.  Returns None when the sink is unreachable.
+
+    A* with the bound h(j) = kappa * min over the sink's usable junctions t of
+    (L1(j, t) + w_sink(t)), consistent because an edge weighs at least its
+    length, which is at least kappa times its junctions' L1 distance.  It
+    returns Dijkstra's path: equal finishes go to the lower junction, and of
+    two predecessors giving the same distance the one with the smaller
+    (distance, junction) wins, the one Dijkstra's pop order relaxes first.
+    Only a strictly nearer junction takes a tie over, so zero-length
+    segments cannot close a predecessor loop.
     """
     jg = gsrg.base
     segs = jg.segments
@@ -257,25 +267,40 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
         sink_w[dst.j1] = dw1
     if dw2 != UNUSABLE:
         sink_w[dst.j2] = min(dw2, sink_w.get(dst.j2, UNUSABLE))
+    if not sink_w:
+        return None
+
+    jx, jy, kappa = jg.jx, jg.jy, jg.kappa
+    (t1, tw), *rest = sink_w.items()
+    tx, ty = jx[t1], jy[t1]
+    if rest:
+        ((t2, uw),) = rest
+        ux, uy = jx[t2], jy[t2]
+
+    def bound(j: int) -> float:  # inlined in the loop below
+        x, y = jx[j], jy[j]
+        h = abs(x - tx) + abs(y - ty) + tw
+        return kappa * (min(h, abs(x - ux) + abs(y - uy) + uw) if rest else h)
 
     inf = math.inf
     dist = [inf] * jg.n_nodes
     pred_j = [-1] * jg.n_nodes
     pred_s = [-1] * jg.n_nodes
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[float, int, float]] = []
     for j, w in ((src.j1, sw1), (src.j2, sw2)):
         if w != UNUSABLE and w < dist[j]:
             dist[j] = w
-            heapq.heappush(heap, (w, j))
+            heapq.heappush(heap, (w + bound(j), j, w))
 
     best = inf
     best_j = -1
     adj = jg.adj
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, j = heapq.heappop(heap)
+        f, j, d = pop(heap)
         if d > dist[j]:
             continue
-        if d > best:
+        if f > best:
             break
         w_sink = sink_w.get(j)
         if w_sink is not None:
@@ -291,7 +316,14 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
                 dist[nb] = nd
                 pred_j[nb] = j
                 pred_s[nb] = sid
-                heapq.heappush(heap, (nd, nb))
+                x, y = jx[nb], jy[nb]
+                h = abs(x - tx) + abs(y - ty) + tw
+                if rest and (h2 := abs(x - ux) + abs(y - uy) + uw) < h:
+                    h = h2
+                push(heap, (nd + kappa * h, nb, nd))
+            elif nd == dist[nb] and d < nd and pred_j[nb] >= 0 and (d, j) < (dist[pred_j[nb]], pred_j[nb]):
+                pred_j[nb] = j
+                pred_s[nb] = sid
 
     if best_j < 0:
         return None

@@ -12,6 +12,7 @@ test 1c2 pins the identity these floorplans actually satisfy.
 
 import math
 import random
+import statistics
 import time
 
 import pytest
@@ -308,12 +309,17 @@ def test_criterion_8_determinism_and_rollback():
 # criterion 9: runtime scaling
 
 def test_criterion_9_runtime_scaling():
+    # each route takes a few hundredths of a second, so one run is at the
+    # mercy of a busy host; the median of five runs per n is not
     times = {}
     for n in (50, 100, 200):
         fp = generate_random_floorplan(n, 300, 4, seed=2)
-        run = route_floorplan(fp, RunConfig.from_name("FCN"))
-        assert all(r.status == "ROUTED" for r in run.results)
-        times[n] = max(run.runtime, 1e-3)
+        runtimes = []
+        for _ in range(5):
+            run = route_floorplan(fp, RunConfig.from_name("FCN"))
+            assert all(r.status == "ROUTED" for r in run.results)
+            runtimes.append(run.runtime)
+        times[n] = max(statistics.median(runtimes), 1e-3)
     r1 = times[100] / times[50]
     r2 = times[200] / times[100]
     _verdict("9 (route time grows <= 5x per doubling of n)",

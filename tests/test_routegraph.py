@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, TJunction, all_junctions
 from msroute.errors import InternalError, PinHostError
@@ -13,6 +15,7 @@ from msroute.routegraph import (
     LayerModel,
     ProfileKind,
     RegionModel,
+    _point_interval_dist,
     build_gsrg,
     build_junction_graph,
     capacity_at,
@@ -258,6 +261,22 @@ def test_junction_graph_zero_capacity_everywhere():
 # ---------------------------------------------------------------------------
 # GSRG
 
+def host_segment(jg, x, y):
+    """Oracle for JunctionGraph.host: every usable segment in id order; the
+    nearest by Euclidean point-to-wall distance wins, ties to the lower id."""
+    best = None
+    best_d = math.inf
+    for seg in jg.segments:
+        if seg.id not in jg.edges:
+            continue
+        d = _point_interval_dist(seg, x, y)
+        if d < best_d - 1e-12:
+            best, best_d = seg, d
+    if best is None:
+        raise PinHostError("no usable segment to host the pin")
+    return best
+
+
 def _net_on(fp, points):
     pins = [Pin(net_id=0, block_id=0, dx=0, dy=0, x=x, y=y) for x, y in points]
     net = Net(id=0, name="n0", pins=pins)
@@ -308,8 +327,6 @@ def test_gsrg_host_distances_are_manhattan():
 
 
 def test_gsrg_host_prefers_lower_id_on_ties():
-    from msroute.routegraph import _point_interval_dist, host_segment
-
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
     # give the (otherwise unusable) border walls capacity so several hosts tie
     junctions, segments = _segments(fp, lambda seg: max(seg.r, 1))
@@ -323,6 +340,48 @@ def test_gsrg_host_prefers_lower_id_on_ties():
             if s.id in jg.edges and _point_interval_dist(s, 1.0, 1.0) == pytest.approx(1.0)]
     assert len(tied) > 1
     assert host.id == min(tied)
+
+
+_NUDGES = (0.0, 1e-13, -1e-13, 6e-13, -6e-13, 3e-12, -3e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 10_000), all_walls=st.booleans(), data=st.data())
+def test_indexed_host_matches_the_scan(n, seed, all_walls, data):
+    """JunctionGraph.host picks what the full scan picks: on walls, on
+    junctions, at equal distance from two walls (nudged by less and by more
+    than the 1e-12 tie margin), and at pin offsets away from block centres."""
+    fp = generate_random_floorplan(n, 0, 2, seed=seed)
+    # with every wall usable, block centres tie between opposite walls
+    junctions, segments = _segments(fp, (lambda seg: 1) if all_walls else
+                                    (lambda seg: 1 if seg.region_id >= 0 else 0))
+    jg = build_junction_graph(segments, junctions)
+    usable = [segments[sid] for sid in sorted(jg.edges)]
+    draw = data.draw
+    nudge = st.sampled_from(_NUDGES)
+    points = []
+    for _ in range(12):
+        j = draw(st.sampled_from(junctions))
+        points.append((j.x + draw(nudge), j.y))
+        seg = draw(st.sampled_from(usable))
+        along = seg.lo + draw(st.floats(0, 1)) * seg.length
+        points.append((seg.fixed, along) if seg.axis is Axis.V else (along, seg.fixed))
+        block = draw(st.sampled_from(fp.blocks))
+        cx, cy = block.center
+        points.append((cx + draw(nudge), cy + draw(nudge)))
+        # a parsed pin: the centre plus an offset, up to the block's walls
+        fx, fy = draw(st.floats(-0.5, 0.5)), draw(st.sampled_from((-0.5, 0.0, 0.5)))
+        points.append((cx + fx * block.width, cy + fy * block.height))
+        a, b = draw(st.sampled_from(usable)), draw(st.sampled_from(usable))
+        lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+        if a.axis is b.axis and lo <= hi:
+            # halfway between two parallel walls whose spans overlap
+            mid = (a.fixed + b.fixed) / 2 + draw(nudge)
+            along = lo + draw(st.floats(0, 1)) * (hi - lo)
+            points.append((mid, along) if a.axis is Axis.V else (along, mid))
+        points.append((draw(st.floats(-1.0, fp.width + 1.0)), draw(st.floats(-1.0, fp.height + 1.0))))
+    for x, y in points:
+        assert jg.host(x, y) is host_segment(jg, x, y), (x, y)
 
 
 def test_gsrg_reversibility():

@@ -1,7 +1,9 @@
 """Routing: ordering, decomposition, shortest paths, rollback, vias."""
 
 import hashlib
+import heapq
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msroute.adjacency import Axis, TJunction
+from msroute.adjacency import Axis, TJunction, all_junctions
 from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute import router
 from msroute.metrics import summarize
 from msroute.routegraph import (
     UNUSABLE,
@@ -20,10 +23,10 @@ from msroute.routegraph import (
     PinAttachment,
     ProfileKind,
     RegionModel,
+    build_gsrg,
     build_junction_graph,
     capacity_at,
     effective_layer,
-    host_segment,
     layer_permitted,
     pin_edge_weights,
 )
@@ -43,10 +46,10 @@ from msroute.router import (
     route_floorplan,
     route_net,
 )
-from msroute.staircase import BalanceMode, Segment, segments_csv, tree_text
+from msroute.staircase import BalanceMode, Segment, build_msc_tree, extract_segments, segments_csv, tree_text
 
 from test_floorplan import make_fp
-from test_routegraph import hand_state
+from test_routegraph import hand_state, host_segment
 
 
 def _pin(x, y, net_id=0, block_id=0):
@@ -269,6 +272,132 @@ def test_dijkstra_unreachable_sink():
 
 
 # ---------------------------------------------------------------------------
+# A* against a plain Dijkstra
+
+def plain_dijkstra(gsrg, state, source_pin, sink_pin):
+    """Reference for dijkstra_ssp: Dijkstra popping (distance, junction), no
+    bound; a relaxation that only ties keeps the earlier predecessor, and of
+    equal finishes the lower junction wins."""
+    jg = gsrg.base
+    src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
+    sw = pin_edge_weights(src, state.penalty)
+    dw = pin_edge_weights(dst, state.penalty)
+    sink_w = {}
+    for j, w in ((dst.j1, dw[0]), (dst.j2, dw[1])):
+        if w != UNUSABLE:
+            sink_w[j] = min(w, sink_w.get(j, UNUSABLE))
+    dist = [math.inf] * jg.n_nodes
+    pred = [(-1, -1)] * jg.n_nodes
+    heap = []
+    for j, w in ((src.j1, sw[0]), (src.j2, sw[1])):
+        if w != UNUSABLE and w < dist[j]:
+            dist[j] = w
+            heapq.heappush(heap, (w, j))
+    best, best_j = math.inf, -1
+    while heap:
+        d, j = heapq.heappop(heap)
+        if d > dist[j]:
+            continue
+        if d > best:
+            break
+        if j in sink_w and (d + sink_w[j], j) < (best, best_j if best_j >= 0 else math.inf):
+            best, best_j = d + sink_w[j], j
+        for nb, sid in jg.adj[j]:
+            nd = d + state.weight[sid]
+            if nd < dist[nb]:
+                dist[nb], pred[nb] = nd, (j, sid)
+                heapq.heappush(heap, (nd, nb))
+    if best_j < 0:
+        return None
+    seq_j, seq_s = [best_j], []
+    while pred[seq_j[-1]][0] != -1:
+        j, sid = pred[seq_j[-1]]
+        seq_s.append(sid)
+        seq_j.append(j)
+    seq_j.reverse()
+    seq_s.reverse()
+    entry = src.d1 if seq_j[0] == src.j1 else src.d2
+    exit_ = dst.d1 if best_j == dst.j1 else dst.d2
+    return RoutePath(gsrg.net.id, source_pin, sink_pin, seq_j, seq_s, src.host_seg, dst.host_seg,
+                     entry, exit_, sum(jg.segments[s].length for s in seq_s) + entry + exit_, best)
+
+
+def _grid_gsrg(rng, cols, rows, layers):
+    """A cols x rows grid of junctions with shuffled ids and integer spacing;
+    each grid edge is a segment as long as the L1 distance of its junctions,
+    so equal-weight routes abound.  Some segments have no capacity, the rest
+    random partial usage; the two pins sit on random segments."""
+    xs = list(itertools.accumulate(rng.randint(1, 3) for _ in range(cols)))
+    ys = list(itertools.accumulate(rng.randint(1, 3) for _ in range(rows)))
+    ids = list(range(cols * rows))
+    rng.shuffle(ids)
+    at = {(c, r): ids[r * cols + c] for c in range(cols) for r in range(rows)}
+    junctions = sorted((TJunction(at[c, r], float(xs[c]), float(ys[r])) for c, r in at), key=lambda j: j.id)
+    segments = []
+    for (c, r), j in sorted(at.items()):
+        for dc, dr in ((1, 0), (0, 1)):
+            if (c + dc, r + dr) not in at:
+                continue
+            axis, fixed, lo, hi = ((Axis.H, ys[r], xs[c], xs[c + 1]) if dc else
+                                   (Axis.V, xs[c], ys[r], ys[r + 1]))
+            segments.append(Segment(id=len(segments), region_id=0, axis=axis, fixed=float(fixed),
+                                    lo=float(lo), hi=float(hi), j1=j, j2=at[c + dc, r + dr],
+                                    r=0 if rng.random() < 0.15 else rng.randint(1, 4)))
+    profile = CapacityProfile(ProfileKind.UNIFORM, layers, LayerModel.UNRESERVED)
+    state = hand_state(segments, profile, junctions)
+    for seg in segments:
+        if seg.r and rng.random() < 0.3:
+            for _ in range(rng.randint(1, seg.r * layers)):
+                state.charge(seg.id)
+    pins = []
+    for idx in range(2):
+        seg = rng.choice(segments)
+        t, off = rng.randint(0, int(seg.length)), rng.randint(0, 2)
+        pins.append(PinAttachment(idx, seg.id, seg.j1, seg.j2, float(t + off), float(seg.length - t + off)))
+    return Gsrg(base=state.region.graph, net=_net([(0.0, 0.0), (1.0, 1.0)]), pins=pins), state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), cols=st.integers(2, 9), rows=st.integers(1, 9), layers=st.integers(1, 2))
+def test_astar_returns_the_dijkstra_path(seed, cols, rows, layers):
+    gsrg, state = _grid_gsrg(random.Random(seed), cols, rows, layers)
+    assert gsrg.base.kappa > 0.99  # the bound is live, not the kappa = 0 fallback
+    for si, ti in ((0, 1), (1, 0)):
+        assert dijkstra_ssp(gsrg, state, si, ti) == plain_dijkstra(gsrg, state, si, ti)
+
+
+def test_astar_zero_length_segments_keep_dijkstra_predecessors():
+    """Junctions 1, 2 and 0 share a point, joined by zero-length segments.
+    Junction 0 ties junction 2's distance only after 2 was reached from 1, so
+    it must not become 2's predecessor: 2 -> 0 -> 2 would be a loop."""
+    profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
+    junctions = [TJunction(0, 5.0, 0.0), TJunction(1, 5.0, 0.0), TJunction(2, 5.0, 0.0),
+                 TJunction(3, 6.0, 0.0), TJunction(4, 0.0, 0.0)]
+    segs = [Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=lo, hi=hi, j1=a, j2=b, r=1)
+            for sid, (a, b, lo, hi) in enumerate([(4, 1, 0.0, 5.0), (1, 2, 5.0, 5.0), (2, 0, 5.0, 5.0),
+                                                 (2, 3, 5.0, 6.0)])]
+    state = hand_state(segs, profile, junctions)
+    gsrg = Gsrg(state.region.graph, _net([(5, 0), (6, 0)]), [
+        PinAttachment(0, 0, 4, 1, 5.0, 0.0),
+        PinAttachment(1, 3, 2, 3, 5.0, 0.0),
+    ])
+    path = dijkstra_ssp(gsrg, state, 0, 1)
+    assert path == plain_dijkstra(gsrg, state, 0, 1)
+    assert path.junctions == [1, 2, 3]
+
+
+@pytest.mark.parametrize("seed, name", [(0, "BCN"), (4, "FCN")])
+def test_astar_run_reports_like_a_dijkstra_run(monkeypatch, seed, name):
+    """A whole run reports byte-identically to one whose searches are the
+    plain Dijkstra reference.  With kappa unshrunk these two runs differ."""
+    fp = generate_random_floorplan(120, 653, 6, seed=seed)
+    config = RunConfig.from_name(name)
+    astar = summarize(route_floorplan(fp, config)).to_json(include_timing=False)
+    monkeypatch.setattr(router, "dijkstra_ssp", plain_dijkstra)
+    assert summarize(route_floorplan(fp, config)).to_json(include_timing=False) == astar
+
+
+# ---------------------------------------------------------------------------
 # via counting
 
 def _path_with_layers(layers):
@@ -425,6 +554,28 @@ def test_failed_net_routes_with_more_capacity():
     assert route_net(state, net).status == "ROUTED"
     state, net, _ = _t_mosaic_state(layers=2, bc_capacity=1)
     assert route_net(state, net).status == "ROUTED"
+
+
+def test_net_fails_when_its_pin_host_saturates():
+    """A pin is bound to its host wall by geometry alone: once that wall is
+    full the net fails, though a neighbouring wall still has room."""
+    fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
+    junctions = all_junctions(fp)
+    segments = extract_segments(build_msc_tree(fp), fp, junctions)
+    for seg in segments:
+        seg.r = 1
+    net = _net([(1.5, 1.0), (3.5, 1.0)])  # 0.5 from the shared wall, 1.0 from the others
+    state = hand_state(segments, CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED),
+                       junctions, nets=[net])
+    host = build_gsrg(state.region.graph, net).pins[0]
+    wall = segments[host.host_seg]
+    assert (wall.axis, wall.fixed) == (Axis.V, 2.0)
+    state.charge(wall.id)
+    assert pin_edge_weights(host, state.penalty) == (UNUSABLE, UNUSABLE)
+    bottom = next(s for s in segments if s.axis is Axis.H and s.fixed == 0.0 and s.hi <= 2.0)
+    assert state.weight[bottom.id] < UNUSABLE
+    result = route_net(state, net)
+    assert result.status == "FAILED" and result.failure_pair == (0, 1)
 
 
 def test_two_pin_route_charges_each_path_segment_once():
