@@ -42,7 +42,7 @@ print("monotone staircase:", msr.is_monotone_chain(cut.cut_edges, cut.orientatio
 section("Routing segments and reference capacities")
 all_j = msr.all_junctions(fp)
 segments = msr.extract_segments(tree, fp, all_j)
-msr.assign_capacities(segments, tree, fp.nets, fp.tol)
+msr.assign_capacities(segments, fp.nets, fp.tol)
 interior = [s for s in segments if s.region_id >= 0]
 border = [s for s in segments if s.region_id < 0]
 print(f"{len(interior)} interior wall segments + {len(border)} border pieces "

@@ -9,7 +9,7 @@ bottom -> top for MDS).  Both orientations are acyclic on a mosaic floorplan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -95,7 +95,6 @@ class TJunction:
     x: float
     y: float
     on_boundary: bool = False  # True only for the four degree-2 floorplan corners
-    incident_segments: list[int] = field(default_factory=list)
 
 
 def _adjacency_arrays(fp: Floorplan):

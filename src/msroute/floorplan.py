@@ -186,6 +186,18 @@ def _content_lines(text: str):
         yield lineno, line
 
 
+def _numbers(texts: list[str], what: str, line: str, lineno: int) -> list[float]:
+    """Parse a line's numeric fields; NaN and infinite values (including
+    overflow, such as 1e999) are rejected."""
+    try:
+        values = [float(t) for t in texts]
+    except ValueError as exc:
+        raise ParseError(f"bad {what} in {line!r}", lineno) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"non-finite {what} in {line!r}", lineno)
+    return values
+
+
 def parse_blocks(text: str) -> list[Block]:
     """Parse a .blocks file into Blocks with dimensions; positions stay zeroed."""
     blocks: list[Block] = []
@@ -202,8 +214,8 @@ def parse_blocks(text: str) -> list[Block]:
         coords = _COORD_RE.findall(line)
         if tokens[2] != "4" or len(coords) != 4:
             raise ParseError(f"expected 4 corner points for block {name!r}", lineno)
-        xs = [float(cx) for cx, _ in coords]
-        ys = [float(cy) for _, cy in coords]
+        xs = _numbers([cx for cx, _ in coords], "corner", line, lineno)
+        ys = _numbers([cy for _, cy in coords], "corner", line, lineno)
         w, h = max(xs) - min(xs), max(ys) - min(ys)
         if w <= 0 or h <= 0:
             raise ParseError(f"block {name!r} has non-positive dimensions", lineno)
@@ -224,10 +236,7 @@ def parse_pl(text: str, blocks: list[Block]) -> list[Block]:
         block = index.get(name)
         if block is None:
             raise ParseError(f"placement for unknown block {name!r}", lineno)
-        try:
-            block.x, block.y = float(tokens[1]), float(tokens[2])
-        except ValueError as exc:
-            raise ParseError(f"bad coordinates in {line!r}", lineno) from exc
+        block.x, block.y = _numbers(tokens[1:3], "coordinates", line, lineno)
         block.placed = True
         placed.add(name)
     missing = [b.name for b in blocks if b.name not in placed]
@@ -280,10 +289,7 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
             if len(numeric) == 1:
                 raise ParseError(f"pin offset needs both dx and dy in {pin_line!r}", pl_no)
             if len(numeric) >= 2:
-                try:
-                    dx, dy = float(numeric[0]), float(numeric[1])
-                except ValueError as exc:
-                    raise ParseError(f"bad pin offset in {pin_line!r}", pl_no) from exc
+                dx, dy = _numbers(numeric[:2], "pin offset", pin_line, pl_no)
             cx, cy = block.center
             px = min(max(cx + dx, block.x), block.x2)
             py = min(max(cy + dy, block.y), block.y2)
@@ -298,15 +304,14 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
 def parse_floorplan(blocks_text: str, pl_text: str, nets_text: str) -> Floorplan:
     """Parse the three-file dialect into a Floorplan (bbox derived from blocks)."""
     blocks = parse_blocks(blocks_text)
+    if not blocks:
+        raise ParseError("the .blocks file declares no blocks")
     parse_pl(pl_text, blocks)
     nets = parse_nets(nets_text, blocks)
-    if blocks:
-        x0 = min(b.x for b in blocks)
-        y0 = min(b.y for b in blocks)
-        w = max(b.x2 for b in blocks) - x0
-        h = max(b.y2 for b in blocks) - y0
-    else:
-        x0 = y0 = w = h = 0.0
+    x0 = min(b.x for b in blocks)
+    y0 = min(b.y for b in blocks)
+    w = max(b.x2 for b in blocks) - x0
+    h = max(b.y2 for b in blocks) - y0
     return Floorplan(origin=(x0, y0), width=w, height=h, blocks=blocks, nets=nets)
 
 

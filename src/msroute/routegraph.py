@@ -85,13 +85,6 @@ def layer_permitted(profile: CapacityProfile, axis: Axis, layer: int) -> bool:
     return (layer % 2 == 1) if axis is Axis.H else (layer % 2 == 0)
 
 
-def first_layer(profile: CapacityProfile, axis: Axis) -> int:
-    """Lowest layer the segment's axis may occupy (may exceed M when V and M=1)."""
-    if profile.layer_model is LayerModel.UNRESERVED or axis is Axis.H:
-        return 1
-    return 2
-
-
 @dataclass
 class SegmentUsage:
     """One segment's usage in one run."""
@@ -105,7 +98,8 @@ class SegmentUsage:
     def fresh(cls, seg: Segment, profile: CapacityProfile) -> "SegmentUsage":
         layers = range(1, profile.layers + 1)
         cap = [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l) else 0 for l in layers]
-        return cls(seg.id, cap, [0] * profile.layers, min(first_layer(profile, seg.axis), profile.layers))
+        first = next((l for l in layers if layer_permitted(profile, seg.axis, l)), 1)
+        return cls(seg.id, cap, [0] * profile.layers, first)
 
 
 def effective_layer(usage: SegmentUsage) -> int | None:
@@ -244,22 +238,15 @@ def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
     pins: list[PinAttachment] = []
     for idx, pin in enumerate(net.pins):
         host = jg.host(pin.x, pin.y)
-        (x1, y1), (x2, y2) = _segment_endpoints(host)
         pins.append(PinAttachment(
             pin_index=idx,
             host_seg=host.id,
             j1=host.j1,
             j2=host.j2,
-            d1=abs(pin.x - x1) + abs(pin.y - y1),
-            d2=abs(pin.x - x2) + abs(pin.y - y2),
+            d1=abs(pin.x - jg.jx[host.j1]) + abs(pin.y - jg.jy[host.j1]),
+            d2=abs(pin.x - jg.jx[host.j2]) + abs(pin.y - jg.jy[host.j2]),
         ))
     return Gsrg(base=jg, net=net, pins=pins)
-
-
-def _segment_endpoints(seg: Segment):
-    if seg.axis is Axis.V:
-        return (seg.fixed, seg.lo), (seg.fixed, seg.hi)
-    return (seg.lo, seg.fixed), (seg.hi, seg.fixed)
 
 
 def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, float]:
@@ -304,7 +291,7 @@ class RegionModel:
         tree = build_msc_tree(fp, nets, balance)
         junctions = all_junctions(fp)
         segments = extract_segments(tree, fp, junctions)
-        assign_capacities(segments, tree, nets, fp.tol)
+        assign_capacities(segments, nets, fp.tol)
         graph = build_junction_graph(segments, junctions)
         n = len(fp.blocks)
         logger.debug(

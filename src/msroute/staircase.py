@@ -5,7 +5,10 @@ predecessor-closed node set of the oriented block adjacency graph: absorbing
 BAG sources grows the upper-left (MIS) or lower-left (MDS) side while its wall
 boundary stays a monotone staircase.  The bipartitioner absorbs, at each step,
 the source that minimizes the resulting cut-net count (ties to the smaller
-block id) and stops at the balance point.
+block id) and stops at the balance point.  The count sees only the pins on
+the bag's blocks, and a net with fewer than 2 of them is never cut.
+`assign_capacities` sizes the segments from every net's full pin box, not
+from the cut nets.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
 tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,9 +47,6 @@ class MsCut:
     right_set: tuple[int, ...]
     cut_edges: list[BagEdge]    # staircase order
     cut_nets: list[int]
-    # bounding boxes of the cut nets' pins restricted to this node's blocks,
-    # aligned with cut_nets; used for per-segment capacity apportionment
-    cut_net_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -94,30 +94,9 @@ class Segment:
     def length(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def span(self) -> Span:
-        return Span(self.axis, self.fixed, self.lo, self.hi)
-
 
 # ---------------------------------------------------------------------------
 # bipartitioning
-
-class _NetSide:
-    """Per-net bookkeeping for cut counting during the greedy sweep."""
-
-    __slots__ = ("net_id", "total", "in_a", "per_block", "box")
-
-    def __init__(self, net_id, per_block, box):
-        self.net_id = net_id
-        self.per_block = per_block
-        self.total = sum(per_block.values())
-        self.in_a = 0
-        self.box = box
-
-    @property
-    def is_cut(self) -> bool:
-        return 0 < self.in_a < self.total
-
 
 def _nets_within(nets: list[Net], blocks: set[int]) -> list[Net]:
     """The nets with at least 2 pins on `blocks`, each cut down to those pins
@@ -128,11 +107,6 @@ def _nets_within(nets: list[Net], blocks: set[int]) -> list[Net]:
         if len(pins) >= 2:
             kept.append(Net(net.id, net.name, pins))
     return kept
-
-
-def _restrict_nets(nets: list[Net], node_set: set[int]) -> list[_NetSide]:
-    return [_NetSide(net.id, Counter(p.block_id for p in net.pins), _net_box(net))
-            for net in _nets_within(nets, node_set)]
 
 
 def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, float, float]:
@@ -189,35 +163,28 @@ def bipartition(
         out_edges[e.src].append(idx)
     keys = [_staircase_key(e.span, bag.orientation) for e in bag.edges]
 
-    views = _restrict_nets(nets, node_set)
-    block_to_views: dict[int, list[tuple[_NetSide, int]]] = {v: [] for v in nodes}
-    for view in views:
-        for bid, count in view.per_block.items():
-            block_to_views[bid].append((view, count))
+    # per net with at least 2 pins on the bag's blocks: its id, those pins'
+    # count and how many of them the absorbed side holds; per block, the
+    # (net index, pin count) of each such net with pins on it
+    net_ids: list[int] = []
+    total: list[int] = []
+    pins_on: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
+    for net in nets:
+        counts = Counter(p.block_id for p in net.pins if p.block_id in node_set)
+        n_pins = sum(counts.values())
+        if n_pins >= 2:
+            for bid, count in counts.items():
+                pins_on[bid].append((len(net_ids), count))
+            net_ids.append(net.id)
+            total.append(n_pins)
+    in_a = [0] * len(total)
 
-    cut_count = sum(1 for v in views if v.is_cut)  # always 0 initially
-
-    def eval_candidate(v: int) -> int:
-        cc = cut_count
-        for view, count in block_to_views[v]:
-            was = view.is_cut
-            now = (view.in_a + count) < view.total
-            cc += int(now) - int(was)
-        return cc
-
-    def absorb(v: int):
-        nonlocal cut_count
-        for view, count in block_to_views[v]:
-            was = view.is_cut
-            view.in_a += count
-            cut_count += int(view.is_cut) - int(was)
-
-    def unabsorb(v: int):
-        nonlocal cut_count
-        for view, count in block_to_views[v]:
-            was = view.is_cut
-            view.in_a -= count
-            cut_count += int(view.is_cut) - int(was)
+    def cut_change(v: int) -> int:
+        """The change in the cut-net count when block v joins the absorbed side."""
+        change = 0
+        for i, count in pins_on[v]:
+            change += (in_a[i] + count < total[i]) - (0 < in_a[i] < total[i])
+        return change
 
     sources = sorted(v for v in nodes if indeg[v] == 0)
     a_set: set[int] = set()
@@ -241,13 +208,14 @@ def bipartition(
             new_cut = cut_after(v)
             if not _is_monotone_keys([keys[i] for i in new_cut]):
                 continue
-            key = (eval_candidate(v), v)
+            key = (cut_change(v), v)
             if best_key is None or key < best_key:
                 best, best_key, best_cut = v, key, new_cut
         if best is None:
             raise InternalError("no source keeps the cut a monotone staircase")
         sources.remove(best)
-        absorb(best)
+        for i, count in pins_on[best]:
+            in_a[i] += count
         a_set.add(best)
         absorbed.append(best)
         cut_idx = best_cut
@@ -270,7 +238,8 @@ def bipartition(
             with_last = abs(total_area - 2.0 * a_area)
             without = abs(total_area - 2.0 * (a_area - areas[last]))
             if without < with_last:
-                unabsorb(last)
+                for i, count in pins_on[last]:
+                    in_a[i] -= count
                 a_set.remove(last)
                 absorbed.pop()
                 a_area -= areas[last]
@@ -285,13 +254,6 @@ def bipartition(
     if not is_monotone_chain(cut_edges, bag.orientation):
         raise InternalError("bipartition produced a non-monotone cut")
 
-    cut_net_ids = []
-    cut_net_boxes = []
-    for view in views:
-        if view.is_cut:
-            cut_net_ids.append(view.net_id)
-            cut_net_boxes.append(view.box)
-
     right = tuple(v for v in nodes if v not in a_set)
     return MsCut(
         id=0,
@@ -299,8 +261,7 @@ def bipartition(
         left_set=tuple(sorted(a_set)),
         right_set=right,
         cut_edges=_staircase_sorted(cut_edges, bag.orientation),
-        cut_nets=cut_net_ids,
-        cut_net_boxes=cut_net_boxes,
+        cut_nets=[net_ids[i] for i, held in enumerate(in_a) if 0 < held < total[i]],
     )
 
 
@@ -350,8 +311,7 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
 
     `junctions` must be the full set (interior T-junctions plus boundary
     corners, e.g. from adjacency.all_junctions); each resulting segment is
-    bounded by exactly two of them.  Junction incident_segments lists are
-    populated as a side effect.
+    bounded by exactly two of them.
     """
     vlines: dict[float, list[tuple[float, int]]] = {}
     hlines: dict[float, list[tuple[float, int]]] = {}
@@ -392,19 +352,11 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
             pieces.append((Span(span.axis, span.fixed, c1, c2), region, ja, jb))
 
     pieces.sort(key=lambda p: (p[0].axis.value, p[0].fixed, p[0].lo))
-    segments = [
+    return [
         Segment(id=i, region_id=region, axis=span.axis, fixed=span.fixed,
                 lo=span.lo, hi=span.hi, j1=ja, j2=jb)
         for i, (span, region, ja, jb) in enumerate(pieces)
     ]
-
-    by_id = {j.id: j for j in junctions}
-    for j in junctions:
-        j.incident_segments.clear()
-    for seg in segments:
-        by_id[seg.j1].incident_segments.append(seg.id)
-        by_id[seg.j2].incident_segments.append(seg.id)
-    return segments
 
 
 def _net_box(net: Net) -> tuple[float, float, float, float]:
@@ -413,7 +365,7 @@ def _net_box(net: Net) -> tuple[float, float, float, float]:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def assign_capacities(segments: list[Segment], tree: MscTree, nets: list[Net], tol: float) -> None:
+def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> None:
     """Set every segment's reference capacity r (nets per base layer).
 
     Interior segments (owned by an ms-cut) count the nets whose pin bounding

@@ -70,6 +70,43 @@ def test_route_invalid_floorplan_exits_one(tmp_path):
     assert code == 1
 
 
+_TWO_BLOCKS = {
+    "blocks": "a hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)\nb hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)\n",
+    "pl": "a 0 0\nb 1 0\n",
+    "nets": "NetDegree : 2\na B : 0 0\nb B : 0 0\n",
+}
+
+
+def _route_files(tmp_path, **texts):
+    files = {**_TWO_BLOCKS, **texts}
+    args = ["route"]
+    for ext, text in files.items():
+        (tmp_path / f"in.{ext}").write_text(text)
+        args += [f"--{ext}", str(tmp_path / f"in.{ext}")]
+    return main(args + ["--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("ext, text, lineno", [
+    ("blocks", "a hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)\nb hardrectilinear 4 (0,0) (0,1) (1e999,1) (1e999,0)\n", 2),
+    ("pl", "a 0 0\nb nan 0\n", 2),
+    ("pl", "a 0 inf\nb 1 0\n", 1),
+    ("nets", "NetDegree : 2\na B : 0 0\nb B : nan 0\n", 3),
+    ("nets", "NetDegree : 2\na B : -inf 0\nb B : 0 0\n", 2),
+], ids=["blocks-overflow", "pl-nan", "pl-inf", "nets-nan", "nets-minus-inf"])
+def test_non_finite_number_exits_one_naming_the_line(tmp_path, capsys, ext, text, lineno):
+    assert _route_files(tmp_path, **{ext: text}) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"line {lineno}:" in err and "non-finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocks", ["", "# no blocks\npad terminal\n"], ids=["empty", "terminals-only"])
+def test_blocks_file_without_blocks_exits_one(tmp_path, capsys, blocks):
+    assert _route_files(tmp_path, blocks=blocks, pl="", nets="") == 1
+    assert "error: the .blocks file declares no blocks" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_incomplete_file_triple_exits_one(tmp_path):
     code = main(["route", "--blocks", "x.blocks", "--out", str(tmp_path)])
     assert code == 1
