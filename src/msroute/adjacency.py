@@ -97,32 +97,67 @@ class TJunction:
     on_boundary: bool = False  # True only for the four degree-2 floorplan corners
 
 
-def _adjacency_arrays(fp: Floorplan):
-    """All left-of and above/below adjacent pairs with their shared spans."""
-    x1, y1, x2, y2, _ = fp.snapped_rects()
-    horiz = []  # (i, j, span): i left of j
-    vert = []   # (i, j, span): i above j
-    eq_x = x2[:, None] == x1[None, :]
-    ovy_lo = np.maximum(y1[:, None], y1[None, :])
-    ovy_hi = np.minimum(y2[:, None], y2[None, :])
-    for i, j in zip(*np.nonzero(eq_x & (ovy_hi > ovy_lo))):
-        span = Span(Axis.V, float(x2[i]), float(ovy_lo[i, j]), float(ovy_hi[i, j]))
-        horiz.append((int(i), int(j), span))
-    eq_y = y1[:, None] == y2[None, :]
-    ovx_lo = np.maximum(x1[:, None], x1[None, :])
-    ovx_hi = np.minimum(x2[:, None], x2[None, :])
-    for i, j in zip(*np.nonzero(eq_y & (ovx_hi > ovx_lo))):
-        span = Span(Axis.H, float(y1[i]), float(ovx_lo[i, j]), float(ovx_hi[i, j]))
-        vert.append((int(i), int(j), span))
-    horiz.sort(key=lambda t: (t[0], t[1]))
-    vert.sort(key=lambda t: (t[0], t[1]))
-    return horiz, vert
+def _touching_pairs(near: list[float], far: list[float], lo: list[float], hi: list[float]) -> list[tuple[int, int]]:
+    """Every (i, j) with near[i] == far[j] whose [lo, hi] intervals share a
+    positive length, sorted.
+
+    One sweep per shared wall coordinate: the intervals of both sides, in lo
+    order, meet each open interval of the other side.  An open interval that
+    ends at or before the current lo can meet nothing later and is dropped,
+    so a mosaic's wall meets only the few intervals it overlaps.
+    """
+    sides: dict[float, tuple[list[int], list[int]]] = {}
+    for i, c in enumerate(near):
+        sides.setdefault(c, ([], []))[0].append(i)
+    for j, c in enumerate(far):
+        if c in sides:
+            sides[c][1].append(j)
+    pairs = []
+    for ii, jj in sides.values():
+        if not jj:
+            continue
+        events = sorted([(lo[i], 0, i) for i in ii] + [(lo[j], 1, j) for j in jj])
+        open_: list[list[int]] = [[], []]
+        for start, side, b in events:
+            if hi[b] <= start:
+                continue  # an empty interval meets nothing
+            # the open intervals began at or before start, so they overlap b
+            # in a positive length when they end after it
+            other = open_[1 - side] = [a for a in open_[1 - side] if hi[a] > start]
+            pairs.extend((b, a) if side == 0 else (a, b) for a in other)
+            open_[side].append(b)
+    pairs.sort()
+    return pairs
+
+
+def _shared_spans(axis: Axis, pairs, fixed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, Span]]:
+    """(i, j, Span) per pair: the wall at fixed[i] covering the overlap of
+    [lo, hi] of i and j."""
+    if not pairs:
+        return []
+    i, j = np.array(pairs).T
+    spans = zip(fixed[i].tolist(), np.maximum(lo[i], lo[j]).tolist(), np.minimum(hi[i], hi[j]).tolist())
+    return [(a, b, Span(axis, f, s, e)) for a, b, (f, s, e) in zip(i.tolist(), j.tolist(), spans)]
+
+
+def _adjacent_pairs(fp: Floorplan):
+    """All left-of and above/below adjacent pairs with their shared spans.
+
+    Computed once per floorplan: both BAG orientations read the same walls.
+    """
+    if fp._walls is None:
+        x1, y1, x2, y2, _ = fp.snapped_rects()
+        lx1, ly1, lx2, ly2 = x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()
+        horiz = _shared_spans(Axis.V, _touching_pairs(lx2, lx1, ly1, ly2), x2, y1, y2)  # i left of j
+        vert = _shared_spans(Axis.H, _touching_pairs(ly1, ly2, lx1, lx2), y1, x1, x2)   # i above j
+        fp._walls = (horiz, vert)
+    return fp._walls
 
 
 def build_bag(fp: Floorplan, orientation: Orientation) -> Bag:
     """Build the directed block adjacency graph for one staircase orientation."""
     fp.require_valid()
-    horiz, vert = _adjacency_arrays(fp)
+    horiz, vert = _adjacent_pairs(fp)
     edges = [BagEdge(i, j, Relation.LEFT_OF, span) for i, j, span in horiz]
     if orientation is Orientation.MIS:
         edges += [BagEdge(i, j, Relation.ABOVE, span) for i, j, span in vert]

@@ -14,6 +14,8 @@ fixed-point coordinates, so serialize -> parse -> serialize is byte-stable.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import math
 import random
 import re
@@ -112,6 +114,7 @@ class Floorplan:
     def __post_init__(self):
         self._validation: ValidationReport | None = None
         self._snapped = None
+        self._walls = None  # adjacency's wall pairs, found on first use
 
     @property
     def diagonal(self) -> float:
@@ -400,6 +403,52 @@ def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
     )
 
 
+#: candidate pairs the overlap sweep gathers before checking them with numpy
+_OVERLAP_BATCH = 4096
+
+
+def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
+    """Every pair i < j of rectangles whose overlap, min(x2) - max(x1) and
+    min(y2) - max(y1), exceeds tol on both axes, sorted.
+
+    An x-sweep: rectangles open in x1 order, and each one is a candidate
+    pair with every rectangle still open.  An open rectangle closes (a heap on
+    x2) once its x2 - x1 of the opening one is at most tol, as it then
+    overlaps no later one by more than tol.  The candidates are checked with
+    the expressions above in numpy batches, so memory stays linear in n.
+    """
+    lx1, lx2 = x1.tolist(), x2.tolist()
+    closing: list[tuple[float, int]] = []   # (x2, id) of the open rectangles
+    open_: dict[int, None] = {}             # open ids, in opening order
+    older: list[int] = []
+    newer: list[int] = []
+    found: list[tuple[int, int]] = []
+
+    def check():
+        a, b = np.array(older, dtype=np.intp), np.array(newer, dtype=np.intp)
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        ovx = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j])
+        ovy = np.minimum(y2[i], y2[j]) - np.maximum(y1[i], y1[j])
+        hit = (ovx > tol) & (ovy > tol)
+        found.extend(zip(i[hit].tolist(), j[hit].tolist()))
+        older.clear()
+        newer.clear()
+
+    for b in np.argsort(x1, kind="stable").tolist():
+        start = lx1[b]
+        while closing and closing[0][0] - start <= tol:
+            del open_[heapq.heappop(closing)[1]]
+        older.extend(open_)
+        newer.extend(itertools.repeat(b, len(open_)))
+        if len(older) >= _OVERLAP_BATCH:
+            check()
+        open_[b] = None
+        heapq.heappush(closing, (lx2[b], b))
+    check()
+    found.sort()
+    return found
+
+
 def validate_floorplan(fp: Floorplan) -> ValidationReport:
     """Check the mosaic properties: containment, non-overlap, full coverage,
     and absence of four-block '+' crossings.  Violations are report entries,
@@ -421,12 +470,7 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
         b = fp.blocks[i]
         violations.append(Violation("outside", f"block {b.name} exceeds the bounding rectangle", b.x, b.y))
 
-    # pairwise interior overlap
-    ovx = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
-    ovy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
-    over = (ovx > tol) & (ovy > tol)
-    np.fill_diagonal(over, False)
-    for i, j in zip(*np.nonzero(np.triu(over))):
+    for i, j in _overlapping_pairs(x1, y1, x2, y2, tol):
         bi, bj = fp.blocks[i], fp.blocks[j]
         cx = (max(bi.x, bj.x) + min(bi.x2, bj.x2)) / 2
         cy = (max(bi.y, bj.y) + min(bi.y2, bj.y2)) / 2

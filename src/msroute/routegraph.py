@@ -15,11 +15,11 @@ scale of the router's A* bound.
 
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
-run reads both once per segment, into the capacity row of the segment's
-`SegmentUsage` (0 on layers its axis may not use).  The layer rule reads
-only that row: a segment's effective layer is the first layer at or above
-its current layer with spare capacity, and `charge` lands a net there, so
-usage never exceeds capacity.  A run keeps one `SegmentUsage` per segment
+run reads both once per distinct (r, axis) into a `capacity_row` (0 on
+layers the axis may not use), and each segment's `SegmentUsage` gets its
+own copy.  The layer rule reads only that row: a segment's effective layer
+is the first layer at or above its current layer with spare capacity, and
+`charge` lands a net there, so usage never exceeds capacity.  A run keeps one `SegmentUsage` per segment
 in its `router.RoutingState`.
 """
 
@@ -95,11 +95,19 @@ class SegmentUsage:
     curr_layer: int      # layer of the last charge; never decreases
 
     @classmethod
-    def fresh(cls, seg: Segment, profile: CapacityProfile) -> "SegmentUsage":
-        layers = range(1, profile.layers + 1)
-        cap = [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l) else 0 for l in layers]
-        first = next((l for l in layers if layer_permitted(profile, seg.axis, l)), 1)
-        return cls(seg.id, cap, [0] * profile.layers, first)
+    def fresh(cls, sid: int, row: tuple[tuple[int, ...], int]) -> "SegmentUsage":
+        """No usage yet, on the segment's `capacity_row`, of which it gets its own copy."""
+        cap, first = row
+        return cls(sid, list(cap), [0] * len(cap), first)
+
+
+def capacity_row(profile: CapacityProfile, r: int, axis: Axis) -> tuple[tuple[int, ...], int]:
+    """Capacity per layer of a segment with base capacity r on this axis (0
+    where the axis may not go), and the first layer it may use (1 when none)."""
+    layers = range(1, profile.layers + 1)
+    cap = tuple(capacity_at(profile, r, l) if layer_permitted(profile, axis, l) else 0 for l in layers)
+    first = next((l for l in layers if layer_permitted(profile, axis, l)), 1)
+    return cap, first
 
 
 def effective_layer(usage: SegmentUsage) -> int | None:

@@ -42,6 +42,7 @@ from .routegraph import (
     RegionModel,
     SegmentUsage,
     build_gsrg,
+    capacity_row,
     charge,
     effective_layer,
     pin_edge_weights,
@@ -144,8 +145,14 @@ class RoutingState:
     def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
         profile = config.profile
         n = len(region.segments)
-        state = cls(region=region, config=config, profile=profile,
-                    usage=[SegmentUsage.fresh(seg, profile) for seg in region.segments],
+        rows = {}  # (r, axis) -> its capacity_row, built once
+        usage = []
+        for seg in region.segments:
+            row = rows.get((seg.r, seg.axis))
+            if row is None:
+                row = rows[seg.r, seg.axis] = capacity_row(profile, seg.r, seg.axis)
+            usage.append(SegmentUsage.fresh(seg.id, row))
+        state = cls(region=region, config=config, profile=profile, usage=usage,
                     weight=[UNUSABLE] * n, penalty=[UNUSABLE] * n)
         for sid in range(n):
             state.refresh(sid)

@@ -22,6 +22,7 @@ channels.
 
 from __future__ import annotations
 
+import bisect
 import io
 from collections import Counter
 from dataclasses import dataclass
@@ -117,6 +118,10 @@ def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, 
     return (span.min_x, -span.max_y, span.max_x, -span.min_y)
 
 
+def _staircase_keys(bag: Bag) -> list[tuple[float, float, float, float]]:
+    return [_staircase_key(e.span, bag.orientation) for e in bag.edges]
+
+
 def _staircase_sorted(edges: list[BagEdge], orientation: Orientation) -> list[BagEdge]:
     return sorted(edges, key=lambda e: _staircase_key(e.span, orientation))
 
@@ -125,6 +130,22 @@ def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
     # in staircase order each wall ends, in x and in (mirrored) y, where the next begins or before
     ordered = sorted(keys)
     return all(a[2] <= b[0] and a[3] <= b[1] for a, b in zip(ordered, ordered[1:]))
+
+
+def _stays_monotone(chain: list, removed: list, added: list) -> bool:
+    """Whether `chain`, a monotone staircase as a sorted list of (key, edge
+    index) items, stays monotone once the `removed` items leave it and the
+    `added` ones join it.
+
+    Only the window between the kept walls either side of the change is
+    checked: every pair outside it was a neighbour pair of `chain` already.
+    """
+    spots = [bisect.bisect_left(chain, item) for item in removed + added]
+    if not spots:
+        return True
+    lo, hi = max(min(spots) - 1, 0), max(spots) + 1
+    window = sorted([item for item in chain[lo:hi + 1] if item not in removed] + added)
+    return all(a[0][2] <= b[0][0] and a[0][3] <= b[0][1] for a, b in zip(window, window[1:]))
 
 
 def is_monotone_chain(edges: list[BagEdge], orientation: Orientation) -> bool:
@@ -138,11 +159,14 @@ def bipartition(
     nets: list[Net],
     balance: BalanceMode = BalanceMode.NUMBER,
     areas: dict[int, float] | None = None,
+    keys: list[tuple[float, float, float, float]] | None = None,
 ) -> MsCut:
     """Split the bag's blocks by a balanced monotone staircase cut.
 
     Returns an MsCut whose left_set is the absorbed (upper/lower-left) side.
     The cut id is assigned by build_msc_tree; standalone calls get id 0.
+    `keys` are the edges' staircase keys, in bag.edges order; they are
+    computed when not given.
     """
     nodes = sorted(bag.nodes)
     n_sub = len(nodes)
@@ -154,14 +178,16 @@ def bipartition(
     node_set = set(nodes)
     succ: dict[int, list[int]] = {v: [] for v in nodes}
     indeg: dict[int, int] = {v: 0 for v in nodes}
-    in_edges: dict[int, list[int]] = {v: [] for v in nodes}
-    out_edges: dict[int, list[int]] = {v: [] for v in nodes}
+    if keys is None:
+        keys = _staircase_keys(bag)
+    # per block, its in- and out-edges as (staircase key, edge index) items
+    in_items: dict[int, list] = {v: [] for v in nodes}
+    out_items: dict[int, list] = {v: [] for v in nodes}
     for idx, e in enumerate(bag.edges):
         succ[e.src].append(e.dst)
         indeg[e.dst] += 1
-        in_edges[e.dst].append(idx)
-        out_edges[e.src].append(idx)
-    keys = [_staircase_key(e.span, bag.orientation) for e in bag.edges]
+        in_items[e.dst].append((keys[idx], idx))
+        out_items[e.src].append((keys[idx], idx))
 
     # per net with at least 2 pins on the bag's blocks: its id, those pins'
     # count and how many of them the absorbed side holds; per block, the
@@ -191,26 +217,21 @@ def bipartition(
     absorbed: list[int] = []
     a_area = 0.0
     total_area = sum(areas[v] for v in nodes) if areas else 0.0
-    cut_idx: set[int] = set()
-
-    def cut_after(v: int) -> set[int]:
-        # v is a source, so every in-edge of v comes from the absorbed side
-        return (cut_idx - set(in_edges[v])) | set(out_edges[v])
+    chain: list = []  # the current cut as sorted (key, edge index) items, a monotone staircase
 
     def absorb_next():
         # in staircase-shaped sub-regions not every source keeps the frontier
-        # a single monotone chain; only admissible sources may be absorbed
-        nonlocal a_area, cut_idx
+        # a single monotone chain; only admissible sources may be absorbed.
+        # v is a source, so its in-edges leave the cut and its out-edges join it
+        nonlocal a_area
         best = None
         best_key = None
-        best_cut = None
         for v in sources:
-            new_cut = cut_after(v)
-            if not _is_monotone_keys([keys[i] for i in new_cut]):
+            if not _stays_monotone(chain, in_items[v], out_items[v]):
                 continue
             key = (cut_change(v), v)
             if best_key is None or key < best_key:
-                best, best_key, best_cut = v, key, new_cut
+                best, best_key = v, key
         if best is None:
             raise InternalError("no source keeps the cut a monotone staircase")
         sources.remove(best)
@@ -218,7 +239,10 @@ def bipartition(
             in_a[i] += count
         a_set.add(best)
         absorbed.append(best)
-        cut_idx = best_cut
+        for item in in_items[best]:
+            del chain[bisect.bisect_left(chain, item)]
+        for item in out_items[best]:
+            bisect.insort(chain, item)
         if areas:
             a_area += areas[best]
         for w in succ[best]:
@@ -265,9 +289,10 @@ def bipartition(
     )
 
 
-def _induce(bag: Bag, subset: set[int]) -> Bag:
-    edges = [e for e in bag.edges if e.src in subset and e.dst in subset]
-    return Bag(bag.orientation, sorted(subset), edges)
+def _induce(bag: Bag, keys: list, subset: set[int]) -> tuple[Bag, list]:
+    """The bag's edges within subset, with their staircase keys."""
+    kept = [k for k, e in enumerate(bag.edges) if e.src in subset and e.dst in subset]
+    return Bag(bag.orientation, sorted(subset), [bag.edges[k] for k in kept]), [keys[k] for k in kept]
 
 
 def build_msc_tree(
@@ -283,15 +308,16 @@ def build_msc_tree(
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
 
-    def rec(block_ids: tuple[int, ...], nets: list[Net], bags: dict[Orientation, Bag], depth: int) -> MscNode:
-        # nets and bags are the parent's; cut them down to this node's blocks
+    def rec(block_ids: tuple[int, ...], nets: list[Net], bags: dict, depth: int) -> MscNode:
+        # nets and (bag, keys) are the parent's; cut them down to this node's blocks
         if len(block_ids) == 1:
             return MscNode(block_id=block_ids[0])
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
         blocks = set(block_ids)
         nets = _nets_within(nets, blocks)
-        bags = {o: _induce(bag, blocks) for o, bag in bags.items()}
-        cut = bipartition(bags[orientation], nets, balance, areas)
+        bags = {o: _induce(bag, keys, blocks) for o, (bag, keys) in bags.items()}
+        bag, keys = bags[orientation]
+        cut = bipartition(bag, nets, balance, areas, keys)
         cut.id = len(cuts)
         cuts.append(cut)
         node = MscNode(cut=cut)
@@ -299,7 +325,7 @@ def build_msc_tree(
         node.right = rec(cut.right_set, nets, bags, depth + 1)
         return node
 
-    root = rec(tuple(range(len(fp.blocks))), nets, full, 0)
+    root = rec(tuple(range(len(fp.blocks))), nets, {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
     return MscTree(root=root, cuts=cuts, bags=full)
 
 

@@ -1,10 +1,17 @@
 """Block adjacency graph construction and T-junction enumeration."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from msroute.adjacency import (
+    Axis,
     Orientation,
     Relation,
+    Span,
+    _adjacent_pairs,
     all_junctions,
     build_bag,
     enumerate_tjunctions,
@@ -13,7 +20,30 @@ from msroute.adjacency import (
 from msroute.errors import ValidationError
 from msroute.floorplan import generate_random_floorplan
 
-from test_floorplan import make_fp
+from test_floorplan import floorplans, make_fp, pinwheel
+
+
+def dense_adjacency(fp):
+    """Test oracle: the n x n wall comparison that the sweep replaced.  All
+    left-of and above/below adjacent pairs with their shared spans."""
+    x1, y1, x2, y2, _ = fp.snapped_rects()
+    horiz = []  # (i, j, span): i left of j
+    vert = []   # (i, j, span): i above j
+    eq_x = x2[:, None] == x1[None, :]
+    ovy_lo = np.maximum(y1[:, None], y1[None, :])
+    ovy_hi = np.minimum(y2[:, None], y2[None, :])
+    for i, j in zip(*np.nonzero(eq_x & (ovy_hi > ovy_lo))):
+        span = Span(Axis.V, float(x2[i]), float(ovy_lo[i, j]), float(ovy_hi[i, j]))
+        horiz.append((int(i), int(j), span))
+    eq_y = y1[:, None] == y2[None, :]
+    ovx_lo = np.maximum(x1[:, None], x1[None, :])
+    ovx_hi = np.minimum(x2[:, None], x2[None, :])
+    for i, j in zip(*np.nonzero(eq_y & (ovx_hi > ovx_lo))):
+        span = Span(Axis.H, float(y1[i]), float(ovx_lo[i, j]), float(ovx_hi[i, j]))
+        vert.append((int(i), int(j), span))
+    horiz.sort(key=lambda t: (t[0], t[1]))
+    vert.sort(key=lambda t: (t[0], t[1]))
+    return horiz, vert
 
 
 def test_two_blocks_side_by_side_one_left_of_edge():
@@ -39,11 +69,55 @@ def test_vertical_stack_orientation_conventions():
 def test_corner_contact_is_not_adjacency():
     # a valid mosaic never has corner-only contact (it would need four walls
     # meeting at a point), so exercise the rule on the raw pair detector
-    from msroute.adjacency import _adjacency_arrays
-
     fp = make_fp([(0, 0, 1, 1), (1, 1, 1, 1)], bbox=(0, 0, 2, 2))
-    horiz, vert = _adjacency_arrays(fp)
+    horiz, vert = _adjacent_pairs(fp)
     assert horiz == [] and vert == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp=floorplans())
+def test_adjacency_sweep_matches_the_dense_oracle(fp):
+    # repr tells every float apart, -0.0 from 0.0 included
+    assert repr(_adjacent_pairs(fp)) == repr(dense_adjacency(fp))
+
+
+def test_pinwheel_bag():
+    fp = make_fp(pinwheel(1, 2, 1, 2, 3, 3))
+    pairs = {(e.src, e.dst, e.relation) for e in build_bag(fp, Orientation.MIS).edges}
+    assert pairs == {(0, 1, Relation.LEFT_OF), (3, 4, Relation.LEFT_OF), (4, 1, Relation.LEFT_OF),
+                     (3, 2, Relation.LEFT_OF), (4, 0, Relation.ABOVE), (3, 0, Relation.ABOVE),
+                     (2, 4, Relation.ABOVE), (2, 1, Relation.ABOVE)}
+    assert len(pairs) == 3 * (5 - 1) - 4  # 4 of its 8 T-junctions sit on the border
+
+
+def test_sweep_runs_once_per_floorplan(monkeypatch):
+    import msroute.adjacency as adjacency
+
+    fp = generate_random_floorplan(30, 0, 2, seed=4)
+    calls = []
+    sweep = adjacency._touching_pairs
+    monkeypatch.setattr(adjacency, "_touching_pairs", lambda *a: calls.append(1) or sweep(*a))
+    mis, mds = build_bag(fp, Orientation.MIS), build_bag(fp, Orientation.MDS)
+    build_bag(fp, Orientation.MIS)
+    assert len(calls) == 2  # one sweep per wall axis
+    assert [e.span for e in mis.edges if e.relation is Relation.LEFT_OF] == \
+        [e.span for e in mds.edges if e.relation is Relation.LEFT_OF]
+
+
+def test_region_geometry_memory_is_not_quadratic():
+    # one dense n x n float64 array is n*n*8 bytes (5.1 MB at n=800); the
+    # validation and both BAGs must fit below that
+    n = 800
+    fp = generate_random_floorplan(n, 0, 2, seed=11)
+    tracemalloc.start()
+    try:
+        fp.require_valid()
+        build_bag(fp, Orientation.MIS)
+        build_bag(fp, Orientation.MDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_bag_requires_valid_floorplan():

@@ -2,8 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from msroute import floorplan as floorplan_module
 from msroute.errors import InvalidNetError, ParseError
 from msroute.floorplan import (
     Block,
@@ -32,6 +36,54 @@ def make_fp(rects, nets=None, bbox=None):
         bbox = (x0, y0, max(b.x2 for b in blocks) - x0, max(b.y2 for b in blocks) - y0)
     return Floorplan(origin=(bbox[0], bbox[1]), width=bbox[2], height=bbox[3],
                      blocks=blocks, nets=nets or [])
+
+
+def pinwheel(xa, xb, ya, yb, w, h):
+    """The five-block non-slicing mosaic: four blocks wind around a centre
+    block [xa, xb] x [ya, yb] of the w x h rectangle, as (x, y, w, h) tuples."""
+    corners = [(0, 0, xb, ya), (xb, 0, w, yb), (xa, yb, w, h), (0, ya, xa, h), (xa, ya, xb, yb)]
+    return [(x1, y1, x2 - x1, y2 - y1) for x1, y1, x2, y2 in corners]
+
+
+def jittered(fp, jitter, seed):
+    """A copy of fp whose block corners and sizes move by less than `jitter`."""
+    rng = random.Random(seed)
+    move = lambda v: v + rng.uniform(-jitter, jitter)
+    return make_fp([(move(b.x), move(b.y), move(b.width), move(b.height)) for b in fp.blocks],
+                   bbox=(*fp.origin, fp.width, fp.height))
+
+
+@st.composite
+def floorplans(draw):
+    """Valid and invalid floorplans for the geometry oracles: generated
+    mosaics, pinwheels, mosaics jittered by less than tol, and random
+    rectangles on a small grid (overlapping, nested, touching at corners,
+    empty)."""
+    kind = draw(st.sampled_from(["mosaic", "pinwheel", "jittered", "random"]))
+    if kind == "pinwheel":
+        w, h = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+        xa, xb = sorted(draw(st.lists(st.integers(1, w - 1), min_size=2, max_size=2, unique=True)))
+        ya, yb = sorted(draw(st.lists(st.integers(1, h - 1), min_size=2, max_size=2, unique=True)))
+        scale, dx = draw(st.sampled_from([1.0, 0.1, 37.5])), draw(st.sampled_from([0.0, -3.25, 1e3]))
+        return make_fp([(x * scale + dx, y * scale, bw * scale, bh * scale)
+                        for x, y, bw, bh in pinwheel(xa, xb, ya, yb, w, h)])
+    if kind == "random":
+        rects = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                        st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=14))
+        return make_fp(rects)
+    fp = generate_random_floorplan(draw(st.integers(2, 80)), 0, 2, seed=draw(st.integers(0, 10_000)))
+    if kind == "jittered":
+        fp = jittered(fp, fp.tol * draw(st.sampled_from([0.01, 0.2, 0.45])), draw(st.integers(0, 100)))
+    return fp
+
+
+def dense_overlapping_pairs(x1, y1, x2, y2, tol):
+    """Test oracle: the n x n overlap check that the x-sweep replaced."""
+    ovx = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
+    ovy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
+    over = (ovx > tol) & (ovy > tol)
+    np.fill_diagonal(over, False)
+    return [(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(over)))]
 
 
 def make_net(net_id, points, name=None):
@@ -257,6 +309,44 @@ def test_validate_violations_carry_coordinates():
     report = validate_floorplan(fp)
     crossing = [v for v in report.violations if v.kind == "crossing"]
     assert crossing and (crossing[0].x, crossing[0].y) == (1.0, 1.0)
+
+
+def test_pinwheel_is_a_valid_mosaic():
+    fp = make_fp(pinwheel(1, 2, 1, 2, 3, 3))
+    assert validate_floorplan(fp).passed
+    assert len(fp.blocks) == 5
+
+
+def test_validate_nested_and_corner_contact():
+    nested = make_fp([(0, 0, 4, 4), (1, 1, 1, 1), (1.5, 1.5, 2, 2)])
+    report = validate_floorplan(nested)
+    assert [v.message for v in report.violations if v.kind == "overlap"] == [
+        "blocks bk0 and bk1 overlap", "blocks bk0 and bk2 overlap", "blocks bk1 and bk2 overlap"]
+    corner = validate_floorplan(make_fp([(0, 0, 1, 1), (1, 1, 1, 1)], bbox=(0, 0, 2, 2)))
+    assert corner.kinds() == {"coverage"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp=floorplans())
+def test_overlap_sweep_matches_the_dense_oracle(fp):
+    x1 = np.array([b.x for b in fp.blocks])
+    y1 = np.array([b.y for b in fp.blocks])
+    x2 = np.array([b.x2 for b in fp.blocks])
+    y2 = np.array([b.y2 for b in fp.blocks])
+    for tol in (fp.tol, 0.0, 0.5):
+        assert floorplan_module._overlapping_pairs(x1, y1, x2, y2, tol) == dense_overlapping_pairs(x1, y1, x2, y2, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp=floorplans())
+def test_validation_report_matches_the_dense_oracle(fp):
+    swept = validate_floorplan(fp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(floorplan_module, "_overlapping_pairs", dense_overlapping_pairs)
+        dense = validate_floorplan(fp)
+    assert swept == dense
+    assert [repr((v.kind, v.message, v.x, v.y)) for v in swept.violations] == \
+        [repr((v.kind, v.message, v.x, v.y)) for v in dense.violations]
 
 
 # ---------------------------------------------------------------------------

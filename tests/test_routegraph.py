@@ -19,9 +19,11 @@ from msroute.routegraph import (
     build_gsrg,
     build_junction_graph,
     capacity_at,
+    capacity_row,
     effective_layer,
     pin_edge_weights,
 )
+from msroute import router
 from msroute.router import RoutingState, RunConfig, SearchDir
 from msroute.staircase import BalanceMode, Segment, build_msc_tree, extract_segments
 
@@ -214,6 +216,18 @@ def test_capacity_table_reads_the_profile_and_layer_model():
     profile = CapacityProfile(ProfileKind.LADDER, 6, LayerModel.RESERVED_HV)
     state = hand_state([make_seg(0, Axis.H, r=8), make_seg(1, Axis.V, r=8), make_seg(2, r=0)], profile)
     assert [usage.cap for usage in state.usage] == [[8, 0, 4, 0, 2, 0], [0, 8, 0, 4, 0, 2], [0] * 6]
+
+
+def test_prepare_builds_one_capacity_row_per_r_and_axis(monkeypatch):
+    rows = []
+    monkeypatch.setattr(router, "capacity_row", lambda *args: rows.append(args[1:]) or capacity_row(*args))
+    segments = [make_seg(i, axis, r=r, j1=i, j2=i + 1)
+                for i, (axis, r) in enumerate([(Axis.H, 3), (Axis.V, 3), (Axis.H, 3), (Axis.H, 5), (Axis.V, 3)])]
+    state = hand_state(segments, CapacityProfile(ProfileKind.HYPERBOLIC, 4))
+    assert rows == [(3, Axis.H), (3, Axis.V), (5, Axis.H)]
+    assert state.usage[0].cap == state.usage[2].cap == [3, 0, 1, 0]
+    state.usage[0].cap[0] = 0
+    assert state.usage[2].cap == [3, 0, 1, 0]  # every usage owns its row
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, 
 from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
 from msroute.staircase import (
     BalanceMode,
+    _is_monotone_keys,
+    _stays_monotone,
     assign_capacities,
     bipartition,
     build_msc_tree,
@@ -423,6 +425,30 @@ def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, see
         assert ref.left_set == cut.left_set
         assert ref.cut_edges == cut.cut_edges
         assert ref.cut_nets == cut.cut_nets
+
+
+@st.composite
+def _chain_change(draw):
+    """A monotone staircase chain of (key, edge) items, some of its items to
+    remove and new (key, edge) items to add, on a small grid so keys tie."""
+    m = draw(st.integers(0, 8))
+    xs = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * m, max_size=2 * m)))
+    ys = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * m, max_size=2 * m)))
+    chain = sorted(((xs[2 * i], ys[2 * i], xs[2 * i + 1], ys[2 * i + 1]), i) for i in range(m))
+    removed = [item for item in chain if draw(st.booleans())]
+    corners = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    added = []
+    for lo, hi in draw(st.lists(st.tuples(corners, corners), max_size=4)):
+        added.append(((*min(lo, hi), *max(lo, hi)), m + len(added)))
+    return chain, removed, added
+
+
+@settings(max_examples=400, deadline=None)
+@given(change=_chain_change())
+def test_local_staircase_check_equals_the_full_rescan(change):
+    chain, removed, added = change
+    new_cut = [key for key, i in chain if (key, i) not in removed] + [key for key, _ in added]
+    assert _stays_monotone(chain, removed, added) == _is_monotone_keys(new_cut)
 
 
 # sha256 of tree_text + segments_csv, recorded before the tree build stopped
