@@ -24,7 +24,7 @@ section("One region model, built once per floorplan")
 fp = msr.generate_random_floorplan(n=10, k=30, max_degree=4, seed=5)
 region = msr.RegionModel.build(fp)
 graph = region.graph
-print(f"{graph.n_nodes} junction nodes, {len(graph.edges)} usable edges "
+print(f"{len(graph.adj)} junction nodes, {len(graph.usable)} usable edges "
       f"(segments with r = 0 are excluded)")
 print("the MSC tree, segments, capacities r and junction graph depend only on the")
 print("floorplan, its nets and the balance mode; every run configuration reuses them.")
@@ -54,8 +54,8 @@ print("a new run configuration prepares fresh usage over the same region.")
 section("Per-net GSRG: pins attach to their host segment's junctions")
 net = fp.nets[0]
 gsrg = msr.build_gsrg(graph, net)
-for att in gsrg.pins:
-    print(f"  pin {att.pin_index} -> segment {att.host_seg}, "
+for idx, att in enumerate(gsrg.pins):
+    print(f"  pin {idx} -> segment {att.host_seg}, "
           f"junctions {att.j1}/{att.j2} at Manhattan distance {att.d1:.1f}/{att.d2:.1f}")
 print(f"{net.degree} pins contribute {2 * net.degree} pin-junction edges; "
       "dropping them restores the base graph unchanged.")

@@ -48,7 +48,8 @@ for path in smst.paths[:2]:
 
 section("Congestion after routing")
 snap = msr.snapshot(run.state)
-print(f"max normalized usage p = {snap.max_p:.3f} (never exceeds 1.0)")
+print(f"max normalized usage p = {snap.max():.3f} over {snap.shape[0]} usable segments "
+      f"x {snap.shape[1]} layers (never exceeds 1.0)")
 print(f"wACE4 per layer: "
       f"{[round(w, 3) for w in report.congestion['wace4_per_layer']]}")
 print(f"max-layer wACE4 = {report.congestion['wace4_max']:.4f}")

@@ -95,9 +95,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = sorted(PRESETS) if args.all_configs or not args.configs else [
+    names = sorted(PRESETS) if args.all_configs or args.configs is None else [
         s.strip() for s in args.configs.split(",") if s.strip()
     ]
+    if not names:
+        raise ParseError(f"--configs {args.configs!r} names no configuration")
     configs = [_make_config(args, name) for name in names]  # an unknown name fails before any routing
     region = _region(args)
     rows = []
@@ -140,7 +142,7 @@ def _cmd_dump_graph(args) -> int:
         "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),
         "msc_tree.txt": tree_text(region.tree),
         "segments.csv": segments_csv(region.segments),
-        "junction_graph.csv": junction_graph_csv(region.graph, state.usage, state.profile.layers),
+        "junction_graph.csv": junction_graph_csv(region.graph, state.usage, config.profile.layers),
     }
     for name, text in artifacts.items():
         path = out / name

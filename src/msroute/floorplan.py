@@ -239,6 +239,8 @@ def parse_pl(text: str, blocks: list[Block]) -> list[Block]:
         block = index.get(name)
         if block is None:
             raise ParseError(f"placement for unknown block {name!r}", lineno)
+        if name in placed:
+            raise ParseError(f"duplicate placement for block {name!r}", lineno)
         block.x, block.y = _numbers(tokens[1:3], "coordinates", line, lineno)
         block.placed = True
         placed.add(name)

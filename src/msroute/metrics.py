@@ -4,6 +4,8 @@ ACE(x%) is the mean normalized usage over the ceil(x% * N) most congested
 segment-layer entries; wACE4 averages ACE at x = 0.5, 1, 2 and 5 with equal
 weights.  The population contains one entry per (usable segment, layer), so
 an entry's p = u / capacity is always in [0, 1] once routing finished.
+`snapshot` holds it as one array, a row per usable segment and a column per
+layer; a layer's metrics read its column, the overall ones the whole array.
 """
 
 from __future__ import annotations
@@ -21,55 +23,30 @@ from .floorplan import instance_hash
 from .router import RouteRun, RoutingState
 
 
-@dataclass
-class CongestionSnapshot:
-    """Normalized usage per usable segment per layer (index = layer - 1)."""
-
-    per_layer: list[np.ndarray]
-
-    @property
-    def flat(self) -> np.ndarray:
-        if not self.per_layer:
-            return np.array([])
-        return np.concatenate(self.per_layer)
-
-    @property
-    def max_p(self) -> float:
-        flat = self.flat
-        return float(flat.max()) if flat.size else 0.0
-
-
-def snapshot(state: RoutingState) -> CongestionSnapshot:
-    """u / capacity per usable (r > 0) segment and layer; 0 where the axis may not go."""
-    usable = [state.usage[seg.id] for seg in state.region.segments if seg.r > 0]
-    shape = (len(usable), state.profile.layers)
+def snapshot(state: RoutingState) -> np.ndarray:
+    """u / capacity per usable segment (rows, in `JunctionGraph.usable` order)
+    and layer (column layer - 1); 0 where the axis may not go."""
+    usable = [state.usage[sid] for sid in state.region.graph.usable]
+    shape = (len(usable), state.config.profile.layers)
     u = np.array([usage.u for usage in usable], dtype=float).reshape(shape)
     cap = np.array([usage.cap for usage in usable], dtype=float).reshape(shape)
-    p = np.divide(u, cap, out=np.zeros(shape), where=cap > 0)
-    return CongestionSnapshot(per_layer=list(p.T))
+    return np.divide(u, cap, out=np.zeros(shape), where=cap > 0)
 
 
-def _as_values(snap) -> np.ndarray:
-    if isinstance(snap, CongestionSnapshot):
-        return snap.flat
-    return np.asarray(snap, dtype=float)
-
-
-def ace(x_percent: float, snap) -> float:
-    """Mean p over the ceil(x% * N) most congested entries."""
-    values = _as_values(snap)
+def ace(x_percent: float, values) -> float:
+    """Mean p over the ceil(x% * N) most congested entries of an array-like of any shape."""
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise MetricError("ACE undefined for an empty congestion snapshot")
     if not 0 < x_percent <= 100:
         raise MetricError(f"ACE percentage {x_percent} outside (0, 100]")
     k = math.ceil(x_percent / 100.0 * values.size)
-    top = np.sort(values)[-k:]
+    top = np.sort(values, axis=None)[-k:]
     return float(top.mean())
 
 
-def wace4(snap) -> float:
+def wace4(values) -> float:
     """Equal-weight mean of ACE(0.5), ACE(1), ACE(2) and ACE(5)."""
-    values = _as_values(snap)
     return sum(ace(x, values) for x in (0.5, 1.0, 2.0, 5.0)) / 4.0
 
 
@@ -178,13 +155,13 @@ def summarize(run: RouteRun) -> RouteReport:
     }
 
     snap = snapshot(state)
-    if snap.flat.size:
-        per_layer = [wace4(p) for p in snap.per_layer]
+    if snap.size:
+        per_layer = [wace4(p) for p in snap.T]
         congestion = {
             "wace4_per_layer": per_layer,
             "wace4_max": max(per_layer),
             "wace4_all": wace4(snap),
-            "max_usage": snap.max_p,
+            "max_usage": float(snap.max()),
         }
     else:
         congestion = {"wace4_per_layer": [], "wace4_max": None, "wace4_all": None, "max_usage": 0.0}
@@ -198,9 +175,9 @@ def summarize(run: RouteRun) -> RouteReport:
         config={
             "name": state.config.name,
             "search": state.config.search.value,
-            "profile": state.config.profile_kind.value,
-            "layers": state.config.layers,
-            "layer_model": state.config.layer_model.value,
+            "profile": state.config.profile.kind.value,
+            "layers": state.config.profile.layers,
+            "layer_model": state.config.profile.layer_model.value,
             "balance": region.balance.value,
         },
         totals=totals,

@@ -1,17 +1,20 @@
 """The region model: the static routing graph every run of an instance reads.
 
-A `RegionModel` holds what depends only on (floorplan, nets, balance): the
-MSC tree, the junctions, the segments with their base capacity r and the
-junction graph.  Build it once with `RegionModel.build`; every run
-configuration routes over the same region, and no run writes to it.
+A `RegionModel` holds what depends only on the floorplan (with its nets)
+and the balance mode: the MSC tree, the junctions, the segments with their
+base capacity r and the junction graph.  Build it once with
+`RegionModel.build`; every run configuration routes over the same region,
+and no run writes to it.
 
 The junction graph has one undirected edge per usable segment (r > 0)
-between its endpoint junctions.  Per-net routing runs on the GSRG: the
-junction graph plus one node per pin, attached by two pin-junction edges to
-the endpoints of the pin's host segment, the nearest usable one.  The graph
-indexes the usable segments at the first host lookup and memoises each pin
-coordinate's host.  It also keeps the junction coordinates and kappa, the
-scale of the router's A* bound.
+between its endpoint junctions; `JunctionGraph.usable` lists those segment
+ids in ascending order, and every reader of "usable" reads that list.  A
+segment's endpoints live on the segment only.  Per-net routing runs on the
+GSRG: the junction graph plus one node per pin, attached by two
+pin-junction edges to the endpoints of the pin's host segment, the nearest
+usable one.  The graph indexes the usable segments at the first host lookup
+and memoises each pin coordinate's host.  It also keeps the junction
+coordinates and kappa, the scale of the router's A* bound.
 
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
@@ -19,8 +22,8 @@ run reads both once per distinct (r, axis) into a `capacity_row` (0 on
 layers the axis may not use), and each segment's `SegmentUsage` gets its
 own copy.  The layer rule reads only that row: a segment's effective layer
 is the first layer at or above its current layer with spare capacity, and
-`charge` lands a net there, so usage never exceeds capacity.  A run keeps one `SegmentUsage` per segment
-in its `router.RoutingState`.
+`charge` lands a net there, so usage never exceeds capacity.  A run keeps
+one `SegmentUsage` per segment in its `router.RoutingState`.
 """
 
 from __future__ import annotations
@@ -142,9 +145,8 @@ KAPPA_MARGIN = 1e-6
 
 @dataclass
 class JunctionGraph:
-    n_nodes: int
     segments: list[Segment]                  # indexed by segment id
-    edges: dict[int, tuple[int, int]]        # usable segment id -> (j1, j2)
+    usable: list[int]                        # ids of the r > 0 segments, ascending
     adj: list[list[tuple[int, int]]]         # junction -> [(neighbor, segment id)]
     jx: list[float]                          # junction coordinates, for the A* bound
     jy: list[float]
@@ -162,7 +164,7 @@ class JunctionGraph:
         if seg is not None:
             return seg
         if self.host_index is None:
-            usable = [self.segments[sid] for sid in sorted(self.edges)]
+            usable = [self.segments[sid] for sid in self.usable]
             rows = [(s.axis is Axis.V, s.fixed, s.lo, s.hi) for s in usable]
             self.host_index = (np.array([s.id for s in usable], dtype=np.int64),
                                np.array(rows, dtype=float).reshape(-1, 4).T)
@@ -185,18 +187,17 @@ class JunctionGraph:
 
 def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:
     """One edge per usable (r > 0) segment; touches each segment once."""
-    n_nodes = len(junctions)
     jx = [j.x for j in junctions]
     jy = [j.y for j in junctions]
-    edges: dict[int, tuple[int, int]] = {}
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    usable: list[int] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in junctions]
     kappa = 1.0
     for seg in segments:
-        if seg.j1 >= n_nodes or seg.j2 >= n_nodes:
+        if seg.j1 >= len(junctions) or seg.j2 >= len(junctions):
             raise InternalError(f"segment {seg.id} references a missing junction")
         if seg.r <= 0:
             continue
-        edges[seg.id] = (seg.j1, seg.j2)
+        usable.append(seg.id)
         adj[seg.j1].append((seg.j2, seg.id))
         adj[seg.j2].append((seg.j1, seg.id))
         l1 = abs(jx[seg.j1] - jx[seg.j2]) + abs(jy[seg.j1] - jy[seg.j2])
@@ -204,13 +205,12 @@ def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) ->
             kappa = min(kappa, seg.length / l1)
     for lst in adj:
         lst.sort()
-    return JunctionGraph(n_nodes=n_nodes, segments=segments, edges=edges, adj=adj,
+    return JunctionGraph(segments=segments, usable=usable, adj=adj,
                          jx=jx, jy=jy, kappa=kappa * (1.0 - KAPPA_MARGIN))
 
 
 @dataclass
 class PinAttachment:
-    pin_index: int
     host_seg: int
     j1: int
     j2: int
@@ -220,13 +220,13 @@ class PinAttachment:
 
 @dataclass
 class Gsrg:
-    """Per-net view: the shared junction graph plus the net's pin attachments.
+    """Per-net view of the shared junction graph: the net's pin attachments,
+    in pin order.
 
-    Dropping the attachments restores the base graph exactly; nothing in the
-    base is copied or mutated.
+    Dropping the attachments restores the junction graph exactly; nothing in
+    it is copied or mutated.
     """
 
-    base: JunctionGraph
     net: Net
     pins: list[PinAttachment]
 
@@ -244,17 +244,16 @@ def _point_interval_dist(seg: Segment, x: float, y: float) -> float:
 def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
     """Attach each pin of the net to its host segment's endpoint junctions."""
     pins: list[PinAttachment] = []
-    for idx, pin in enumerate(net.pins):
+    for pin in net.pins:
         host = jg.host(pin.x, pin.y)
         pins.append(PinAttachment(
-            pin_index=idx,
             host_seg=host.id,
             j1=host.j1,
             j2=host.j2,
             d1=abs(pin.x - jg.jx[host.j1]) + abs(pin.y - jg.jy[host.j1]),
             d2=abs(pin.x - jg.jx[host.j2]) + abs(pin.y - jg.jy[host.j2]),
         ))
-    return Gsrg(base=jg, net=net, pins=pins)
+    return Gsrg(net=net, pins=pins)
 
 
 def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, float]:
@@ -269,7 +268,7 @@ def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage], layers: int
     """CSV dump: one row per usable edge with its per-layer usage."""
     header = "segment,j1,j2,length,r," + ",".join(f"u{l}" for l in range(1, layers + 1))
     lines = [header]
-    for sid in sorted(jg.edges):
+    for sid in jg.usable:
         seg = jg.segments[sid]
         lines.append(f"{sid},{seg.j1},{seg.j2},{seg.length:.6f},{seg.r}," + ",".join(map(str, usage[sid].u)))
     return "\n".join(lines) + "\n"
@@ -280,10 +279,10 @@ def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage], layers: int
 
 @dataclass(frozen=True)
 class RegionModel:
-    """Everything the runs over one (floorplan, nets, balance) read and none writes."""
+    """Everything the runs over one (floorplan, balance) read and none writes."""
 
     fp: Floorplan
-    nets: list[Net]
+    nets: list[Net]           # fp.nets
     balance: BalanceMode
     tree: MscTree
     junctions: list[TJunction]
@@ -291,20 +290,17 @@ class RegionModel:
     graph: JunctionGraph
 
     @classmethod
-    def build(cls, fp: Floorplan, nets: list[Net] | None = None,
-              balance: BalanceMode = BalanceMode.NUMBER) -> "RegionModel":
+    def build(cls, fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> "RegionModel":
         fp.require_valid()
-        if nets is None:
-            nets = fp.nets
-        tree = build_msc_tree(fp, nets, balance)
+        tree = build_msc_tree(fp, balance)
         junctions = all_junctions(fp)
         segments = extract_segments(tree, fp, junctions)
-        assign_capacities(segments, nets, fp.tol)
+        assign_capacities(segments, fp.nets, fp.tol)
         graph = build_junction_graph(segments, junctions)
         n = len(fp.blocks)
         logger.debug(
             "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
-            graph.n_nodes, len(graph.edges), 3 * n - 7,
+            len(graph.adj), len(graph.usable), 3 * n - 7,
         )
-        return cls(fp=fp, nets=nets, balance=balance, tree=tree, junctions=junctions,
+        return cls(fp=fp, nets=fp.nets, balance=balance, tree=tree, junctions=junctions,
                    segments=segments, graph=graph)

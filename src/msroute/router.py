@@ -1,19 +1,21 @@
 """Congestion-aware routing over the junction graph of a region model.
 
 A run is a `RoutingState`: one `SegmentUsage` per segment of a
-`RegionModel` it only reads, under one run configuration.  A segment's edge
-weight is length / (1 - p), with p its usage share at its effective layer,
-and UNUSABLE when no layer has room.  The state caches every weight and pin
-penalty; usage changes only through `RoutingState.charge` and the rollback
-of a failed net, which refresh exactly the segments they touch.  Several
-states can share one region.
+`RegionModel` it only reads, under one `RunConfig` (a search direction and
+a `CapacityProfile`).  A segment's edge weight is length / (1 - p), with p
+its usage share at its effective layer, and UNUSABLE when no layer has
+room.  The state caches every weight and pin penalty; usage changes only
+through `RoutingState.charge` and the rollback of a failed net, which
+refresh exactly the segments they touch.  Several states can share one
+region.
 
 Nets route one at a time in non-decreasing (HPWL, degree) order.  A
 multi-terminal net is first decomposed into t-1 two-terminal pairs by a
 minimum spanning tree over pairwise pin HPWL; each pair routes by A* on the
 net's GSRG under the live congestion weights, charging segment usage after
-every successful pair.  If any pair is unroutable the whole net fails and
-the usage charged for its earlier pairs is rolled back.
+every successful pair: once per net on each segment of the path and on the
+host segments of the pair's two pins.  If any pair is unroutable the whole
+net fails and the usage charged for its earlier pairs is rolled back.
 
 The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
 
@@ -37,7 +39,6 @@ from .routegraph import (
     UNUSABLE,
     CapacityProfile,
     Gsrg,
-    LayerModel,
     ProfileKind,
     RegionModel,
     SegmentUsage,
@@ -66,30 +67,25 @@ PRESETS: dict[str, tuple[SearchDir, ProfileKind]] = {
 }
 
 
+_PRESET_NAMES = {pair: name for name, pair in PRESETS.items()}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     search: SearchDir
-    profile_kind: ProfileKind
-    layers: int = 8
-    layer_model: LayerModel = LayerModel.RESERVED_HV
-
-    @property
-    def profile(self) -> CapacityProfile:
-        return CapacityProfile(self.profile_kind, self.layers, self.layer_model)
+    profile: CapacityProfile
 
     @property
     def name(self) -> str:
-        for name, (search, kind) in PRESETS.items():
-            if search is self.search and kind is self.profile_kind:
-                return name
-        return f"{self.search.value}-{self.profile_kind.value}"
+        return _PRESET_NAMES[self.search, self.profile.kind]
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "RunConfig":
+        """The preset's search and profile kind; kwargs (layers, layer_model) go to the profile."""
         if name.upper() not in PRESETS:
             raise ParseError(f"unknown configuration {name!r}; choose from {', '.join(PRESETS)}")
         search, kind = PRESETS[name.upper()]
-        return cls(search=search, profile_kind=kind, **kwargs)
+        return cls(search, CapacityProfile(kind, **kwargs))
 
 
 @dataclass
@@ -99,8 +95,6 @@ class RoutePath:
     sink_pin: int
     junctions: list[int]          # visited junction sequence
     segments: list[int]           # traversed segments, len(junctions) - 1
-    entry_host: int
-    exit_host: int
     entry_dist: float             # Manhattan pin -> first junction
     exit_dist: float
     length: float                 # segment lengths + pin escapes
@@ -136,23 +130,21 @@ class RoutingState:
 
     region: RegionModel
     config: RunConfig
-    profile: CapacityProfile
     usage: list[SegmentUsage]
     weight: list[float]           # length / (1 - p) at the effective layer
     penalty: list[float]          # 1 / (1 - p), priced onto pin edges
 
     @classmethod
     def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
-        profile = config.profile
         n = len(region.segments)
         rows = {}  # (r, axis) -> its capacity_row, built once
         usage = []
         for seg in region.segments:
             row = rows.get((seg.r, seg.axis))
             if row is None:
-                row = rows[seg.r, seg.axis] = capacity_row(profile, seg.r, seg.axis)
+                row = rows[seg.r, seg.axis] = capacity_row(config.profile, seg.r, seg.axis)
             usage.append(SegmentUsage.fresh(seg.id, row))
-        state = cls(region=region, config=config, profile=profile, usage=usage,
+        state = cls(region=region, config=config, usage=usage,
                     weight=[UNUSABLE] * n, penalty=[UNUSABLE] * n)
         for sid in range(n):
             state.refresh(sid)
@@ -180,7 +172,6 @@ class RoutingState:
 class RouteRun:
     state: RoutingState
     results: list[NetResult]      # net id order
-    order: list[int]              # net ids in routed order
     runtime: float
 
 
@@ -263,7 +254,7 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     Only a strictly nearer junction takes a tie over, so zero-length
     segments cannot close a predecessor loop.
     """
-    jg = gsrg.base
+    jg = state.region.graph
     segs = jg.segments
     weight = state.weight
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
@@ -290,9 +281,10 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
         return kappa * (min(h, abs(x - ux) + abs(y - uy) + uw) if rest else h)
 
     inf = math.inf
-    dist = [inf] * jg.n_nodes
-    pred_j = [-1] * jg.n_nodes
-    pred_s = [-1] * jg.n_nodes
+    adj = jg.adj
+    dist = [inf] * len(adj)
+    pred_j = [-1] * len(adj)
+    pred_s = [-1] * len(adj)
     heap: list[tuple[float, int, float]] = []
     for j, w in ((src.j1, sw1), (src.j2, sw2)):
         if w != UNUSABLE and w < dist[j]:
@@ -301,7 +293,6 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
 
     best = inf
     best_j = -1
-    adj = jg.adj
     push, pop = heapq.heappush, heapq.heappop
     while heap:
         f, j, d = pop(heap)
@@ -352,8 +343,6 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
         sink_pin=sink_pin,
         junctions=seq_j,
         segments=seq_s,
-        entry_host=src.host_seg,
-        exit_host=dst.host_seg,
         entry_dist=entry_dist,
         exit_dist=exit_dist,
         length=length,
@@ -406,14 +395,16 @@ def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Seg
     )
 
 
-def _charge_path(state: RoutingState, path: RoutePath,
+def _charge_path(state: RoutingState, gsrg: Gsrg, path: RoutePath,
                  charged: dict[int, int], saved: dict[int, tuple[list[int], int]]) -> None:
-    """Charge one unit of usage for the net on every new segment of the path.
+    """Charge one unit of usage for the net on every new segment of the path
+    and on the host segments of its two pins.
 
     `charged` dedupes per net (a net pays a shared segment once); `saved`
     snapshots each touched segment for rollback.
     """
-    for sid in list(path.segments) + [path.entry_host, path.exit_host]:
+    hosts = [gsrg.pins[path.source_pin].host_seg, gsrg.pins[path.sink_pin].host_seg]
+    for sid in path.segments + hosts:
         if sid in charged:
             continue
         if sid not in saved:
@@ -438,7 +429,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
     except PinHostError as exc:
         return NetResult(net_id=net.id, status="FAILED", reason=str(exc))
 
-    pairs = [(0, 1)] if net.degree == 2 else decompose_net(net)
+    pairs = decompose_net(net)
     pairs.sort(key=lambda pr: (_manhattan(net.pins[pr[0]], net.pins[pr[1]]), pr[0], pr[1]))
 
     saved: dict[int, tuple[list[int], int]] = {}
@@ -453,7 +444,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
             _rollback(state, saved)
             return NetResult(net_id=net.id, status="FAILED", failure_pair=(i, j),
                              reason=f"no usable path for pins {i}-{j}")
-        _charge_path(state, path, charged, saved)
+        _charge_path(state, gsrg, path, charged, saved)
         paths.append(path)
 
     smst = identify_steiner_points(net, paths, state.region.segments)
@@ -463,17 +454,15 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
 def route_all(state: RoutingState) -> RouteRun:
     """Route every net in priority order; failures are recorded, not raised."""
     nets = state.region.nets
-    ordered = order_nets(nets)
     t0 = time.perf_counter()
     by_id: dict[int, NetResult] = {}
-    for net in ordered:
+    for net in order_nets(nets):
         by_id[net.id] = route_net(state, net)
     runtime = time.perf_counter() - t0
     results = [by_id[net.id] for net in nets]
-    return RouteRun(state=state, results=results, order=[n.id for n in ordered], runtime=runtime)
+    return RouteRun(state=state, results=results, runtime=runtime)
 
 
-def route_floorplan(fp: Floorplan, config: RunConfig, nets: list[Net] | None = None,
-                    balance: BalanceMode = BalanceMode.NUMBER) -> RouteRun:
+def route_floorplan(fp: Floorplan, config: RunConfig, balance: BalanceMode = BalanceMode.NUMBER) -> RouteRun:
     """Build the region model of fp and route its nets under config."""
-    return route_all(RoutingState.prepare(RegionModel.build(fp, nets, balance), config))
+    return route_all(RoutingState.prepare(RegionModel.build(fp, balance), config))

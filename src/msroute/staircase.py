@@ -295,15 +295,9 @@ def _induce(bag: Bag, keys: list, subset: set[int]) -> tuple[Bag, list]:
     return Bag(bag.orientation, sorted(subset), [bag.edges[k] for k in kept]), [keys[k] for k in kept]
 
 
-def build_msc_tree(
-    fp: Floorplan,
-    nets: list[Net] | None = None,
-    balance: BalanceMode = BalanceMode.NUMBER,
-) -> MscTree:
-    """Recursively bipartition the floorplan; root is MIS, levels alternate."""
+def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> MscTree:
+    """Recursively bipartition the floorplan over its nets; root is MIS, levels alternate."""
     fp.require_valid()
-    if nets is None:
-        nets = fp.nets
     full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
@@ -325,7 +319,7 @@ def build_msc_tree(
         node.right = rec(cut.right_set, nets, bags, depth + 1)
         return node
 
-    root = rec(tuple(range(len(fp.blocks))), nets, {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
+    root = rec(tuple(range(len(fp.blocks))), fp.nets, {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
     return MscTree(root=root, cuts=cuts, bags=full)
 
 

@@ -171,8 +171,7 @@ def paper_scale_runs():
     region = RegionModel.build(fp)
     runs = {}
     for kind in (ProfileKind.UNIFORM, ProfileKind.LADDER):
-        config = RunConfig(search=SearchDir.FWD, profile_kind=kind, layers=8,
-                           layer_model=LayerModel.RESERVED_HV)
+        config = RunConfig(SearchDir.FWD, CapacityProfile(kind, 8, LayerModel.RESERVED_HV))
         run = route_all(RoutingState.prepare(region, config))
         runs[kind] = (run, summarize(run))
     return fp, runs
@@ -201,22 +200,21 @@ def test_criterion_4_congestion_never_exceeds_capacity(paper_scale_runs):
         for seg in state.region.segments:
             if seg.r <= 0:
                 continue
-            for layer in range(1, state.profile.layers + 1):
-                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
+            for layer in range(1, state.config.profile.layers + 1):
+                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.config.profile, seg.r, layer)
         snap = snapshot(state)
-        worst = max(worst, snap.max_p)
+        worst = max(worst, float(snap.max()))
         wace_ok = wace_ok and all(w <= 1.0 for w in report.congestion["wace4_per_layer"])
 
     # stressed run with deliberately starved capacities: failures allowed,
     # over-congestion never
     fp = generate_random_floorplan(12, 80, 4, seed=6)
-    config = RunConfig(SearchDir.FWD, ProfileKind.HYPERBOLIC, layers=1,
-                       layer_model=LayerModel.UNRESERVED)
+    config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.HYPERBOLIC, 1, LayerModel.UNRESERVED))
     state = RoutingState.prepare(with_capacities(RegionModel.build(fp), _starved), config)
     run = route_all(state)
     failed = sum(1 for r in run.results if r.status == "FAILED")
     stress_snap = snapshot(state)
-    worst = max(worst, stress_snap.max_p)
+    worst = max(worst, float(stress_snap.max()))
 
     _verdict("4 (usage <= capacity, p <= 1.0, wACE4 <= 1.0)",
              worst <= 1.0 and wace_ok,
@@ -267,8 +265,7 @@ def test_criterion_7_profile_ordering_and_via_trend():
         vias = {}
         pct = {}
         for kind in (ProfileKind.UNIFORM, ProfileKind.HYPERBOLIC):
-            config = RunConfig(SearchDir.FWD, kind, layers=8,
-                               layer_model=LayerModel.RESERVED_HV)
+            config = RunConfig(SearchDir.FWD, CapacityProfile(kind, 8, LayerModel.RESERVED_HV))
             report = summarize(route_all(RoutingState.prepare(region, config)))
             vias[kind] = report.totals["vias"]
             pct[kind] = report.totals["routed_pct"]

@@ -107,6 +107,13 @@ def test_blocks_file_without_blocks_exits_one(tmp_path, capsys, blocks):
     assert not (tmp_path / "out").exists()
 
 
+def test_pl_placing_a_block_twice_exits_one_naming_the_line(tmp_path, capsys):
+    assert _route_files(tmp_path, pl="a 0 0\nb 1 0\na 2 0\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: duplicate placement for block 'a'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_incomplete_file_triple_exits_one(tmp_path):
     code = main(["route", "--blocks", "x.blocks", "--out", str(tmp_path)])
     assert code == 1
@@ -165,6 +172,15 @@ def test_sweep_unknown_config_exits_one_and_writes_nothing(tmp_path, capsys):
     code = main(["sweep", "--n", "6", "--k", "10", "--configs", "FCN,XYZ", "--out", str(out)])
     assert code == 1
     assert "'XYZ'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("configs", [",", " , ", ""])
+def test_sweep_configs_naming_nothing_exits_one_and_writes_nothing(tmp_path, capsys, configs):
+    out = tmp_path / "out"
+    code = main(["sweep", "--n", "6", "--k", "10", "--configs", configs, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --configs")
     assert not out.exists()
 
 

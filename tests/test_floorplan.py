@@ -153,6 +153,13 @@ def test_parse_pl_unknown_block():
         parse_pl("bk9 1 2", blocks)
 
 
+def test_parse_pl_duplicate_placement():
+    blocks = parse_blocks("\n".join(
+        f"bk{i} hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)" for i in range(2)))
+    with pytest.raises(ParseError, match="line 3: duplicate placement for block 'bk0'"):
+        parse_pl("bk0 0 0\nbk1 1 0\nbk0 2 0", blocks)
+
+
 def test_parse_pl_missing_placement():
     blocks = parse_blocks("\n".join(
         f"bk{i} hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)" for i in range(2)))

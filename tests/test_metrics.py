@@ -79,12 +79,11 @@ def _routed_report(n=10, k=30, seed=2, config="FCN"):
 def test_snapshot_entries_in_unit_interval():
     run, _ = _routed_report()
     snap = snapshot(run.state)
-    flat = snap.flat
-    assert flat.size > 0
-    assert float(flat.min()) >= 0.0
-    assert float(flat.max()) <= 1.0
+    assert snap.size > 0
+    assert float(snap.min()) >= 0.0
+    assert float(snap.max()) <= 1.0
     usable = sum(1 for s in run.state.region.segments if s.r > 0)
-    assert flat.size == usable * run.state.profile.layers
+    assert snap.shape == (usable, run.state.config.profile.layers)
 
 
 def test_snapshot_matches_loop_reference():
@@ -92,10 +91,11 @@ def test_snapshot_matches_loop_reference():
     run, _ = _routed_report(n=12, k=80, seed=3, config="FCH")
     state = run.state
     usable = [seg for seg in state.region.segments if seg.r > 0]
+    profile = state.config.profile
     snap = snapshot(state)
-    assert len(snap.per_layer) == state.profile.layers
-    for layer, got in enumerate(snap.per_layer, start=1):
-        expect = [state.usage[seg.id].u[layer - 1] / capacity_at(state.profile, seg.r, layer) for seg in usable]
+    assert snap.shape == (len(usable), profile.layers)
+    for layer, got in enumerate(snap.T, start=1):
+        expect = [state.usage[seg.id].u[layer - 1] / capacity_at(profile, seg.r, layer) for seg in usable]
         assert got.tolist() == expect
 
 
@@ -133,7 +133,7 @@ def test_summarize_totals_match_per_net_records():
 def test_summarize_congestion_fields():
     run, report = _routed_report(n=12, k=60, seed=7)
     per_layer = report.congestion["wace4_per_layer"]
-    assert len(per_layer) == run.state.profile.layers
+    assert len(per_layer) == run.state.config.profile.layers
     assert report.congestion["wace4_max"] == pytest.approx(max(per_layer))
     assert all(0.0 <= w <= 1.0 for w in per_layer)
     snap = snapshot(run.state)

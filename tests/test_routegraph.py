@@ -43,8 +43,7 @@ def hand_state(segments, profile, junctions=None, nets=(), search=SearchDir.FWD)
     region = RegionModel(fp=None, nets=list(nets), balance=BalanceMode.NUMBER, tree=None,
                          junctions=junctions, segments=segments,
                          graph=build_junction_graph(segments, junctions))
-    config = RunConfig(search, profile.kind, profile.layers, profile.layer_model)
-    return RoutingState.prepare(region, config)
+    return RoutingState.prepare(region, RunConfig(search, profile))
 
 
 UNIFORM8 = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.UNRESERVED)
@@ -253,23 +252,25 @@ def test_junction_graph_two_blocks():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
     region = _prepared(fp).region
     jg = region.graph
-    assert jg.n_nodes == 6
-    assert len(jg.edges) == 1  # only the interior wall is usable
+    assert len(jg.adj) == 6
     interior = next(s for s in region.segments if s.region_id >= 0)
-    assert jg.edges[interior.id] == (interior.j1, interior.j2)
+    assert jg.usable == [interior.id]  # only the interior wall is usable
+    assert jg.adj[interior.j1] == [(interior.j2, interior.id)]
+    assert jg.adj[interior.j2] == [(interior.j1, interior.id)]
 
 
 def test_junction_graph_node_count_matches_junctions():
     fp = generate_random_floorplan(10, 0, 2, seed=2)
     region = _prepared(fp).region
-    assert region.graph.n_nodes == len(region.junctions) == (2 * 10 - 2) + 4
+    assert len(region.graph.adj) == len(region.junctions) == (2 * 10 - 2) + 4
+    assert region.graph.usable == [seg.id for seg in region.segments if seg.r > 0]
 
 
 def test_junction_graph_zero_capacity_everywhere():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
     junctions, segments = _segments(fp, lambda seg: 0)
     jg = build_junction_graph(segments, junctions)
-    assert jg.n_nodes == 6 and len(jg.edges) == 0
+    assert len(jg.adj) == 6 and jg.usable == []
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +281,9 @@ def host_segment(jg, x, y):
     nearest by Euclidean point-to-wall distance wins, ties to the lower id."""
     best = None
     best_d = math.inf
+    usable = set(jg.usable)
     for seg in jg.segments:
-        if seg.id not in jg.edges:
+        if seg.id not in usable:
             continue
         d = _point_interval_dist(seg, x, y)
         if d < best_d - 1e-12:
@@ -351,7 +353,7 @@ def test_gsrg_host_prefers_lower_id_on_ties():
     # the left block's center ties between several walls at distance 1.0
     host = host_segment(jg, 1.0, 1.0)
     tied = [s.id for s in segments
-            if s.id in jg.edges and _point_interval_dist(s, 1.0, 1.0) == pytest.approx(1.0)]
+            if s.id in jg.usable and _point_interval_dist(s, 1.0, 1.0) == pytest.approx(1.0)]
     assert len(tied) > 1
     assert host.id == min(tied)
 
@@ -370,7 +372,7 @@ def test_indexed_host_matches_the_scan(n, seed, all_walls, data):
     junctions, segments = _segments(fp, (lambda seg: 1) if all_walls else
                                     (lambda seg: 1 if seg.region_id >= 0 else 0))
     jg = build_junction_graph(segments, junctions)
-    usable = [segments[sid] for sid in sorted(jg.edges)]
+    usable = [segments[sid] for sid in jg.usable]
     draw = data.draw
     nudge = st.sampled_from(_NUDGES)
     points = []
@@ -402,11 +404,11 @@ def test_gsrg_reversibility():
     fp = generate_random_floorplan(8, 0, 2, seed=1)
     jg = _prepared(fp).region.graph
     adj_before = [list(lst) for lst in jg.adj]
-    edges_before = dict(jg.edges)
+    usable_before = list(jg.usable)
     net = _net_on(fp, [(1.0, 1.0), (fp.width - 1.0, fp.height - 1.0)])
     build_gsrg(jg, net)
     assert jg.adj == adj_before
-    assert jg.edges == edges_before
+    assert jg.usable == usable_before
 
 
 def test_gsrg_no_usable_host_raises():

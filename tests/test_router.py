@@ -184,21 +184,20 @@ def _random_gsrg(rng, n_junctions, profile):
         # mostly partial usage; occasional saturation exercises edge skipping
         for _ in range(seg.r if rng.random() < 0.15 else rng.randint(0, seg.r - 1)):
             state.charge(seg.id)
-    jg = state.region.graph
     src_host, dst_host = rng.randrange(len(segments)), rng.randrange(len(segments))
     net = _net([(0.0, 0.0), (1.0, 1.0)])
     pins = [
-        PinAttachment(0, src_host, segments[src_host].j1, segments[src_host].j2,
+        PinAttachment(src_host, segments[src_host].j1, segments[src_host].j2,
                       rng.uniform(0, 5), rng.uniform(0, 5)),
-        PinAttachment(1, dst_host, segments[dst_host].j1, segments[dst_host].j2,
+        PinAttachment(dst_host, segments[dst_host].j1, segments[dst_host].j2,
                       rng.uniform(0, 5), rng.uniform(0, 5)),
     ]
-    return Gsrg(base=jg, net=net, pins=pins), state
+    return Gsrg(net=net, pins=pins), state
 
 
 def brute_force_shortest(gsrg, state):
     """Minimum weight over all simple source->sink junction paths."""
-    jg = gsrg.base
+    jg = state.region.graph
     src, dst = gsrg.pins
     sw = pin_edge_weights(src, state.penalty)
     dw = pin_edge_weights(dst, state.penalty)
@@ -247,9 +246,9 @@ def test_dijkstra_single_edge():
     seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1, r=1)
     state = hand_state([seg], profile, junctions)
     # off-wall escape distances so the traversal is strictly cheapest
-    gsrg = Gsrg(state.region.graph, _net([(0, 0), (10, 0)]), [
-        PinAttachment(0, 0, 0, 1, 1.0, 30.0),
-        PinAttachment(1, 0, 0, 1, 30.0, 1.0),
+    gsrg = Gsrg(_net([(0, 0), (10, 0)]), [
+        PinAttachment(0, 0, 1, 1.0, 30.0),
+        PinAttachment(0, 0, 1, 30.0, 1.0),
     ])
     path = dijkstra_ssp(gsrg, state, 0, 1)
     assert path.weight == pytest.approx(12.0)
@@ -264,9 +263,9 @@ def test_dijkstra_unreachable_sink():
     for sid, (a, b) in enumerate([(0, 1), (2, 3)]):  # two disconnected edges
         segs.append(Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b, r=1))
     state = hand_state(segs, profile, junctions)
-    gsrg = Gsrg(state.region.graph, _net([(0, 0), (3, 0)]), [
-        PinAttachment(0, 0, 0, 1, 1.0, 1.0),
-        PinAttachment(1, 1, 2, 3, 1.0, 1.0),
+    gsrg = Gsrg(_net([(0, 0), (3, 0)]), [
+        PinAttachment(0, 0, 1, 1.0, 1.0),
+        PinAttachment(1, 2, 3, 1.0, 1.0),
     ])
     assert dijkstra_ssp(gsrg, state, 0, 1) is None
 
@@ -278,7 +277,7 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
     """Reference for dijkstra_ssp: Dijkstra popping (distance, junction), no
     bound; a relaxation that only ties keeps the earlier predecessor, and of
     equal finishes the lower junction wins."""
-    jg = gsrg.base
+    jg = state.region.graph
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
     sw = pin_edge_weights(src, state.penalty)
     dw = pin_edge_weights(dst, state.penalty)
@@ -286,8 +285,8 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
     for j, w in ((dst.j1, dw[0]), (dst.j2, dw[1])):
         if w != UNUSABLE:
             sink_w[j] = min(w, sink_w.get(j, UNUSABLE))
-    dist = [math.inf] * jg.n_nodes
-    pred = [(-1, -1)] * jg.n_nodes
+    dist = [math.inf] * len(jg.adj)
+    pred = [(-1, -1)] * len(jg.adj)
     heap = []
     for j, w in ((src.j1, sw[0]), (src.j2, sw[1])):
         if w != UNUSABLE and w < dist[j]:
@@ -318,7 +317,7 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
     seq_s.reverse()
     entry = src.d1 if seq_j[0] == src.j1 else src.d2
     exit_ = dst.d1 if best_j == dst.j1 else dst.d2
-    return RoutePath(gsrg.net.id, source_pin, sink_pin, seq_j, seq_s, src.host_seg, dst.host_seg,
+    return RoutePath(gsrg.net.id, source_pin, sink_pin, seq_j, seq_s,
                      entry, exit_, sum(jg.segments[s].length for s in seq_s) + entry + exit_, best)
 
 
@@ -353,15 +352,15 @@ def _grid_gsrg(rng, cols, rows, layers):
     for idx in range(2):
         seg = rng.choice(segments)
         t, off = rng.randint(0, int(seg.length)), rng.randint(0, 2)
-        pins.append(PinAttachment(idx, seg.id, seg.j1, seg.j2, float(t + off), float(seg.length - t + off)))
-    return Gsrg(base=state.region.graph, net=_net([(0.0, 0.0), (1.0, 1.0)]), pins=pins), state
+        pins.append(PinAttachment(seg.id, seg.j1, seg.j2, float(t + off), float(seg.length - t + off)))
+    return Gsrg(net=_net([(0.0, 0.0), (1.0, 1.0)]), pins=pins), state
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000), cols=st.integers(2, 9), rows=st.integers(1, 9), layers=st.integers(1, 2))
 def test_astar_returns_the_dijkstra_path(seed, cols, rows, layers):
     gsrg, state = _grid_gsrg(random.Random(seed), cols, rows, layers)
-    assert gsrg.base.kappa > 0.99  # the bound is live, not the kappa = 0 fallback
+    assert state.region.graph.kappa > 0.99  # the bound is live, not the kappa = 0 fallback
     for si, ti in ((0, 1), (1, 0)):
         assert dijkstra_ssp(gsrg, state, si, ti) == plain_dijkstra(gsrg, state, si, ti)
 
@@ -377,9 +376,9 @@ def test_astar_zero_length_segments_keep_dijkstra_predecessors():
             for sid, (a, b, lo, hi) in enumerate([(4, 1, 0.0, 5.0), (1, 2, 5.0, 5.0), (2, 0, 5.0, 5.0),
                                                  (2, 3, 5.0, 6.0)])]
     state = hand_state(segs, profile, junctions)
-    gsrg = Gsrg(state.region.graph, _net([(5, 0), (6, 0)]), [
-        PinAttachment(0, 0, 4, 1, 5.0, 0.0),
-        PinAttachment(1, 3, 2, 3, 5.0, 0.0),
+    gsrg = Gsrg(_net([(5, 0), (6, 0)]), [
+        PinAttachment(0, 4, 1, 5.0, 0.0),
+        PinAttachment(3, 2, 3, 5.0, 0.0),
     ])
     path = dijkstra_ssp(gsrg, state, 0, 1)
     assert path == plain_dijkstra(gsrg, state, 0, 1)
@@ -402,7 +401,7 @@ def test_astar_run_reports_like_a_dijkstra_run(monkeypatch, seed, name):
 
 def _path_with_layers(layers):
     return RoutePath(net_id=0, source_pin=0, sink_pin=1, junctions=[0] * (len(layers) + 1),
-                     segments=list(range(len(layers))), entry_host=0, exit_host=0,
+                     segments=list(range(len(layers))),
                      entry_dist=0.0, exit_dist=0.0, length=0.0, weight=0.0, layers=layers)
 
 
@@ -475,11 +474,11 @@ def test_identify_steiner_points_shared_prefix():
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2),
             _seg_line(2, 2, 3, 2, 3), _seg_line(3, 2, 4, 3, 4)]
     net = _net([(0, 0), (3, 0), (4, 0)])
-    p1 = RoutePath(0, 0, 1, junctions=[0, 1, 2, 3], segments=[0, 1, 2], entry_host=0,
-                   exit_host=2, entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
+    p1 = RoutePath(0, 0, 1, junctions=[0, 1, 2, 3], segments=[0, 1, 2],
+                   entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
-    p2 = RoutePath(0, 0, 2, junctions=[0, 1, 2, 4], segments=[0, 1, 3], entry_host=0,
-                   exit_host=3, entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
+    p2 = RoutePath(0, 0, 2, junctions=[0, 1, 2, 4], segments=[0, 1, 3],
+                   entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
     smst = identify_steiner_points(net, [p1, p2], segs)
     assert smst.segments == [0, 1, 2, 3]
@@ -491,9 +490,9 @@ def test_identify_steiner_points_shared_prefix():
 def test_identify_steiner_points_pure_chain_has_none():
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2)]
     net = _net([(0, 0), (1, 0), (2, 0)])
-    p1 = RoutePath(0, 0, 1, junctions=[0, 1], segments=[0], entry_host=0, exit_host=0,
+    p1 = RoutePath(0, 0, 1, junctions=[0, 1], segments=[0],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
-    p2 = RoutePath(0, 1, 2, junctions=[1, 2], segments=[1], entry_host=0, exit_host=1,
+    p2 = RoutePath(0, 1, 2, junctions=[1, 2], segments=[1],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
     smst = identify_steiner_points(net, [p1, p2], segs)
     assert smst.steiner_points == []
@@ -524,8 +523,7 @@ def _t_mosaic_state(layers=1, bc_capacity=1):
     ])
     net.hpwl = compute_hpwl(net)
     fp.nets.append(net)
-    config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=layers,
-                       layer_model=LayerModel.UNRESERVED)
+    config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM, layers, LayerModel.UNRESERVED))
     region = RegionModel.build(fp)
     ab = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 0.0)
     ac = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 1.0)
@@ -581,7 +579,7 @@ def test_net_fails_when_its_pin_host_saturates():
 def test_two_pin_route_charges_each_path_segment_once():
     fp = make_fp([(0, 0, 2, 2), (2, 0, 2, 2)])
     fp.nets.append(_net([(1.0, 1.0), (3.0, 1.0)]))
-    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
+    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM)))
     result = route_net(state, fp.nets[0])
     assert result.status == "ROUTED"
     charged = [usage.u for usage in state.usage if sum(usage.u) > 0]
@@ -593,7 +591,7 @@ def test_three_pin_net_routes_two_pairs():
     fp = generate_random_floorplan(10, 0, 2, seed=4)
     net = _net([tuple(fp.blocks[i].center) for i in (0, 4, 8)])
     fp.nets.append(net)
-    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, ProfileKind.UNIFORM))
+    state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM)))
     result = route_net(state, net)
     assert result.status == "ROUTED"
     assert len(result.smst.paths) == 2
@@ -621,31 +619,32 @@ def test_route_all_small_instance_full_routability():
 
 def test_route_all_stress_fails_some_but_never_over_capacity():
     fp = generate_random_floorplan(10, 54, 4, seed=2)
-    config = RunConfig(SearchDir.FWD, ProfileKind.HYPERBOLIC, layers=1,
-                       layer_model=LayerModel.UNRESERVED)
+    config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.HYPERBOLIC, 1, LayerModel.UNRESERVED))
     state = RoutingState.prepare(with_capacities(RegionModel.build(fp), _starved), config)
     run = route_all(state)
     statuses = {r.status for r in run.results}
     assert "FAILED" in statuses and "ROUTED" in statuses
     for seg in state.region.segments:
         if seg.r > 0:
-            for layer in range(1, state.profile.layers + 1):
-                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.profile, seg.r, layer)
+            for layer in range(1, state.config.profile.layers + 1):
+                assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.config.profile, seg.r, layer)
 
 
 def test_routed_paths_are_connected_chains():
     fp = generate_random_floorplan(12, 40, 4, seed=5)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
-    segs = run.state.region.segments
-    for result in run.results:
+    region = run.state.region
+    segs = region.segments
+    for result, net in zip(run.results, region.nets):
         if result.status != "ROUTED":
             continue
         for path in result.smst.paths:
             assert len(path.junctions) == len(path.segments) + 1
             for (a, b), sid in zip(zip(path.junctions, path.junctions[1:]), path.segments):
                 assert {segs[sid].j1, segs[sid].j2} == {a, b}
-            entry = segs[path.entry_host]
-            exit_ = segs[path.exit_host]
+            source, sink = net.pins[path.source_pin], net.pins[path.sink_pin]
+            entry = region.graph.host(source.x, source.y)
+            exit_ = region.graph.host(sink.x, sink.y)
             assert path.junctions[0] in (entry.j1, entry.j2)
             assert path.junctions[-1] in (exit_.j1, exit_.j2)
 
@@ -665,8 +664,7 @@ def test_routed_length_at_least_manhattan():
 def test_uncongested_path_weight_equals_length():
     # routed on a fresh state each, so every segment has u = 0 at route time
     fp = generate_random_floorplan(12, 20, 3, seed=6)
-    config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=8,
-                       layer_model=LayerModel.UNRESERVED)
+    config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.UNRESERVED))
     region = RegionModel.build(fp)
     for net in fp.nets[:5]:
         state = RoutingState.prepare(region, config)
@@ -680,8 +678,7 @@ def test_routability_monotone_in_layers_and_capacity():
     region = RegionModel.build(generate_random_floorplan(12, 80, 4, seed=3))
 
     def routed_with(layers, r_scale):
-        config = RunConfig(SearchDir.FWD, ProfileKind.UNIFORM, layers=layers,
-                           layer_model=LayerModel.UNRESERVED)
+        config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM, layers, LayerModel.UNRESERVED))
         scaled = with_capacities(region, lambda seg: max(1, (seg.r * r_scale) // 8) if seg.r > 0 else seg.r)
         run = route_all(RoutingState.prepare(scaled, config))
         return sum(1 for r in run.results if r.status == "ROUTED")
@@ -702,8 +699,10 @@ def test_preset_names_round_trip():
     for name in ("FCN", "FCH", "FCL", "BCN", "BCH", "BCL"):
         config = RunConfig.from_name(name)
         assert config.name == name
-    assert RunConfig.from_name("FCN").profile_kind is ProfileKind.UNIFORM
+    assert RunConfig.from_name("FCN").profile.kind is ProfileKind.UNIFORM
     assert RunConfig.from_name("BCH").search is SearchDir.BACK
+    assert RunConfig.from_name("bcl", layers=4, layer_model=LayerModel.UNRESERVED).profile == \
+        CapacityProfile(ProfileKind.LADDER, 4, LayerModel.UNRESERVED)
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +743,13 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
     region = RegionModel.build(fp)
     state = RoutingState.prepare(region, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
-    jg, profile = region.graph, state.profile
+    jg, profile = region.graph, state.config.profile
     for seg in region.segments:
         assert state.usage[seg.id].cap == [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
                                            else 0 for l in range(1, layers + 1)]
     for net in order_nets(region.nets):
         route_net(state, net)
-        for sid in jg.edges:
+        for sid in jg.usable:
             seg, usage = region.segments[sid], state.usage[sid]
             # the layer rule from the profile itself, not from the capacity rows
             free = [l for l in range(usage.curr_layer, layers + 1)

@@ -304,7 +304,7 @@ def test_junction_incident_segments_degree():
        balance=st.sampled_from(list(BalanceMode)))
 def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance):
     fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
-    tree = build_msc_tree(fp, fp.nets, balance)
+    tree = build_msc_tree(fp, balance)
     tjunctions = enumerate_tjunctions(fp)
     junctions = all_junctions(fp)
     segments = extract_segments(tree, fp, junctions)
@@ -415,7 +415,7 @@ def test_boundary_capacity_zero_without_pins():
        balance=st.sampled_from(list(BalanceMode)))
 def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, seed, balance):
     fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
-    tree = build_msc_tree(fp, fp.nets, balance)
+    tree = build_msc_tree(fp, balance)
     full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
     for cut in tree.cuts:
@@ -466,7 +466,7 @@ REGION_DIGESTS = {
 @pytest.mark.parametrize("n, k, seed, balance", sorted(REGION_DIGESTS))
 def test_region_model_byte_identical_to_golden(n, k, seed, balance):
     fp = generate_random_floorplan(n, k, 6, seed=seed)
-    tree = build_msc_tree(fp, fp.nets, BalanceMode(balance))
+    tree = build_msc_tree(fp, BalanceMode(balance))
     segments = extract_segments(tree, fp, all_junctions(fp))
     assign_capacities(segments, fp.nets, fp.tol)
     text = tree_text(tree) + segments_csv(segments)
