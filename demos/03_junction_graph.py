@@ -55,7 +55,8 @@ section("Per-net GSRG: pins attach to their host segment's junctions")
 net = fp.nets[0]
 gsrg = msr.build_gsrg(graph, net)
 for idx, att in enumerate(gsrg.pins):
+    host = graph.segments[att.host_seg]  # the attachment names its host; the endpoints live there
     print(f"  pin {idx} -> segment {att.host_seg}, "
-          f"junctions {att.j1}/{att.j2} at Manhattan distance {att.d1:.1f}/{att.d2:.1f}")
+          f"junctions {host.j1}/{host.j2} at Manhattan distance {att.d1:.1f}/{att.d2:.1f}")
 print(f"{net.degree} pins contribute {2 * net.degree} pin-junction edges; "
       "dropping them restores the base graph unchanged.")

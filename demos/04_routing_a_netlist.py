@@ -23,7 +23,7 @@ section("Multi-terminal decomposition")
 big = max(fp.nets, key=lambda n: n.degree)
 pairs = msr.decompose_net(big)
 print(f"{big.name} has {big.degree} pins -> {len(pairs)} two-terminal pairs "
-      f"(a minimum spanning tree under pairwise HPWL): {pairs}")
+      f"(a minimum spanning tree under pairwise HPWL, shortest pair first): {pairs}")
 
 section("Routing the whole netlist")
 run = msr.route_floorplan(fp, config)
@@ -36,13 +36,12 @@ print(f"wirelength {t['wirelength']:.1f} (= {t['wl_over_hpwl']:.3f} x total HPWL
 print(f"detour ratio: mean {t['detour_ratio_mean']:.3f}, max {t['detour_ratio_max']:.3f}")
 
 section("One routed multi-terminal net in detail")
-result = run.results[big.id]
-smst = result.smst
-print(f"{big.name}: {len(smst.paths)} pair paths merged into a Steiner tree over "
-      f"{len(smst.segments)} segments")
-print(f"wirelength {smst.wirelength:.1f} (shared segments counted once), "
-      f"{smst.vias} vias, Steiner points at junctions {smst.steiner_points}")
-for path in smst.paths[:2]:
+result = run.results[big.id]  # the net's one record: status, paths and their merged tree
+print(f"{big.name}: {len(result.paths)} pair paths merged into a Steiner tree over "
+      f"{len(result.segments)} segments")
+print(f"wirelength {result.wirelength:.1f} (shared segments counted once), "
+      f"{result.vias} vias, Steiner points at junctions {result.steiner_points}")
+for path in result.paths[:2]:
     print(f"  pins {path.source_pin}->{path.sink_pin}: junctions {path.junctions}, "
           f"layers {path.layers}")
 

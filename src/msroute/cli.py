@@ -1,8 +1,8 @@
 """Command line interface: route, gen, sweep, dump-graph.
 
 Exit codes: 0 on success (routing failures are reported in the output, not
-the exit code), 1 on bad input (parse or validation failure), 2 when an
-internal invariant trips.
+the exit code), 1 on bad input (parse or validation failure, or a path the
+file system refuses), 2 when an internal invariant trips.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .adjacency import Orientation
-from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
+from .errors import GeometryError, InternalError, MsRouteError, ParseError
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
 from .routegraph import LayerModel, RegionModel, junction_graph_csv
@@ -200,13 +200,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, InvalidNetError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (InternalError, GeometryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except MsRouteError as exc:
+    except (MsRouteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -117,15 +117,13 @@ def summarize(run: RouteRun) -> RouteReport:
     routed = 0
     routed_hpwl = 0.0
     detours: list[float] = []
-    for result, net in zip(run.results, region.nets):
-        wl = result.smst.wirelength if result.smst else 0.0
-        vias = result.smst.vias if result.smst else 0
+    for result, net in zip(run.results, fp.nets):
         if result.status == "ROUTED":
             routed += 1
-            total_wl += wl
-            total_vias += vias
+            total_wl += result.wirelength
+            total_vias += result.vias
             routed_hpwl += net.hpwl
-            for path in result.smst.paths:
+            for path in result.paths:
                 a, b = net.pins[path.source_pin], net.pins[path.sink_pin]
                 manhattan = abs(a.x - b.x) + abs(a.y - b.y)
                 if manhattan > fp.tol:
@@ -134,12 +132,12 @@ def summarize(run: RouteRun) -> RouteReport:
             "id": net.id,
             "name": net.name,
             "status": result.status,
-            "wirelength": wl,
-            "vias": vias,
+            "wirelength": result.wirelength,
+            "vias": result.vias,
             "hpwl": net.hpwl,
         })
 
-    n_nets = len(region.nets)
+    n_nets = len(fp.nets)
     totals = {
         "nets": n_nets,
         "routed": routed,

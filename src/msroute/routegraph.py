@@ -1,10 +1,10 @@
 """The region model: the static routing graph every run of an instance reads.
 
-A `RegionModel` holds what depends only on the floorplan (with its nets)
-and the balance mode: the MSC tree, the junctions, the segments with their
-base capacity r and the junction graph.  Build it once with
-`RegionModel.build`; every run configuration routes over the same region,
-and no run writes to it.
+A `RegionModel` holds what depends only on the floorplan (with its nets,
+read from `region.fp.nets`) and the balance mode: the MSC tree, the
+junctions, the segments with their base capacity r and the junction graph.
+Build it once with `RegionModel.build`; every run configuration routes over
+the same region, and no run writes to it.
 
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions; `JunctionGraph.usable` lists those segment
@@ -12,9 +12,11 @@ ids in ascending order, and every reader of "usable" reads that list.  A
 segment's endpoints live on the segment only.  Per-net routing runs on the
 GSRG: the junction graph plus one node per pin, attached by two
 pin-junction edges to the endpoints of the pin's host segment, the nearest
-usable one.  The graph indexes the usable segments at the first host lookup
-and memoises each pin coordinate's host.  It also keeps the junction
-coordinates and kappa, the scale of the router's A* bound.
+usable one.  A `PinAttachment` holds the host's id and the two edges'
+lengths; the search reads the endpoints from the host.  The graph indexes
+the usable segments at the first host lookup and memoises each pin
+coordinate's host.  It also keeps the junction coordinates and kappa, the
+scale of the router's A* bound.
 
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
@@ -22,8 +24,10 @@ run reads both once per distinct (r, axis) into a `capacity_row` (0 on
 layers the axis may not use), and each segment's `SegmentUsage` gets its
 own copy.  The layer rule reads only that row: a segment's effective layer
 is the first layer at or above its current layer with spare capacity, and
-`charge` lands a net there, so usage never exceeds capacity.  A run keeps
-one `SegmentUsage` per segment in its `router.RoutingState`.
+`charge` lands a net there, so usage never exceeds capacity; the router
+undoes a charge by taking the unit off the landed layer and restoring
+`curr_layer`.  A run keeps one `SegmentUsage` per segment in its
+`router.RoutingState`.
 """
 
 from __future__ import annotations
@@ -212,10 +216,8 @@ def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) ->
 @dataclass
 class PinAttachment:
     host_seg: int
-    j1: int
-    j2: int
-    d1: float  # Manhattan pin -> j1
-    d2: float
+    d1: float  # Manhattan pin -> the host segment's j1
+    d2: float  # and -> its j2
 
 
 @dataclass
@@ -224,10 +226,10 @@ class Gsrg:
     in pin order.
 
     Dropping the attachments restores the junction graph exactly; nothing in
-    it is copied or mutated.
+    it is copied or mutated.  The class stays, rather than a bare list, because
+    observers of `build_gsrg` (the benchmark's trace) read `.pins`.
     """
 
-    net: Net
     pins: list[PinAttachment]
 
 
@@ -248,12 +250,10 @@ def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
         host = jg.host(pin.x, pin.y)
         pins.append(PinAttachment(
             host_seg=host.id,
-            j1=host.j1,
-            j2=host.j2,
             d1=abs(pin.x - jg.jx[host.j1]) + abs(pin.y - jg.jy[host.j1]),
             d2=abs(pin.x - jg.jx[host.j2]) + abs(pin.y - jg.jy[host.j2]),
         ))
-    return Gsrg(net=net, pins=pins)
+    return Gsrg(pins=pins)
 
 
 def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, float]:
@@ -282,7 +282,6 @@ class RegionModel:
     """Everything the runs over one (floorplan, balance) read and none writes."""
 
     fp: Floorplan
-    nets: list[Net]           # fp.nets
     balance: BalanceMode
     tree: MscTree
     junctions: list[TJunction]
@@ -302,5 +301,5 @@ class RegionModel:
             "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
             len(graph.adj), len(graph.usable), 3 * n - 7,
         )
-        return cls(fp=fp, nets=fp.nets, balance=balance, tree=tree, junctions=junctions,
+        return cls(fp=fp, balance=balance, tree=tree, junctions=junctions,
                    segments=segments, graph=graph)

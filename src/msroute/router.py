@@ -11,11 +11,14 @@ region.
 
 Nets route one at a time in non-decreasing (HPWL, degree) order.  A
 multi-terminal net is first decomposed into t-1 two-terminal pairs by a
-minimum spanning tree over pairwise pin HPWL; each pair routes by A* on the
-net's GSRG under the live congestion weights, charging segment usage after
-every successful pair: once per net on each segment of the path and on the
-host segments of the pair's two pins.  If any pair is unroutable the whole
-net fails and the usage charged for its earlier pairs is rolled back.
+minimum spanning tree over pairwise pin HPWL, shortest pair first; each pair
+routes by A* on the net's GSRG under the live congestion weights, charging
+segment usage after every successful pair: once per net on each segment of
+the path and on the host segments of the pair's two pins.  The net's journal
+records each charge's landed layer and the segment's layer before it.  If
+any pair is unroutable the whole net fails and the journal takes back every
+charge of its earlier pairs.  A net's `NetResult` is its one record: status,
+pair paths, merged segments, Steiner points, wirelength and vias.
 
 The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
 
@@ -90,7 +93,6 @@ class RunConfig:
 
 @dataclass
 class RoutePath:
-    net_id: int
     source_pin: int
     sink_pin: int
     junctions: list[int]          # visited junction sequence
@@ -104,22 +106,17 @@ class RoutePath:
 
 
 @dataclass
-class Smst:
-    """A net's routed Steiner tree: union of its pair paths."""
-
-    net_id: int
-    paths: list[RoutePath]
-    segments: list[int]           # unique, sorted
-    steiner_points: list[int]     # junctions where branches merge
-    wirelength: float             # shared segments counted once
-    vias: int
-
-
-@dataclass
 class NetResult:
+    """A net's outcome.  A routed net holds its Steiner tree, the union of its
+    pair paths; a failed one keeps the empty defaults."""
+
     net_id: int
     status: str                   # ROUTED | FAILED
-    smst: Smst | None = None
+    paths: list[RoutePath] = field(default_factory=list)
+    segments: list[int] = field(default_factory=list)        # unique, sorted
+    steiner_points: list[int] = field(default_factory=list)  # junctions where branches merge
+    wirelength: float = 0.0       # shared segments counted once
+    vias: int = 0
     failure_pair: tuple[int, int] | None = None
     reason: str = ""
 
@@ -202,8 +199,9 @@ def _manhattan(a: Pin, b: Pin) -> float:
 def decompose_net(net: Net) -> list[tuple[int, int]]:
     """Prim MST over the pin clique under pairwise-HPWL (Manhattan) weights.
 
-    Returns t-1 pin-index pairs; equal-weight candidates break ties toward
-    the smaller (sorted) pin-id pair.
+    Returns t-1 (lo, hi) pin-index pairs in routing order: by Manhattan
+    length, then pin ids.  Equal-weight candidates break ties toward the
+    smaller pair.
     """
     t = net.degree
     if t <= 2:
@@ -213,16 +211,14 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
     in_tree[0] = True
     best: list[tuple[float, int, int] | None] = [None] * t  # (dist, lo, hi) per candidate
     for j in range(1, t):
-        d = _manhattan(pins[0], pins[j])
-        best[j] = (d, 0, j)
-    edges: list[tuple[int, int]] = []
+        best[j] = (_manhattan(pins[0], pins[j]), 0, j)
+    edges: list[tuple[float, int, int]] = []
     for _ in range(t - 1):
         pick = None
         for j in range(t):
             if not in_tree[j] and (pick is None or best[j] < best[pick]):
                 pick = j
-        d, lo, hi = best[pick]
-        edges.append((lo, hi))
+        edges.append(best[pick])
         in_tree[pick] = True
         best[pick] = None
         for j in range(t):
@@ -232,7 +228,7 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
             cand = (nd, *sorted((pick, j)))
             if cand < best[j]:
                 best[j] = cand
-    return edges
+    return [(lo, hi) for _, lo, hi in sorted(edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +254,14 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     segs = jg.segments
     weight = state.weight
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
+    src_seg, dst_seg = segs[src.host_seg], segs[dst.host_seg]
     sw1, sw2 = pin_edge_weights(src, state.penalty)
     dw1, dw2 = pin_edge_weights(dst, state.penalty)
     sink_w: dict[int, float] = {}
     if dw1 != UNUSABLE:
-        sink_w[dst.j1] = dw1
+        sink_w[dst_seg.j1] = dw1
     if dw2 != UNUSABLE:
-        sink_w[dst.j2] = min(dw2, sink_w.get(dst.j2, UNUSABLE))
+        sink_w[dst_seg.j2] = min(dw2, sink_w.get(dst_seg.j2, UNUSABLE))
     if not sink_w:
         return None
 
@@ -286,7 +283,7 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     pred_j = [-1] * len(adj)
     pred_s = [-1] * len(adj)
     heap: list[tuple[float, int, float]] = []
-    for j, w in ((src.j1, sw1), (src.j2, sw2)):
+    for j, w in ((src_seg.j1, sw1), (src_seg.j2, sw2)):
         if w != UNUSABLE and w < dist[j]:
             dist[j] = w
             heapq.heappush(heap, (w + bound(j), j, w))
@@ -334,11 +331,10 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     seq_j.reverse()
     seq_s.reverse()
 
-    entry_dist = src.d1 if seq_j[0] == src.j1 else src.d2
-    exit_dist = dst.d1 if best_j == dst.j1 else dst.d2
+    entry_dist = src.d1 if seq_j[0] == src_seg.j1 else src.d2
+    exit_dist = dst.d1 if best_j == dst_seg.j1 else dst.d2
     length = sum(segs[s].length for s in seq_s) + entry_dist + exit_dist
     return RoutePath(
-        net_id=gsrg.net.id,
         source_pin=source_pin,
         sink_pin=sink_pin,
         junctions=seq_j,
@@ -363,8 +359,8 @@ def count_vias(path: RoutePath) -> int:
 # ---------------------------------------------------------------------------
 # per-net routing
 
-def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Segment]) -> Smst:
-    """Merge a net's pair paths into its routed tree.
+def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Segment]) -> NetResult:
+    """Merge a net's pair paths into its routed tree; returns the routed net.
 
     Shared segments and shared pin escapes count once toward wirelength.
     Steiner points are the non-terminal branch points: junctions where three
@@ -385,8 +381,9 @@ def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Seg
         incident.setdefault(seg.j2, set()).add(sid)
     steiner = sorted(j for j, edges in incident.items() if len(edges) >= 3)
 
-    return Smst(
+    return NetResult(
         net_id=net.id,
+        status="ROUTED",
         paths=paths,
         segments=seg_ids,
         steiner_points=steiner,
@@ -396,29 +393,29 @@ def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Seg
 
 
 def _charge_path(state: RoutingState, gsrg: Gsrg, path: RoutePath,
-                 charged: dict[int, int], saved: dict[int, tuple[list[int], int]]) -> None:
+                 journal: dict[int, tuple[int, int]]) -> None:
     """Charge one unit of usage for the net on every new segment of the path
     and on the host segments of its two pins.
 
-    `charged` dedupes per net (a net pays a shared segment once); `saved`
-    snapshots each touched segment for rollback.
+    `journal` maps each segment the net charged to (landed layer, curr_layer
+    before the charge): a net pays a shared segment once.
     """
     hosts = [gsrg.pins[path.source_pin].host_seg, gsrg.pins[path.sink_pin].host_seg]
     for sid in path.segments + hosts:
-        if sid in charged:
-            continue
-        if sid not in saved:
-            usage = state.usage[sid]
-            saved[sid] = (usage.u.copy(), usage.curr_layer)
-        charged[sid] = state.charge(sid)
-    path.layers = [charged[sid] for sid in path.segments]
+        if sid not in journal:
+            before = state.usage[sid].curr_layer
+            journal[sid] = (state.charge(sid), before)
+    path.layers = [journal[sid][0] for sid in path.segments]
     path.vias = count_vias(path)
 
 
-def _rollback(state: RoutingState, saved: dict[int, tuple[list[int], int]]) -> None:
-    for sid, (u, cur) in saved.items():
+def _rollback(state: RoutingState, journal: dict[int, tuple[int, int]]) -> None:
+    """Take back each charge of the journal: one unit off its landed layer,
+    and the segment's curr_layer from before."""
+    for sid, (layer, before) in journal.items():
         usage = state.usage[sid]
-        usage.u, usage.curr_layer = u, cur
+        usage.u[layer - 1] -= 1
+        usage.curr_layer = before
         state.refresh(sid)
 
 
@@ -429,31 +426,25 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
     except PinHostError as exc:
         return NetResult(net_id=net.id, status="FAILED", reason=str(exc))
 
-    pairs = decompose_net(net)
-    pairs.sort(key=lambda pr: (_manhattan(net.pins[pr[0]], net.pins[pr[1]]), pr[0], pr[1]))
-
-    saved: dict[int, tuple[list[int], int]] = {}
-    charged: dict[int, int] = {}
+    journal: dict[int, tuple[int, int]] = {}
     paths: list[RoutePath] = []
-    for i, j in pairs:
+    for i, j in decompose_net(net):
         a, b = net.pins[i], net.pins[j]
         src_pin, _ = identify_source(a, b, state.config.search)
         si, ti = (i, j) if src_pin is a else (j, i)
         path = dijkstra_ssp(gsrg, state, si, ti)
         if path is None:
-            _rollback(state, saved)
+            _rollback(state, journal)
             return NetResult(net_id=net.id, status="FAILED", failure_pair=(i, j),
                              reason=f"no usable path for pins {i}-{j}")
-        _charge_path(state, gsrg, path, charged, saved)
+        _charge_path(state, gsrg, path, journal)
         paths.append(path)
-
-    smst = identify_steiner_points(net, paths, state.region.segments)
-    return NetResult(net_id=net.id, status="ROUTED", smst=smst)
+    return identify_steiner_points(net, paths, state.region.segments)
 
 
 def route_all(state: RoutingState) -> RouteRun:
     """Route every net in priority order; failures are recorded, not raised."""
-    nets = state.region.nets
+    nets = state.region.fp.nets
     t0 = time.perf_counter()
     by_id: dict[int, NetResult] = {}
     for net in order_nets(nets):

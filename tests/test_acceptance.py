@@ -228,10 +228,10 @@ def test_criterion_6_wirelength_bounds(paper_scale_runs):
     fp, runs = paper_scale_runs
     run, report = runs[ProfileKind.UNIFORM]
     lower_ok = True
-    for result, net in zip(run.results, run.state.region.nets):
+    for result, net in zip(run.results, run.state.region.fp.nets):
         if result.status != "ROUTED":
             continue
-        for path in result.smst.paths:
+        for path in result.paths:
             a, b = net.pins[path.source_pin], net.pins[path.sink_pin]
             manhattan = abs(a.x - b.x) + abs(a.y - b.y)
             if path.length < manhattan - fp.tol:

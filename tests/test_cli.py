@@ -57,6 +57,19 @@ def test_route_missing_file_exits_one(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", [
+    lambda d: ["route", "--blocks", str(d), "--pl", str(d / "taken"), "--nets", str(d / "taken"),
+               "--out", str(d / "out")],
+    lambda d: ["route", "--n", "5", "--k", "10", "--out", str(d / "taken")],
+    lambda d: ["gen", "--n", "5", "--k", "10", "--out", str(d / "taken")],
+], ids=["route-blocks-is-a-directory", "route-out-is-a-file", "gen-out-is-a-file"])
+def test_path_the_file_system_refuses_exits_one(tmp_path, capsys, command):
+    (tmp_path / "taken").write_text("")
+    assert main(command(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_route_invalid_floorplan_exits_one(tmp_path):
     # two overlapping unit blocks
     (tmp_path / "bad.blocks").write_text(

@@ -34,13 +34,13 @@ def make_seg(seg_id=0, axis=Axis.H, length=100.0, r=10, j1=0, j2=1):
     return Segment(id=seg_id, region_id=0, axis=axis, fixed=0.0, lo=0.0, hi=length, j1=j1, j2=j2, r=r)
 
 
-def hand_state(segments, profile, junctions=None, nets=(), search=SearchDir.FWD):
+def hand_state(segments, profile, junctions=None, search=SearchDir.FWD):
     """A run over hand-built segments, made by the constructors RegionModel.build
     and route_floorplan use; junctions default to one per referenced id."""
     if junctions is None:
         n = 1 + max(max(seg.j1, seg.j2) for seg in segments)
         junctions = [TJunction(i, float(i), 0.0) for i in range(n)]
-    region = RegionModel(fp=None, nets=list(nets), balance=BalanceMode.NUMBER, tree=None,
+    region = RegionModel(fp=None, balance=BalanceMode.NUMBER, tree=None,
                          junctions=junctions, segments=segments,
                          graph=build_junction_graph(segments, junctions))
     return RoutingState.prepare(region, RunConfig(search, profile))

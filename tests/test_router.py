@@ -151,6 +151,8 @@ def test_decompose_matches_spanning_tree_enumeration():
         total = sum(abs(net.pins[i].x - net.pins[j].x) + abs(net.pins[i].y - net.pins[j].y)
                     for i, j in pairs)
         assert total == pytest.approx(_mst_brute_force(net))
+        keys = [(abs(net.pins[i].x - net.pins[j].x) + abs(net.pins[i].y - net.pins[j].y), i, j) for i, j in pairs]
+        assert all(i < j for _, i, j in keys) and keys == sorted(keys)
 
 
 def test_decompose_deterministic():
@@ -185,24 +187,22 @@ def _random_gsrg(rng, n_junctions, profile):
         for _ in range(seg.r if rng.random() < 0.15 else rng.randint(0, seg.r - 1)):
             state.charge(seg.id)
     src_host, dst_host = rng.randrange(len(segments)), rng.randrange(len(segments))
-    net = _net([(0.0, 0.0), (1.0, 1.0)])
     pins = [
-        PinAttachment(src_host, segments[src_host].j1, segments[src_host].j2,
-                      rng.uniform(0, 5), rng.uniform(0, 5)),
-        PinAttachment(dst_host, segments[dst_host].j1, segments[dst_host].j2,
-                      rng.uniform(0, 5), rng.uniform(0, 5)),
+        PinAttachment(src_host, rng.uniform(0, 5), rng.uniform(0, 5)),
+        PinAttachment(dst_host, rng.uniform(0, 5), rng.uniform(0, 5)),
     ]
-    return Gsrg(net=net, pins=pins), state
+    return Gsrg(pins=pins), state
 
 
 def brute_force_shortest(gsrg, state):
     """Minimum weight over all simple source->sink junction paths."""
     jg = state.region.graph
     src, dst = gsrg.pins
+    src_seg, dst_seg = jg.segments[src.host_seg], jg.segments[dst.host_seg]
     sw = pin_edge_weights(src, state.penalty)
     dw = pin_edge_weights(dst, state.penalty)
     sink_w = {}
-    for j, w in ((dst.j1, dw[0]), (dst.j2, dw[1])):
+    for j, w in ((dst_seg.j1, dw[0]), (dst_seg.j2, dw[1])):
         if w != float("inf"):
             sink_w[j] = min(w, sink_w.get(j, float("inf")))
     best = [float("inf")]
@@ -218,7 +218,7 @@ def brute_force_shortest(gsrg, state):
                 continue
             dfs(nb, cost + w, visited | {nb})
 
-    for j, w in ((src.j1, sw[0]), (src.j2, sw[1])):
+    for j, w in ((src_seg.j1, sw[0]), (src_seg.j2, sw[1])):
         if w != float("inf"):
             dfs(j, w, {j})
     return best[0]
@@ -246,9 +246,9 @@ def test_dijkstra_single_edge():
     seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1, r=1)
     state = hand_state([seg], profile, junctions)
     # off-wall escape distances so the traversal is strictly cheapest
-    gsrg = Gsrg(_net([(0, 0), (10, 0)]), [
-        PinAttachment(0, 0, 1, 1.0, 30.0),
-        PinAttachment(0, 0, 1, 30.0, 1.0),
+    gsrg = Gsrg([
+        PinAttachment(0, 1.0, 30.0),
+        PinAttachment(0, 30.0, 1.0),
     ])
     path = dijkstra_ssp(gsrg, state, 0, 1)
     assert path.weight == pytest.approx(12.0)
@@ -263,9 +263,9 @@ def test_dijkstra_unreachable_sink():
     for sid, (a, b) in enumerate([(0, 1), (2, 3)]):  # two disconnected edges
         segs.append(Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b, r=1))
     state = hand_state(segs, profile, junctions)
-    gsrg = Gsrg(_net([(0, 0), (3, 0)]), [
-        PinAttachment(0, 0, 1, 1.0, 1.0),
-        PinAttachment(1, 2, 3, 1.0, 1.0),
+    gsrg = Gsrg([
+        PinAttachment(0, 1.0, 1.0),
+        PinAttachment(1, 1.0, 1.0),
     ])
     assert dijkstra_ssp(gsrg, state, 0, 1) is None
 
@@ -279,16 +279,17 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
     equal finishes the lower junction wins."""
     jg = state.region.graph
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
+    src_seg, dst_seg = jg.segments[src.host_seg], jg.segments[dst.host_seg]
     sw = pin_edge_weights(src, state.penalty)
     dw = pin_edge_weights(dst, state.penalty)
     sink_w = {}
-    for j, w in ((dst.j1, dw[0]), (dst.j2, dw[1])):
+    for j, w in ((dst_seg.j1, dw[0]), (dst_seg.j2, dw[1])):
         if w != UNUSABLE:
             sink_w[j] = min(w, sink_w.get(j, UNUSABLE))
     dist = [math.inf] * len(jg.adj)
     pred = [(-1, -1)] * len(jg.adj)
     heap = []
-    for j, w in ((src.j1, sw[0]), (src.j2, sw[1])):
+    for j, w in ((src_seg.j1, sw[0]), (src_seg.j2, sw[1])):
         if w != UNUSABLE and w < dist[j]:
             dist[j] = w
             heapq.heappush(heap, (w, j))
@@ -315,9 +316,9 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
         seq_j.append(j)
     seq_j.reverse()
     seq_s.reverse()
-    entry = src.d1 if seq_j[0] == src.j1 else src.d2
-    exit_ = dst.d1 if best_j == dst.j1 else dst.d2
-    return RoutePath(gsrg.net.id, source_pin, sink_pin, seq_j, seq_s,
+    entry = src.d1 if seq_j[0] == src_seg.j1 else src.d2
+    exit_ = dst.d1 if best_j == dst_seg.j1 else dst.d2
+    return RoutePath(source_pin, sink_pin, seq_j, seq_s,
                      entry, exit_, sum(jg.segments[s].length for s in seq_s) + entry + exit_, best)
 
 
@@ -352,8 +353,8 @@ def _grid_gsrg(rng, cols, rows, layers):
     for idx in range(2):
         seg = rng.choice(segments)
         t, off = rng.randint(0, int(seg.length)), rng.randint(0, 2)
-        pins.append(PinAttachment(seg.id, seg.j1, seg.j2, float(t + off), float(seg.length - t + off)))
-    return Gsrg(net=_net([(0.0, 0.0), (1.0, 1.0)]), pins=pins), state
+        pins.append(PinAttachment(seg.id, float(t + off), float(seg.length - t + off)))
+    return Gsrg(pins=pins), state
 
 
 @settings(max_examples=60, deadline=None)
@@ -376,9 +377,9 @@ def test_astar_zero_length_segments_keep_dijkstra_predecessors():
             for sid, (a, b, lo, hi) in enumerate([(4, 1, 0.0, 5.0), (1, 2, 5.0, 5.0), (2, 0, 5.0, 5.0),
                                                  (2, 3, 5.0, 6.0)])]
     state = hand_state(segs, profile, junctions)
-    gsrg = Gsrg(_net([(5, 0), (6, 0)]), [
-        PinAttachment(0, 4, 1, 5.0, 0.0),
-        PinAttachment(3, 2, 3, 5.0, 0.0),
+    gsrg = Gsrg([
+        PinAttachment(0, 5.0, 0.0),
+        PinAttachment(3, 5.0, 0.0),
     ])
     path = dijkstra_ssp(gsrg, state, 0, 1)
     assert path == plain_dijkstra(gsrg, state, 0, 1)
@@ -400,7 +401,7 @@ def test_astar_run_reports_like_a_dijkstra_run(monkeypatch, seed, name):
 # via counting
 
 def _path_with_layers(layers):
-    return RoutePath(net_id=0, source_pin=0, sink_pin=1, junctions=[0] * (len(layers) + 1),
+    return RoutePath(source_pin=0, sink_pin=1, junctions=[0] * (len(layers) + 1),
                      segments=list(range(len(layers))),
                      entry_dist=0.0, exit_dist=0.0, length=0.0, weight=0.0, layers=layers)
 
@@ -442,7 +443,7 @@ def _ring_fixture():
 
 def _ring_state(search):
     profile, junctions, segments, net = _ring_fixture()
-    state = hand_state(segments, profile, junctions, nets=[net], search=search)
+    state = hand_state(segments, profile, junctions, search=search)
     state.charge(2)  # fills the bottom wall's layer 1 (r = 1)
     return state, net
 
@@ -453,11 +454,11 @@ def test_forward_and_backward_pick_different_ties():
     back_state, net2 = _ring_state(SearchDir.BACK)
     back = route_net(back_state, net2)
     assert fwd.status == back.status == "ROUTED"
-    fwd_path, back_path = fwd.smst.paths[0], back.smst.paths[0]
+    fwd_path, back_path = fwd.paths[0], back.paths[0]
     assert fwd_path.segments != back_path.segments
     assert fwd_path.weight == pytest.approx(back_path.weight)
-    assert fwd.smst.vias != back.smst.vias
-    assert {fwd.smst.vias, back.smst.vias} == {0, 4}
+    assert fwd.vias != back.vias
+    assert {fwd.vias, back.vias} == {0, 4}
 
 
 # ---------------------------------------------------------------------------
@@ -474,29 +475,29 @@ def test_identify_steiner_points_shared_prefix():
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2),
             _seg_line(2, 2, 3, 2, 3), _seg_line(3, 2, 4, 3, 4)]
     net = _net([(0, 0), (3, 0), (4, 0)])
-    p1 = RoutePath(0, 0, 1, junctions=[0, 1, 2, 3], segments=[0, 1, 2],
+    p1 = RoutePath(0, 1, junctions=[0, 1, 2, 3], segments=[0, 1, 2],
                    entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
-    p2 = RoutePath(0, 0, 2, junctions=[0, 1, 2, 4], segments=[0, 1, 3],
+    p2 = RoutePath(0, 2, junctions=[0, 1, 2, 4], segments=[0, 1, 3],
                    entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
-    smst = identify_steiner_points(net, [p1, p2], segs)
-    assert smst.segments == [0, 1, 2, 3]
-    assert smst.steiner_points == [2]
-    assert smst.wirelength == pytest.approx(sum(s.length for s in segs))
-    assert smst.wirelength <= p1.length + p2.length
+    result = identify_steiner_points(net, [p1, p2], segs)
+    assert result.segments == [0, 1, 2, 3]
+    assert result.steiner_points == [2]
+    assert result.wirelength == pytest.approx(sum(s.length for s in segs))
+    assert result.wirelength <= p1.length + p2.length
 
 
 def test_identify_steiner_points_pure_chain_has_none():
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2)]
     net = _net([(0, 0), (1, 0), (2, 0)])
-    p1 = RoutePath(0, 0, 1, junctions=[0, 1], segments=[0],
+    p1 = RoutePath(0, 1, junctions=[0, 1], segments=[0],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
-    p2 = RoutePath(0, 1, 2, junctions=[1, 2], segments=[1],
+    p2 = RoutePath(1, 2, junctions=[1, 2], segments=[1],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
-    smst = identify_steiner_points(net, [p1, p2], segs)
-    assert smst.steiner_points == []
-    assert smst.wirelength == pytest.approx(2.0)
+    result = identify_steiner_points(net, [p1, p2], segs)
+    assert result.steiner_points == []
+    assert result.wirelength == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +536,36 @@ def _t_mosaic_state(layers=1, bc_capacity=1):
 
 
 def _usage_snapshot(state):
-    return [(list(usage.u), usage.curr_layer) for usage in state.usage]
+    """Every segment's usage, current layer, weight and penalty, copied."""
+    return [(list(usage.u), usage.curr_layer, state.weight[sid], state.penalty[sid])
+            for sid, usage in enumerate(state.usage)]
+
+
+def _failed_nets_leave_no_trace(fp, config):
+    """Route fp's nets in order, checking that each failed net leaves every
+    segment exactly as it found it; returns the number of failed nets."""
+    state = RoutingState.prepare(RegionModel.build(fp), config)
+    failed = 0
+    for net in order_nets(fp.nets):
+        before = _usage_snapshot(state)
+        if route_net(state, net).status == "FAILED":
+            failed += 1
+            assert _usage_snapshot(state) == before, f"net {net.id}"
+    return failed
+
+
+def test_rollback_restores_usage_and_layer_exactly():
+    """30 nets fail here, one of them after charging a segment that advanced a layer."""
+    fp = generate_random_floorplan(12, 144, 6, seed=4)
+    assert _failed_nets_leave_no_trace(fp, RunConfig.from_name("FCH", layers=4)) == 30
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(8, 20), nets_per_block=st.integers(8, 12), seed=st.integers(0, 10_000),
+       name=st.sampled_from(sorted(PRESETS)), layers=st.sampled_from([2, 4]))
+def test_rollback_restores_usage_exactly(n, nets_per_block, seed, name, layers):
+    fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
+    _failed_nets_leave_no_trace(fp, RunConfig.from_name(name, layers=layers))
 
 
 def test_route_net_rolls_back_partial_usage():
@@ -563,8 +593,7 @@ def test_net_fails_when_its_pin_host_saturates():
     for seg in segments:
         seg.r = 1
     net = _net([(1.5, 1.0), (3.5, 1.0)])  # 0.5 from the shared wall, 1.0 from the others
-    state = hand_state(segments, CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED),
-                       junctions, nets=[net])
+    state = hand_state(segments, CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED), junctions)
     host = build_gsrg(state.region.graph, net).pins[0]
     wall = segments[host.host_seg]
     assert (wall.axis, wall.fixed) == (Axis.V, 2.0)
@@ -594,7 +623,7 @@ def test_three_pin_net_routes_two_pairs():
     state = RoutingState.prepare(RegionModel.build(fp), RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM)))
     result = route_net(state, net)
     assert result.status == "ROUTED"
-    assert len(result.smst.paths) == 2
+    assert len(result.paths) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +664,10 @@ def test_routed_paths_are_connected_chains():
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
     region = run.state.region
     segs = region.segments
-    for result, net in zip(run.results, region.nets):
+    for result, net in zip(run.results, region.fp.nets):
         if result.status != "ROUTED":
             continue
-        for path in result.smst.paths:
+        for path in result.paths:
             assert len(path.junctions) == len(path.segments) + 1
             for (a, b), sid in zip(zip(path.junctions, path.junctions[1:]), path.segments):
                 assert {segs[sid].j1, segs[sid].j2} == {a, b}
@@ -652,10 +681,10 @@ def test_routed_paths_are_connected_chains():
 def test_routed_length_at_least_manhattan():
     fp = generate_random_floorplan(15, 60, 4, seed=1)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
-    for result, net in zip(run.results, run.state.region.nets):
+    for result, net in zip(run.results, run.state.region.fp.nets):
         if result.status != "ROUTED":
             continue
-        for path in result.smst.paths:
+        for path in result.paths:
             a, b = net.pins[path.source_pin], net.pins[path.sink_pin]
             manhattan = abs(a.x - b.x) + abs(a.y - b.y)
             assert path.length >= manhattan - fp.tol
@@ -670,7 +699,7 @@ def test_uncongested_path_weight_equals_length():
         state = RoutingState.prepare(region, config)
         result = route_net(state, net)
         assert result.status == "ROUTED"
-        path = result.smst.paths[0]
+        path = result.paths[0]
         assert path.weight == pytest.approx(path.length)
 
 
@@ -747,7 +776,7 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     for seg in region.segments:
         assert state.usage[seg.id].cap == [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
                                            else 0 for l in range(1, layers + 1)]
-    for net in order_nets(region.nets):
+    for net in order_nets(region.fp.nets):
         route_net(state, net)
         for sid in jg.usable:
             seg, usage = region.segments[sid], state.usage[sid]
