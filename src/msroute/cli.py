@@ -52,8 +52,13 @@ def _resolve_instance(args) -> Floorplan:
     raise ParseError("give either --blocks/--pl/--nets or --n/--k")
 
 
-def _region(args) -> RegionModel:
-    return RegionModel.build(_resolve_instance(args), balance=_BALANCES[args.balance])
+def _out_dir(args) -> Path:
+    """Create the output directory (an OSError when the file system refuses
+    it).  Commands call it once their input has parsed, so bad input writes
+    nothing, and before the region build, so a bad --out fails fast."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _make_config(args, name: str | None = None) -> RunConfig:
@@ -77,8 +82,10 @@ def _print_summary(report) -> None:
 
 def _cmd_route(args) -> int:
     config = _make_config(args)
-    report = summarize(route_floorplan(_resolve_instance(args), config, balance=_BALANCES[args.balance]))
-    paths = write_report(report, args.out, config.name, args.report)
+    fp = _resolve_instance(args)
+    out = _out_dir(args)
+    report = summarize(route_floorplan(fp, config, balance=_BALANCES[args.balance]))
+    paths = write_report(report, out, config.name, args.report)
     _print_summary(report)
     for p in paths:
         print(f"wrote {p}")
@@ -101,11 +108,13 @@ def _cmd_sweep(args) -> int:
     if not names:
         raise ParseError(f"--configs {args.configs!r} names no configuration")
     configs = [_make_config(args, name) for name in names]  # an unknown name fails before any routing
-    region = _region(args)
+    fp = _resolve_instance(args)
+    out = _out_dir(args)
+    region = RegionModel.build(fp, balance=_BALANCES[args.balance])
     rows = []
     for config in configs:
         report = summarize(route_all(RoutingState.prepare(region, config)))
-        write_report(report, args.out, config.name, args.report)
+        write_report(report, out, config.name, args.report)
         _print_summary(report)
         rows.append({
             "config": config.name,
@@ -115,8 +124,6 @@ def _cmd_sweep(args) -> int:
             "runtime_seconds": report.totals["runtime_seconds"],
             "wace4_max": report.congestion["wace4_max"],
         })
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.DictWriter(
         buf, fieldnames=["config", "routed_pct", "wirelength", "vias", "runtime_seconds", "wace4_max"],
@@ -131,12 +138,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_dump_graph(args) -> int:
     config = _make_config(args)
-    region = _region(args)
+    fp = _resolve_instance(args)
+    out = _out_dir(args)
+    region = RegionModel.build(fp, balance=_BALANCES[args.balance])
     state = RoutingState.prepare(region, config)
     if args.route_first:
         route_all(state)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     artifacts = {
         "bag_mis.dot": region.tree.bags[Orientation.MIS].as_dot(),
         "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),

@@ -103,7 +103,12 @@ class ValidationReport:
 
 @dataclass
 class Floorplan:
-    """Rectangle dissection into blocks plus the netlist over them."""
+    """Rectangle dissection into blocks plus the netlist over them.
+
+    Not changed once in use: the facts derived from it (validation, snapped
+    geometry, corner counts, wall pairs, instance hash) are computed once and
+    cached on it.
+    """
 
     origin: tuple[float, float]
     width: float
@@ -114,6 +119,8 @@ class Floorplan:
     def __post_init__(self):
         self._validation: ValidationReport | None = None
         self._snapped = None
+        self._corners: Counter[tuple[float, float]] | None = None
+        self._hash: str | None = None
         self._walls = None  # adjacency's wall pairs, found on first use
 
     @property
@@ -184,7 +191,8 @@ _COORD_RE = re.compile(r"\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)")
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or _SKIP_RE.match(line):
+        # a skipped line starts with '#', 'U' or 'N'; most lines start otherwise
+        if not line or (line[0] in "#UN" and _SKIP_RE.match(line)):
             continue
         yield lineno, line
 
@@ -196,7 +204,7 @@ def _numbers(texts: list[str], what: str, line: str, lineno: int) -> list[float]
         values = [float(t) for t in texts]
     except ValueError as exc:
         raise ParseError(f"bad {what} in {line!r}", lineno) from exc
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ParseError(f"non-finite {what} in {line!r}", lineno)
     return values
 
@@ -256,53 +264,55 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
     Offsets are clamped into the owning block's rectangle. Blocks must be
     placed (run parse_pl first).
     """
-    index = {b.name: b for b in blocks}
     for b in blocks:
         if not b.placed:
             raise ParseError(f"block {b.name!r} is unplaced; parse the .pl file first")
+    # per block name: its id, centre and bounds
+    frames = {b.name: (b.id, b.x + b.width / 2.0, b.y + b.height / 2.0, b.x, b.y, b.x2, b.y2)
+              for b in blocks}
     nets: list[Net] = []
-    lines = list(_content_lines(text))
-    i = 0
-    while i < len(lines):
-        lineno, line = lines[i]
-        if not line.startswith("NetDegree"):
+    pins: list[Pin] = []
+    degree = 0  # pins the open net declares; 0 while no net is open
+    for lineno, line in _content_lines(text):
+        if line.startswith("NetDegree"):
+            if degree:
+                raise ParseError(f"net {name!r} declares {degree} pins but has {len(pins)}", header)
+            _, _, rhs = line.partition(":")
+            parts = rhs.split()
+            if not parts:
+                raise ParseError("NetDegree header missing a pin count", lineno)
+            try:
+                degree = int(parts[0])
+            except ValueError as exc:
+                raise ParseError(f"bad NetDegree value {parts[0]!r}", lineno) from exc
+            if degree < 2:
+                raise InvalidNetError(f"line {lineno}: net with degree {degree} (< 2)")
+            name = parts[1] if len(parts) > 1 else f"n{len(nets)}"
+            header = lineno
+            pins = []
+            continue
+        if not degree:
             raise ParseError(f"expected NetDegree header, got {line!r}", lineno)
-        _, _, rhs = line.partition(":")
-        parts = rhs.split()
-        if not parts:
-            raise ParseError("NetDegree header missing a pin count", lineno)
-        try:
-            degree = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"bad NetDegree value {parts[0]!r}", lineno) from exc
-        if degree < 2:
-            raise InvalidNetError(f"line {lineno}: net with degree {degree} (< 2)")
-        name = parts[1] if len(parts) > 1 else f"n{len(nets)}"
-        net_id = len(nets)
-        pins: list[Pin] = []
-        for j in range(degree):
-            if i + 1 + j >= len(lines) or lines[i + 1 + j][1].startswith("NetDegree"):
-                raise ParseError(f"net {name!r} declares {degree} pins but has {j}", lineno)
-            pl_no, pin_line = lines[i + 1 + j]
-            tokens = pin_line.replace(":", " ").split()
-            bname = tokens[0]
-            block = index.get(bname)
-            if block is None:
-                raise ParseError(f"pin on unknown block {bname!r}", pl_no)
-            dx = dy = 0.0
-            numeric = [t.lstrip("%") for t in tokens[2:]]
-            if len(numeric) == 1:
-                raise ParseError(f"pin offset needs both dx and dy in {pin_line!r}", pl_no)
-            if len(numeric) >= 2:
-                dx, dy = _numbers(numeric[:2], "pin offset", pin_line, pl_no)
-            cx, cy = block.center
-            px = min(max(cx + dx, block.x), block.x2)
-            py = min(max(cy + dy, block.y), block.y2)
-            pins.append(Pin(net_id=net_id, block_id=block.id, dx=dx, dy=dy, x=px, y=py))
-        net = Net(id=net_id, name=name, pins=pins)
-        net.hpwl = compute_hpwl(net)
-        nets.append(net)
-        i += 1 + degree
+        tokens = line.replace(":", " ").split()
+        if not tokens:
+            raise ParseError(f"pin line names no block: {line!r}", lineno)
+        frame = frames.get(tokens[0])
+        if frame is None:
+            raise ParseError(f"pin on unknown block {tokens[0]!r}", lineno)
+        if len(tokens) == 3:
+            raise ParseError(f"pin offset needs both dx and dy in {line!r}", lineno)
+        dx = dy = 0.0
+        if len(tokens) > 3:
+            dx, dy = _numbers([t.lstrip("%") for t in tokens[2:4]], "pin offset", line, lineno)
+        bid, cx, cy, x1, y1, x2, y2 = frame
+        pins.append(Pin(len(nets), bid, dx, dy, min(max(cx + dx, x1), x2), min(max(cy + dy, y1), y2)))
+        if len(pins) == degree:
+            net = Net(id=len(nets), name=name, pins=pins)
+            net.hpwl = compute_hpwl(net)
+            nets.append(net)
+            degree = 0
+    if degree:
+        raise ParseError(f"net {name!r} declares {degree} pins but has {len(pins)}", header)
     return nets
 
 
@@ -377,10 +387,14 @@ def save_floorplan(fp: Floorplan, out_dir, stem: str) -> list[Path]:
 
 
 def instance_hash(fp: Floorplan) -> str:
-    digest = hashlib.sha256()
-    for text in serialize_floorplan(fp):
-        digest.update(text.encode())
-    return digest.hexdigest()[:16]
+    """The first 16 hex digits of the sha256 of the three serialized files,
+    computed once per floorplan."""
+    if fp._hash is None:
+        digest = hashlib.sha256()
+        for text in serialize_floorplan(fp):
+            digest.update(text.encode())
+        fp._hash = digest.hexdigest()[:16]
+    return fp._hash
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +410,16 @@ def compute_hpwl(net: Net) -> float:
 
 
 def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
-    """How many block corners sit at each snapped point."""
-    x1, y1, x2, y2, _ = fp.snapped_rects()
-    return Counter(
-        (float(cx), float(cy))
-        for i in range(len(fp.blocks))
-        for cx, cy in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
-    )
+    """How many block corners sit at each snapped point, counted once per
+    floorplan."""
+    if fp._corners is None:
+        x1, y1, x2, y2, _ = fp.snapped_rects()
+        fp._corners = Counter(
+            (float(cx), float(cy))
+            for i in range(len(fp.blocks))
+            for cx, cy in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
+        )
+    return fp._corners
 
 
 #: candidate pairs the overlap sweep gathers before checking them with numpy

@@ -110,7 +110,6 @@ class NetResult:
     """A net's outcome.  A routed net holds its Steiner tree, the union of its
     pair paths; a failed one keeps the empty defaults."""
 
-    net_id: int
     status: str                   # ROUTED | FAILED
     paths: list[RoutePath] = field(default_factory=list)
     segments: list[int] = field(default_factory=list)        # unique, sorted
@@ -359,7 +358,7 @@ def count_vias(path: RoutePath) -> int:
 # ---------------------------------------------------------------------------
 # per-net routing
 
-def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Segment]) -> NetResult:
+def identify_steiner_points(paths: list[RoutePath], segments: list[Segment]) -> NetResult:
     """Merge a net's pair paths into its routed tree; returns the routed net.
 
     Shared segments and shared pin escapes count once toward wirelength.
@@ -382,7 +381,6 @@ def identify_steiner_points(net: Net, paths: list[RoutePath], segments: list[Seg
     steiner = sorted(j for j, edges in incident.items() if len(edges) >= 3)
 
     return NetResult(
-        net_id=net.id,
         status="ROUTED",
         paths=paths,
         segments=seg_ids,
@@ -424,7 +422,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
     try:
         gsrg = build_gsrg(state.region.graph, net)
     except PinHostError as exc:
-        return NetResult(net_id=net.id, status="FAILED", reason=str(exc))
+        return NetResult(status="FAILED", reason=str(exc))
 
     journal: dict[int, tuple[int, int]] = {}
     paths: list[RoutePath] = []
@@ -435,11 +433,11 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
         path = dijkstra_ssp(gsrg, state, si, ti)
         if path is None:
             _rollback(state, journal)
-            return NetResult(net_id=net.id, status="FAILED", failure_pair=(i, j),
+            return NetResult(status="FAILED", failure_pair=(i, j),
                              reason=f"no usable path for pins {i}-{j}")
         _charge_path(state, gsrg, path, journal)
         paths.append(path)
-    return identify_steiner_points(net, paths, state.region.segments)
+    return identify_steiner_points(paths, state.region.segments)
 
 
 def route_all(state: RoutingState) -> RouteRun:

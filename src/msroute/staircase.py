@@ -8,23 +8,22 @@ the source that minimizes the resulting cut-net count (ties to the smaller
 block id) and stops at the balance point.  The count sees only the pins on
 the bag's blocks, and a net with fewer than 2 of them is never cut.
 `assign_capacities` sizes the segments from every net's full pin box, not
-from the cut nets.
+from the cut nets, in one sweep per axis.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
 tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
-child gets only its own nets (those with at least 2 pins on its blocks, cut
-down to those pins) and its own MIS and MDS edges, so a node's work scales
-with its size, not with the whole instance.  Every
-adjacency wall is consumed by exactly one cut (the tree node separating its
-two blocks), so the cut walls plus the floorplan border cover all routing
-channels.
+net's pins are counted per block once, at the root.  Each child gets only
+its own nets (those with at least 2 pins on its blocks, with only those
+blocks' counts) and its own MIS and MDS edges, so a node's work scales with
+its size, not with the whole instance.  Every adjacency wall is consumed by
+exactly one cut (the tree node separating its two blocks), so the cut walls
+plus the floorplan border cover all routing channels.
 """
 
 from __future__ import annotations
 
 import bisect
 import io
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -99,14 +98,36 @@ class Segment:
 # ---------------------------------------------------------------------------
 # bipartitioning
 
-def _nets_within(nets: list[Net], blocks: set[int]) -> list[Net]:
-    """The nets with at least 2 pins on `blocks`, each cut down to those pins
-    (net order and pin order kept)."""
-    kept = []
+# A net as a cut sees it: (net id, the blocks it has pins on, its pin count
+# on each of them, their sum).  Two tuples take less memory than a dict.
+PinCounts = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+
+def _count_pins(nets: list[Net]) -> list[PinCounts]:
+    """Each net's pins per block, counted once."""
+    counted = []
     for net in nets:
-        pins = [p for p in net.pins if p.block_id in blocks]
-        if len(pins) >= 2:
-            kept.append(Net(net.id, net.name, pins))
+        counts: dict[int, int] = {}
+        for p in net.pins:
+            counts[p.block_id] = counts.get(p.block_id, 0) + 1
+        counted.append((net.id, tuple(counts), tuple(counts.values()), len(net.pins)))
+    return counted
+
+
+def _counts_within(nets: list[PinCounts], blocks: set[int]) -> list[PinCounts]:
+    """The nets with at least 2 pins on `blocks`, each with only those
+    blocks' counts (net order kept)."""
+    kept = []
+    for entry in nets:
+        net_id, on, counts, total = entry
+        if blocks.issuperset(on):  # all its pins are here: share the entry
+            if total >= 2:
+                kept.append(entry)
+            continue
+        own = [(b, c) for b, c in zip(on, counts) if b in blocks]
+        total = sum(c for _, c in own)
+        if total >= 2:
+            kept.append((net_id, *zip(*own), total))
     return kept
 
 
@@ -120,10 +141,6 @@ def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, 
 
 def _staircase_keys(bag: Bag) -> list[tuple[float, float, float, float]]:
     return [_staircase_key(e.span, bag.orientation) for e in bag.edges]
-
-
-def _staircase_sorted(edges: list[BagEdge], orientation: Orientation) -> list[BagEdge]:
-    return sorted(edges, key=lambda e: _staircase_key(e.span, orientation))
 
 
 def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
@@ -168,6 +185,17 @@ def bipartition(
     `keys` are the edges' staircase keys, in bag.edges order; they are
     computed when not given.
     """
+    return _cut(bag, _counts_within(_count_pins(nets), set(bag.nodes)), balance, areas, keys)
+
+
+def _cut(
+    bag: Bag,
+    nets: list[PinCounts],
+    balance: BalanceMode,
+    areas: dict[int, float] | None,
+    keys: list[tuple[float, float, float, float]] | None,
+) -> MsCut:
+    """bipartition over nets already counted and cut down to the bag's blocks."""
     nodes = sorted(bag.nodes)
     n_sub = len(nodes)
     if n_sub < 2:
@@ -175,7 +203,6 @@ def bipartition(
     if balance is BalanceMode.AREA and areas is None:
         raise ValueError("AREA balance requires block areas")
 
-    node_set = set(nodes)
     succ: dict[int, list[int]] = {v: [] for v in nodes}
     indeg: dict[int, int] = {v: 0 for v in nodes}
     if keys is None:
@@ -189,20 +216,14 @@ def bipartition(
         in_items[e.dst].append((keys[idx], idx))
         out_items[e.src].append((keys[idx], idx))
 
-    # per net with at least 2 pins on the bag's blocks: its id, those pins'
-    # count and how many of them the absorbed side holds; per block, the
-    # (net index, pin count) of each such net with pins on it
-    net_ids: list[int] = []
-    total: list[int] = []
+    # per net: its pin count on the bag's blocks and how many of those pins
+    # the absorbed side holds; per block, the (net index, pin count) of each
+    # net with pins on it
+    total = [n_pins for _, _, _, n_pins in nets]
     pins_on: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
-    for net in nets:
-        counts = Counter(p.block_id for p in net.pins if p.block_id in node_set)
-        n_pins = sum(counts.values())
-        if n_pins >= 2:
-            for bid, count in counts.items():
-                pins_on[bid].append((len(net_ids), count))
-            net_ids.append(net.id)
-            total.append(n_pins)
+    for i, (_, on, counts, _) in enumerate(nets):
+        for bid, count in zip(on, counts):
+            pins_on[bid].append((i, count))
     in_a = [0] * len(total)
 
     def cut_change(v: int) -> int:
@@ -268,14 +289,14 @@ def bipartition(
                 absorbed.pop()
                 a_area -= areas[last]
 
-    cut_edges = []
-    for e in bag.edges:
+    cut_items = []  # (staircase key, edge index) of the cut's edges
+    for idx, e in enumerate(bag.edges):
         src_in, dst_in = e.src in a_set, e.dst in a_set
         if src_in and not dst_in:
-            cut_edges.append(e)
+            cut_items.append((keys[idx], idx))
         elif dst_in and not src_in:
             raise InternalError("cut is not predecessor-closed; not a staircase")
-    if not is_monotone_chain(cut_edges, bag.orientation):
+    if not _is_monotone_keys([key for key, _ in cut_items]):
         raise InternalError("bipartition produced a non-monotone cut")
 
     right = tuple(v for v in nodes if v not in a_set)
@@ -284,8 +305,8 @@ def bipartition(
         orientation=bag.orientation,
         left_set=tuple(sorted(a_set)),
         right_set=right,
-        cut_edges=_staircase_sorted(cut_edges, bag.orientation),
-        cut_nets=[net_ids[i] for i, held in enumerate(in_a) if 0 < held < total[i]],
+        cut_edges=[bag.edges[idx] for _, idx in sorted(cut_items)],
+        cut_nets=[nets[i][0] for i, held in enumerate(in_a) if 0 < held < total[i]],
     )
 
 
@@ -302,16 +323,16 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
 
-    def rec(block_ids: tuple[int, ...], nets: list[Net], bags: dict, depth: int) -> MscNode:
+    def rec(block_ids: tuple[int, ...], nets: list[PinCounts], bags: dict, depth: int) -> MscNode:
         # nets and (bag, keys) are the parent's; cut them down to this node's blocks
         if len(block_ids) == 1:
             return MscNode(block_id=block_ids[0])
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
         blocks = set(block_ids)
-        nets = _nets_within(nets, blocks)
+        nets = _counts_within(nets, blocks)
         bags = {o: _induce(bag, keys, blocks) for o, (bag, keys) in bags.items()}
         bag, keys = bags[orientation]
-        cut = bipartition(bag, nets, balance, areas, keys)
+        cut = _cut(bag, nets, balance, areas, keys)
         cut.id = len(cuts)
         cuts.append(cut)
         node = MscNode(cut=cut)
@@ -319,7 +340,7 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         node.right = rec(cut.right_set, nets, bags, depth + 1)
         return node
 
-    root = rec(tuple(range(len(fp.blocks))), fp.nets, {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
+    root = rec(tuple(range(len(fp.blocks))), _count_pins(fp.nets), {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
     return MscTree(root=root, cuts=cuts, bags=full)
 
 
@@ -379,6 +400,60 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     ]
 
 
+def _prefix_below(ranks: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per query j, how many of ranks[:m[j]] are below t[j] (ranks in [0, k)).
+
+    The prefix [0, m) is the union of one aligned block per set bit of m: at
+    block size 2**L, block m // 2**L - 1 when that quotient is odd.  Each
+    level sorts its blocks' ranks once, keyed by block, and answers every
+    query with one searchsorted: O((k + queries) log k) in all.
+    """
+    k = len(ranks)
+    counts = np.zeros(len(m), dtype=np.int64)
+    pos = np.arange(k)
+    size = 1
+    while size <= k:
+        keyed = np.sort(pos // size * k + ranks)
+        block = m // size - 1
+        take = block % 2 == 0
+        block = block[take]
+        counts[take] += np.searchsorted(keyed, block * k + t[take]) - block * size
+        size *= 2
+    return counts
+
+
+def _touching(walls: np.ndarray, boxes: np.ndarray, tol: float) -> np.ndarray:
+    """Per wall (a column fixed, lo, hi), how many boxes (columns f1, p1, f2,
+    p2) touch it: f1 - tol <= fixed <= f2 + tol and max(lo, p1) <= min(hi, p2) + tol.
+
+    A sweep along `fixed`, counted offline.  A box is active at a wall once
+    f1 - tol <= fixed (it has opened) and until f2 + tol < fixed (it has
+    closed); every closed box has opened.  Rounding is monotone, so the span
+    test is exactly lo <= p2 + tol and p1 <= hi + tol, and with lo <= hi and
+    p1 <= p2 no box fails both.  A wall's count is thus the active boxes with
+    p1 <= hi + tol less the active ones with p2 + tol < lo.  Each of those is
+    the opened boxes less the closed ones: a prefix of the boxes in opening
+    (closing) order, counted by their rank in p1 (p2 + tol) order.
+    """
+    fixed, lo, hi = walls
+    f1, p1, f2, p2 = boxes
+    opening, closing = f1 - tol, f2 + tol
+    by_opening = np.argsort(opening, kind="stable")
+    by_closing = np.argsort(closing, kind="stable")
+    opened = np.searchsorted(opening[by_opening], fixed, side="right")
+    closed = np.searchsorted(closing[by_closing], fixed, side="left")
+    count = np.zeros(len(fixed), dtype=np.int64)
+    # the boxes with p1 <= hi + tol count, those with p2 + tol < lo do not
+    for values, threshold, side, sign in ((p1, hi + tol, "right", 1), (p2 + tol, lo, "left", -1)):
+        order = np.argsort(values, kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        below = np.searchsorted(values[order], threshold, side=side)
+        count += sign * (_prefix_below(rank[by_opening], opened, below)
+                         - _prefix_below(rank[by_closing], closed, below))
+    return count
+
+
 def _net_box(net: Net) -> tuple[float, float, float, float]:
     xs = [p.x for p in net.pins]
     ys = [p.y for p in net.pins]
@@ -391,24 +466,31 @@ def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> N
     Interior segments (owned by an ms-cut) count the nets whose pin bounding
     box touches the segment's wall — the nets that may need to cross it when
     routed within their box — with a floor of 1 so no interior wall
-    disconnects the junction graph.  Border (non-MS) segments count the pins
-    sitting on the wall piece itself; zero makes the segment unusable.
+    disconnects the junction graph; each axis is one sweep (`_touching`).
+    Border (non-MS) segments count the pins sitting on the wall piece itself,
+    found by bisecting their wall's pins sorted along it; zero makes the
+    segment unusable.
     """
-    bx1, by1, bx2, by2 = np.array([_net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
+    boxes = np.array([_net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
+    for axis in Axis:
+        interior = [seg for seg in segments if seg.region_id >= 0 and seg.axis is axis]
+        walls = np.array([(seg.fixed, seg.lo, seg.hi) for seg in interior], dtype=float).reshape(-1, 3).T
+        # a V wall's fixed coordinate is x and its span is in y; an H wall's the other way
+        counts = _touching(walls, boxes if axis is Axis.V else boxes[[1, 0, 3, 2]], tol)
+        for seg, count in zip(interior, counts.tolist()):
+            seg.r = max(1, count)
+
     px, py = np.array([(p.x, p.y) for net in nets for p in net.pins], dtype=float).reshape(-1, 2).T
+    on_wall: dict[tuple[Axis, float], np.ndarray] = {}  # per border wall, its pins sorted along it
     for seg in segments:
-        if seg.region_id < 0:
-            along, perp = (py, px) if seg.axis is Axis.V else (px, py)
-            hit = (np.abs(perp - seg.fixed) <= tol) & (seg.lo - tol <= along) & (along <= seg.hi + tol)
-            seg.r = int(hit.sum())
-        elif seg.axis is Axis.V:
-            hit = (bx1 - tol <= seg.fixed) & (seg.fixed <= bx2 + tol) \
-                & (np.maximum(seg.lo, by1) <= np.minimum(seg.hi, by2) + tol)
-            seg.r = max(1, int(hit.sum()))
-        else:
-            hit = (by1 - tol <= seg.fixed) & (seg.fixed <= by2 + tol) \
-                & (np.maximum(seg.lo, bx1) <= np.minimum(seg.hi, bx2) + tol)
-            seg.r = max(1, int(hit.sum()))
+        if seg.region_id >= 0:
+            continue
+        along = on_wall.get((seg.axis, seg.fixed))
+        if along is None:
+            perp, coords = (px, py) if seg.axis is Axis.V else (py, px)
+            along = on_wall[seg.axis, seg.fixed] = np.sort(coords[np.abs(perp - seg.fixed) <= tol])
+        seg.r = int(np.searchsorted(along, seg.hi + tol, side="right")
+                    - np.searchsorted(along, seg.lo - tol, side="left"))
 
 
 # ---------------------------------------------------------------------------

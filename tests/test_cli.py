@@ -70,6 +70,19 @@ def test_path_the_file_system_refuses_exits_one(tmp_path, capsys, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["route"], ["sweep", "--all-configs"], ["dump-graph"],
+], ids=["route", "sweep", "dump-graph"])
+def test_out_that_is_a_file_exits_one_before_any_region_build(tmp_path, capsys, monkeypatch, command):
+    def refused(*args, **kwargs):
+        raise AssertionError("a region was built for an unusable --out")
+
+    monkeypatch.setattr(msroute.routegraph.RegionModel, "build", refused)
+    (tmp_path / "taken").write_text("")
+    assert main(command + ["--n", "30", "--k", "90", "--out", str(tmp_path / "taken")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_route_invalid_floorplan_exits_one(tmp_path):
     # two overlapping unit blocks
     (tmp_path / "bad.blocks").write_text(

@@ -254,6 +254,146 @@ def test_parse_nets_44_nets_avg_degree_3_5():
     assert sum(n.degree for n in fp.nets) / 44 == pytest.approx(3.5)
 
 
+def _content_lines_by_regex(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or floorplan_module._SKIP_RE.match(line):
+            continue
+        yield lineno, line
+
+
+def _parse_nets_by_lines(text, blocks):
+    """Test oracle: the .nets parser that listed the content lines first and
+    read each net by index, before the one-pass parse replaced it."""
+    index = {b.name: b for b in blocks}
+    for b in blocks:
+        if not b.placed:
+            raise ParseError(f"block {b.name!r} is unplaced; parse the .pl file first")
+    nets = []
+    lines = list(_content_lines_by_regex(text))
+    i = 0
+    while i < len(lines):
+        lineno, line = lines[i]
+        if not line.startswith("NetDegree"):
+            raise ParseError(f"expected NetDegree header, got {line!r}", lineno)
+        _, _, rhs = line.partition(":")
+        parts = rhs.split()
+        if not parts:
+            raise ParseError("NetDegree header missing a pin count", lineno)
+        try:
+            degree = int(parts[0])
+        except ValueError as exc:
+            raise ParseError(f"bad NetDegree value {parts[0]!r}", lineno) from exc
+        if degree < 2:
+            raise InvalidNetError(f"line {lineno}: net with degree {degree} (< 2)")
+        name = parts[1] if len(parts) > 1 else f"n{len(nets)}"
+        net_id = len(nets)
+        pins = []
+        for j in range(degree):
+            if i + 1 + j >= len(lines) or lines[i + 1 + j][1].startswith("NetDegree"):
+                raise ParseError(f"net {name!r} declares {degree} pins but has {j}", lineno)
+            pl_no, pin_line = lines[i + 1 + j]
+            tokens = pin_line.replace(":", " ").split()
+            bname = tokens[0]
+            block = index.get(bname)
+            if block is None:
+                raise ParseError(f"pin on unknown block {bname!r}", pl_no)
+            dx = dy = 0.0
+            numeric = [t.lstrip("%") for t in tokens[2:]]
+            if len(numeric) == 1:
+                raise ParseError(f"pin offset needs both dx and dy in {pin_line!r}", pl_no)
+            if len(numeric) >= 2:
+                dx, dy = floorplan_module._numbers(numeric[:2], "pin offset", pin_line, pl_no)
+            cx, cy = block.center
+            px = min(max(cx + dx, block.x), block.x2)
+            py = min(max(cy + dy, block.y), block.y2)
+            pins.append(Pin(net_id=net_id, block_id=block.id, dx=dx, dy=dy, x=px, y=py))
+        net = Net(id=net_id, name=name, pins=pins)
+        net.hpwl = compute_hpwl(net)
+        nets.append(net)
+        i += 1 + degree
+    return nets
+
+
+def _rarely(draw, odd, usual):
+    """Draw from `odd` one time in eight, else from `usual`."""
+    return draw(odd if draw(st.sampled_from([False] * 7 + [True])) else usual)
+
+
+@st.composite
+def _nets_texts(draw):
+    """.nets texts, valid and malformed: nets whose pin count may differ
+    from their header, odd headers, pin lines and offsets, and skipped lines."""
+    def number():
+        return _rarely(draw, st.sampled_from(["1e999", "nan", "-inf", "abc", "%"]),
+                       st.sampled_from(["0", "0.5", "-0.75", "%0.25", "9", "-9", "1e-3"]))
+
+    def pin_line():
+        odd = st.sampled_from([":", " : ", "b:0.5", "a B : 0.5", "b  0 0 0", "zz B", "A B", "a"])
+        if draw(st.sampled_from([False] * 7 + [True])):
+            return draw(odd)
+        return f"{draw(st.sampled_from(['a', 'b']))} B" + ("" if draw(st.booleans()) else f" : {number()} {number()}")
+
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        degree = _rarely(draw, st.integers(-1, 1), st.integers(2, 4))
+        lines.append(_rarely(
+            draw, st.sampled_from(["NetDegree :", "NetDegree : two", "NetDegree", "NetDegree:3", "Net : 2"]),
+            st.sampled_from(["", " n7", " x y"]).map(f"NetDegree : {degree}".__add__)))
+        for _ in range(_rarely(draw, st.integers(0, 5), st.just(degree))):
+            if draw(st.sampled_from([False] * 7 + [True])):
+                lines.append(draw(st.sampled_from(["", "   ", "# note", "UCLA nets 1.0", "NumPins: 4"])))
+            lines.append(pin_line())
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# note", "NumNets : 2", "hello"])))
+    return "\n".join(lines)
+
+
+def _parsed(parse, text, blocks):
+    """A parse's nets as plain values, or the class and message of its error."""
+    try:
+        nets = parse(text, blocks)
+    except (ParseError, InvalidNetError, IndexError) as exc:
+        return type(exc), str(exc)
+    return [(net.id, net.name, net.hpwl, [(p.net_id, p.block_id, p.dx, p.dy, p.x, p.y) for p in net.pins])
+            for net in nets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_nets_texts())
+def test_one_pass_nets_parse_equals_the_line_list_parse(text):
+    bt, pt = _two_block_texts()
+    blocks = parse_pl(pt, parse_blocks(bt))
+    expected = _parsed(_parse_nets_by_lines, text, blocks)
+    got = _parsed(parse_nets, text, blocks)
+    if isinstance(expected, tuple) and expected[0] is IndexError:
+        # the old parser crashed on a pin line without a block name
+        assert got[0] is ParseError and "names no block" in got[1]
+    else:
+        assert got == expected
+
+
+def test_parse_nets_pin_line_without_a_block_exits_one(tmp_path, capsys):
+    bt, pt = _two_block_texts()
+    for ext, text in (("blocks", bt), ("pl", pt), ("nets", "NetDegree : 2\na B\n :\n")):
+        (tmp_path / f"one.{ext}").write_text(text)
+    args = [f"--{ext}={tmp_path / f'one.{ext}'}" for ext in ("blocks", "pl", "nets")]
+    assert main(["route", *args, "--out", str(tmp_path)]) == 1
+    assert "line 3: pin line names no block" in capsys.readouterr().err
+
+
+def test_corner_counts_and_instance_hash_are_computed_once_per_floorplan(monkeypatch):
+    fp = generate_random_floorplan(12, 30, seed=2)
+    corners = floorplan_module.corner_counts(fp)
+    assert validate_floorplan(fp).passed
+    assert floorplan_module.corner_counts(fp) is corners
+    calls = []
+    serialize = floorplan_module.serialize_floorplan
+    monkeypatch.setattr(floorplan_module, "serialize_floorplan", lambda fp: calls.append(fp) or serialize(fp))
+    digest = floorplan_module.instance_hash(fp)
+    assert floorplan_module.instance_hash(fp) == digest and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # compute_hpwl
 

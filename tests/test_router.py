@@ -474,14 +474,13 @@ def test_identify_steiner_points_shared_prefix():
     # paths [s0, s1, s2] and [s0, s1, s3] diverge after the junction of s1/s2/s3
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2),
             _seg_line(2, 2, 3, 2, 3), _seg_line(3, 2, 4, 3, 4)]
-    net = _net([(0, 0), (3, 0), (4, 0)])
     p1 = RoutePath(0, 1, junctions=[0, 1, 2, 3], segments=[0, 1, 2],
                    entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
     p2 = RoutePath(0, 2, junctions=[0, 1, 2, 4], segments=[0, 1, 3],
                    entry_dist=0.0, exit_dist=0.0, length=3.0, weight=3.0,
                    layers=[1, 1, 1])
-    result = identify_steiner_points(net, [p1, p2], segs)
+    result = identify_steiner_points([p1, p2], segs)
     assert result.segments == [0, 1, 2, 3]
     assert result.steiner_points == [2]
     assert result.wirelength == pytest.approx(sum(s.length for s in segs))
@@ -490,12 +489,11 @@ def test_identify_steiner_points_shared_prefix():
 
 def test_identify_steiner_points_pure_chain_has_none():
     segs = [_seg_line(0, 0, 1, 0, 1), _seg_line(1, 1, 2, 1, 2)]
-    net = _net([(0, 0), (1, 0), (2, 0)])
     p1 = RoutePath(0, 1, junctions=[0, 1], segments=[0],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
     p2 = RoutePath(1, 2, junctions=[1, 2], segments=[1],
                    entry_dist=0.0, exit_dist=0.0, length=1.0, weight=1.0, layers=[1])
-    result = identify_steiner_points(net, [p1, p2], segs)
+    result = identify_steiner_points([p1, p2], segs)
     assert result.steiner_points == []
     assert result.wirelength == pytest.approx(2.0)
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,6 +386,63 @@ def test_capacity_matches_brute_force_oracle():
             expect += int(hit)
         assert seg.r == max(1, expect)
     assert sum(s.r for s in border) >= len(on_wall)
+
+
+def _capacities_by_scan(segments, nets, tol):
+    """Test oracle: the per-segment numpy scan over every net box and pin that
+    the capacity sweep replaced; returns r per segment."""
+    boxes = [(min(p.x for p in net.pins), min(p.y for p in net.pins),
+              max(p.x for p in net.pins), max(p.y for p in net.pins)) for net in nets]
+    bx1, by1, bx2, by2 = np.array(boxes, dtype=float).reshape(-1, 4).T
+    px, py = np.array([(p.x, p.y) for net in nets for p in net.pins], dtype=float).reshape(-1, 2).T
+    r = []
+    for seg in segments:
+        if seg.region_id < 0:
+            along, perp = (py, px) if seg.axis is Axis.V else (px, py)
+            hit = (np.abs(perp - seg.fixed) <= tol) & (seg.lo - tol <= along) & (along <= seg.hi + tol)
+            r.append(int(hit.sum()))
+        elif seg.axis is Axis.V:
+            hit = (bx1 - tol <= seg.fixed) & (seg.fixed <= bx2 + tol) \
+                & (np.maximum(seg.lo, by1) <= np.minimum(seg.hi, by2) + tol)
+            r.append(max(1, int(hit.sum())))
+        else:
+            hit = (by1 - tol <= seg.fixed) & (seg.fixed <= by2 + tol) \
+                & (np.maximum(seg.lo, bx1) <= np.minimum(seg.hi, bx2) + tol)
+            r.append(max(1, int(hit.sum())))
+    return r
+
+
+@st.composite
+def _nets_on_the_walls(draw):
+    """A generated mosaic, its segments and nets whose pins sit on, within
+    tol of, or just beyond tol from the segments' coordinates and endpoints,
+    or anywhere."""
+    fp = generate_random_floorplan(draw(st.integers(2, 25)), 0, 2, seed=draw(st.integers(0, 10_000)))
+    _, _, segments = _prepared(fp)
+    tol = fp.tol
+    xs = sorted({s.fixed for s in segments if s.axis is Axis.V}
+                | {c for s in segments if s.axis is Axis.H for c in (s.lo, s.hi)})
+    ys = sorted({s.fixed for s in segments if s.axis is Axis.H}
+                | {c for s in segments if s.axis is Axis.V for c in (s.lo, s.hi)})
+    shifts = st.sampled_from([0.0, tol, -tol, tol / 2, -tol / 2, 1.5 * tol, -1.5 * tol])
+
+    def coord(values, extent):
+        base = draw(st.one_of(st.sampled_from(values), st.floats(0.0, extent)))
+        return base + draw(shifts)
+
+    nets = []
+    for net_id in range(draw(st.integers(0, 12))):
+        points = [(coord(xs, fp.width), coord(ys, fp.height)) for _ in range(draw(st.integers(2, 4)))]
+        nets.append(make_net(net_id, points))
+    return fp, segments, nets
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_nets_on_the_walls())
+def test_capacity_sweep_equals_the_scan(case):
+    fp, segments, nets = case
+    assign_capacities(segments, nets, fp.tol)
+    assert [s.r for s in segments] == _capacities_by_scan(segments, nets, fp.tol)
 
 
 def test_boundary_capacity_counts_pins_on_the_wall():
