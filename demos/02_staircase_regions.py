@@ -14,13 +14,14 @@ def section(title):
 fp = msr.generate_random_floorplan(n=10, k=25, max_degree=4, seed=3)
 
 section("Block adjacency graph (BAG)")
-# Directed: left -> right for horizontal neighbours, and top -> bottom (MIS)
-# or bottom -> top (MDS) for vertical ones. Both orientations are acyclic.
+# An edge is two blocks and their wall. Directed: left -> right across a
+# V wall, and top -> bottom (MIS) or bottom -> top (MDS) across an H wall.
 for orientation in (msr.Orientation.MIS, msr.Orientation.MDS):
     bag = msr.build_bag(fp, orientation)
-    order = msr.topological_order(bag)
-    print(f"{orientation.value}: {len(bag.edges)} edges, "
-          f"topological order starts {order[:5]}")
+    print(f"{orientation.value}: {len(bag.edges)} edges, the first three:")
+    for e in bag.edges[:3]:
+        print(f"  b{e.src} -> b{e.dst} across the {e.span.axis.value} wall at "
+              f"{e.span.fixed:.1f}, from {e.span.lo:.1f} to {e.span.hi:.1f}")
 
 section("T-junctions")
 junctions = msr.enumerate_tjunctions(fp)
@@ -30,14 +31,18 @@ print("plus 4 degree-2 corner junctions:",
 
 section("MSC tree: hierarchy of monotone staircase cuts")
 tree = msr.build_msc_tree(fp)
-print(f"{tree.n_internal} internal nodes = n-1 = {len(fp.blocks) - 1}")
+# the tree is its cuts in preorder: each side of a cut is a block or the next cut
+print(f"{len(tree.cuts)} cuts = n-1 = {len(fp.blocks) - 1}")
 print(tree_text(tree)[:600], "...")
 
 section("A single balanced cut")
 cut = msr.bipartition(msr.build_bag(fp, msr.Orientation.MIS), fp.nets)
 print(f"left {list(cut.left_set)} vs right {list(cut.right_set)}, "
       f"{len(cut.cut_edges)} cut walls, {len(cut.cut_nets)} cut nets")
-print("monotone staircase:", msr.is_monotone_chain(cut.cut_edges, cut.orientation))
+print("its walls in staircase order (x and y never step back under MIS):")
+for e in cut.cut_edges:
+    print(f"  {e.span.axis.value} wall at {e.span.fixed:.1f}, "
+          f"from {e.span.lo:.1f} to {e.span.hi:.1f}")
 
 section("Routing segments and reference capacities")
 all_j = msr.all_junctions(fp)

@@ -7,7 +7,7 @@ segments, and route every net by congestion-aware shortest paths on the
 junction graph across a configurable stack of metal layers.
 """
 
-from .adjacency import Orientation, all_junctions, build_bag, enumerate_tjunctions, topological_order
+from .adjacency import Orientation, all_junctions, build_bag, enumerate_tjunctions
 from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
 from .floorplan import (
     Block,
@@ -39,7 +39,6 @@ from .staircase import (
     bipartition,
     build_msc_tree,
     extract_segments,
-    is_monotone_chain,
     segments_csv,
     tree_text,
 )

@@ -23,12 +23,6 @@ class Orientation(str, Enum):
     MDS = "MDS"  # monotone decreasing staircase
 
 
-class Relation(str, Enum):
-    LEFT_OF = "LEFT_OF"
-    ABOVE = "ABOVE"
-    BELOW = "BELOW"
-
-
 class Axis(str, Enum):
     H = "H"
     V = "V"
@@ -47,29 +41,14 @@ class Span:
     def length(self) -> float:
         return self.hi - self.lo
 
-    # bounding-interval accessors used by the staircase-monotonicity checks
-    @property
-    def min_x(self) -> float:
-        return self.fixed if self.axis is Axis.V else self.lo
-
-    @property
-    def max_x(self) -> float:
-        return self.fixed if self.axis is Axis.V else self.hi
-
-    @property
-    def min_y(self) -> float:
-        return self.lo if self.axis is Axis.V else self.fixed
-
-    @property
-    def max_y(self) -> float:
-        return self.hi if self.axis is Axis.V else self.fixed
-
 
 @dataclass(frozen=True)
 class BagEdge:
+    """src and dst are the two blocks, span their wall: src is left of dst
+    across a V wall, and above (MIS) or below (MDS) it across an H wall."""
+
     src: int
     dst: int
-    relation: Relation
     span: Span
 
 
@@ -81,10 +60,12 @@ class Bag:
 
     def as_dot(self) -> str:
         lines = [f"digraph bag_{self.orientation.value.lower()} {{"]
+        vertical = "ABOVE" if self.orientation is Orientation.MIS else "BELOW"
         for v in self.nodes:
             lines.append(f"  b{v};")
         for e in self.edges:
-            lines.append(f'  b{e.src} -> b{e.dst} [label="{e.relation.value}"];')
+            label = "LEFT_OF" if e.span.axis is Axis.V else vertical
+            lines.append(f'  b{e.src} -> b{e.dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -158,11 +139,11 @@ def build_bag(fp: Floorplan, orientation: Orientation) -> Bag:
     """Build the directed block adjacency graph for one staircase orientation."""
     fp.require_valid()
     horiz, vert = _adjacent_pairs(fp)
-    edges = [BagEdge(i, j, Relation.LEFT_OF, span) for i, j, span in horiz]
+    edges = [BagEdge(i, j, span) for i, j, span in horiz]
     if orientation is Orientation.MIS:
-        edges += [BagEdge(i, j, Relation.ABOVE, span) for i, j, span in vert]
+        edges += [BagEdge(i, j, span) for i, j, span in vert]
     else:
-        edges += [BagEdge(j, i, Relation.BELOW, span) for i, j, span in vert]
+        edges += [BagEdge(j, i, span) for i, j, span in vert]
     edges.sort(key=lambda e: (e.src, e.dst))
     return Bag(orientation, list(range(len(fp.blocks))), edges)
 
@@ -173,7 +154,7 @@ def enumerate_tjunctions(fp: Floorplan) -> list[TJunction]:
     In a crossing-free mosaic every such point is shared by exactly two block
     corners, so bucketing the 4n corners pins them all down; a bucket of four
     corners is a '+' crossing.  The four floorplan corners (single-corner
-    buckets) are not included here — see corner_junctions.
+    buckets) are not included here — see all_junctions.
     """
     fp.require_valid()
     bx1, by1, bx2, by2 = fp.snapped_rects()[4]
@@ -194,41 +175,11 @@ def enumerate_tjunctions(fp: Floorplan) -> list[TJunction]:
     return junctions
 
 
-def corner_junctions(fp: Floorplan, start_id: int) -> list[TJunction]:
-    """The four degree-2 junctions at the floorplan corners, with ids
-    continuing from start_id."""
-    _, _, _, _, bbox = fp.snapped_rects()
-    bx1, by1, bx2, by2 = bbox
-    pts = sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)])
-    return [
-        TJunction(id=start_id + i, x=px, y=py, on_boundary=True)
-        for i, (px, py) in enumerate(pts)
-    ]
-
-
 def all_junctions(fp: Floorplan) -> list[TJunction]:
-    """Interior T-junctions followed by the four boundary corner junctions."""
-    interior = enumerate_tjunctions(fp)
-    return interior + corner_junctions(fp, start_id=len(interior))
-
-
-def topological_order(bag: Bag) -> list[int]:
-    """Kahn topological order; raises GeometryError if the BAG has a cycle."""
-    indeg = {v: 0 for v in bag.nodes}
-    succ: dict[int, list[int]] = {v: [] for v in bag.nodes}
-    for e in bag.edges:
-        indeg[e.dst] += 1
-        succ[e.src].append(e.dst)
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order: list[int] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(order) != len(bag.nodes):
-        raise GeometryError("block adjacency graph has a cycle")
-    return order
+    """Interior T-junctions followed by the four degree-2 junctions at the
+    floorplan corners, ids continuing in order."""
+    junctions = enumerate_tjunctions(fp)
+    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    for px, py in sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)]):
+        junctions.append(TJunction(id=len(junctions), x=px, y=py, on_boundary=True))
+    return junctions

@@ -36,7 +36,8 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", choices=sorted(PRESETS), default="FCN")
+    """The run options every routing command takes; `sweep` names its
+    configurations with --configs instead of --config."""
     p.add_argument("--layers", type=int, default=8, help="number of metal layers (M)")
     p.add_argument("--layer-model", choices=sorted(_LAYER_MODELS), default="reserved-hv")
     p.add_argument("--balance", choices=sorted(_BALANCES), default="number")
@@ -167,6 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_route = sub.add_parser("route", help="route one instance under one configuration")
     _add_instance_args(p_route)
+    p_route.add_argument("--config", choices=sorted(PRESETS), default="FCN")
     _add_config_args(p_route)
     p_route.add_argument("--out", default=".", help="output directory for reports")
     p_route.add_argument("--report", choices=["json", "csv", "both"], default="both")
@@ -181,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--name", help="file stem (default gen_n{n}_k{k}_s{seed})")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_sweep = sub.add_parser("sweep", help="run several configurations on one instance")
+    # no abbreviated options: --config would otherwise be read as --configs
+    p_sweep = sub.add_parser("sweep", help="run several configurations on one instance", allow_abbrev=False)
     _add_instance_args(p_sweep)
     _add_config_args(p_sweep)
     p_sweep.add_argument("--all-configs", action="store_true",
@@ -193,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dump = sub.add_parser("dump-graph", help="dump BAG, MSC tree, segments and junction graph")
     _add_instance_args(p_dump)
+    p_dump.add_argument("--config", choices=sorted(PRESETS), default="FCN")
     _add_config_args(p_dump)
     p_dump.add_argument("--route-first", action="store_true",
                         help="route before dumping so usage columns are filled")

@@ -256,26 +256,13 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     src_seg, dst_seg = segs[src.host_seg], segs[dst.host_seg]
     sw1, sw2 = pin_edge_weights(src, state.penalty)
     dw1, dw2 = pin_edge_weights(dst, state.penalty)
-    sink_w: dict[int, float] = {}
-    if dw1 != UNUSABLE:
-        sink_w[dst_seg.j1] = dw1
-    if dw2 != UNUSABLE:
-        sink_w[dst_seg.j2] = min(dw2, sink_w.get(dst_seg.j2, UNUSABLE))
-    if not sink_w:
+    if dw1 == UNUSABLE:  # the host's two weights are both finite or both UNUSABLE
         return None
+    # a segment's two junctions differ, so the sink has two finish junctions
+    sink_w = {dst_seg.j1: dw1, dst_seg.j2: dw2}
 
     jx, jy, kappa = jg.jx, jg.jy, jg.kappa
-    (t1, tw), *rest = sink_w.items()
-    tx, ty = jx[t1], jy[t1]
-    if rest:
-        ((t2, uw),) = rest
-        ux, uy = jx[t2], jy[t2]
-
-    def bound(j: int) -> float:  # inlined in the loop below
-        x, y = jx[j], jy[j]
-        h = abs(x - tx) + abs(y - ty) + tw
-        return kappa * (min(h, abs(x - ux) + abs(y - uy) + uw) if rest else h)
-
+    tx, ty, ux, uy = jx[dst_seg.j1], jy[dst_seg.j1], jx[dst_seg.j2], jy[dst_seg.j2]
     inf = math.inf
     adj = jg.adj
     dist = [inf] * len(adj)
@@ -285,7 +272,11 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     for j, w in ((src_seg.j1, sw1), (src_seg.j2, sw2)):
         if w != UNUSABLE and w < dist[j]:
             dist[j] = w
-            heapq.heappush(heap, (w + bound(j), j, w))
+            x, y = jx[j], jy[j]
+            h = abs(x - tx) + abs(y - ty) + dw1
+            if (h2 := abs(x - ux) + abs(y - uy) + dw2) < h:
+                h = h2
+            heapq.heappush(heap, (w + kappa * h, j, w))
 
     best = inf
     best_j = -1
@@ -311,8 +302,8 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
                 pred_j[nb] = j
                 pred_s[nb] = sid
                 x, y = jx[nb], jy[nb]
-                h = abs(x - tx) + abs(y - ty) + tw
-                if rest and (h2 := abs(x - ux) + abs(y - uy) + uw) < h:
+                h = abs(x - tx) + abs(y - ty) + dw1
+                if (h2 := abs(x - ux) + abs(y - uy) + dw2) < h:
                     h = h2
                 push(heap, (nd + kappa * h, nb, nd))
             elif nd == dist[nb] and d < nd and pred_j[nb] >= 0 and (d, j) < (dist[pred_j[nb]], pred_j[nb]):

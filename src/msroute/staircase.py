@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,26 +51,13 @@ class MsCut:
 
 
 @dataclass
-class MscNode:
-    cut: MsCut | None = None
-    block_id: int | None = None
-    left: "MscNode | None" = None
-    right: "MscNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.block_id is not None
-
-
-@dataclass
 class MscTree:
-    root: MscNode
-    cuts: list[MsCut]  # preorder
-    bags: dict[Orientation, Bag]  # the full MIS and MDS BAGs it was cut from
+    """The tree as its cuts in preorder.  A side of one block is a leaf; a
+    cut's larger left side is split by the cut after it, and its larger
+    right side by the cut after the left side's cuts."""
 
-    @property
-    def n_internal(self) -> int:
-        return len(self.cuts)
+    cuts: list[MsCut]
+    bags: dict[Orientation, Bag]  # the full MIS and MDS BAGs it was cut from
 
 
 @dataclass
@@ -132,11 +120,15 @@ def _counts_within(nets: list[PinCounts], blocks: set[int]) -> list[PinCounts]:
 
 
 def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, float, float]:
-    """A wall's (min_x, min_y, max_x, max_y), with y mirrored for MDS so that
-    both orientations sort and chain alike."""
+    """A wall's bounding box (x1, y1, x2, y2), with y mirrored (negated, so
+    y1 and y2 swap) for MDS so that both orientations sort and chain alike."""
+    if span.axis is Axis.V:
+        x1, y1, x2, y2 = span.fixed, span.lo, span.fixed, span.hi
+    else:
+        x1, y1, x2, y2 = span.lo, span.fixed, span.hi, span.fixed
     if orientation is Orientation.MIS:
-        return (span.min_x, span.min_y, span.max_x, span.max_y)
-    return (span.min_x, -span.max_y, span.max_x, -span.min_y)
+        return (x1, y1, x2, y2)
+    return (x1, -y2, x2, -y1)
 
 
 def _staircase_keys(bag: Bag) -> list[tuple[float, float, float, float]]:
@@ -165,27 +157,18 @@ def _stays_monotone(chain: list, removed: list, added: list) -> bool:
     return all(a[0][2] <= b[0][0] and a[0][3] <= b[0][1] for a, b in zip(window, window[1:]))
 
 
-def is_monotone_chain(edges: list[BagEdge], orientation: Orientation) -> bool:
-    """True when the cut walls, in staircase order, advance monotonically in x
-    and in y (non-decreasing for MIS, non-increasing for MDS)."""
-    return _is_monotone_keys([_staircase_key(e.span, orientation) for e in edges])
-
-
 def bipartition(
     bag: Bag,
     nets: list[Net],
     balance: BalanceMode = BalanceMode.NUMBER,
     areas: dict[int, float] | None = None,
-    keys: list[tuple[float, float, float, float]] | None = None,
 ) -> MsCut:
     """Split the bag's blocks by a balanced monotone staircase cut.
 
     Returns an MsCut whose left_set is the absorbed (upper/lower-left) side.
     The cut id is assigned by build_msc_tree; standalone calls get id 0.
-    `keys` are the edges' staircase keys, in bag.edges order; they are
-    computed when not given.
     """
-    return _cut(bag, _counts_within(_count_pins(nets), set(bag.nodes)), balance, areas, keys)
+    return _cut(bag, _counts_within(_count_pins(nets), set(bag.nodes)), balance, areas, _staircase_keys(bag))
 
 
 def _cut(
@@ -193,9 +176,10 @@ def _cut(
     nets: list[PinCounts],
     balance: BalanceMode,
     areas: dict[int, float] | None,
-    keys: list[tuple[float, float, float, float]] | None,
+    keys: list[tuple[float, float, float, float]],
 ) -> MsCut:
-    """bipartition over nets already counted and cut down to the bag's blocks."""
+    """bipartition over nets already counted and cut down to the bag's blocks;
+    `keys` are the edges' staircase keys, in bag.edges order."""
     nodes = sorted(bag.nodes)
     n_sub = len(nodes)
     if n_sub < 2:
@@ -205,8 +189,6 @@ def _cut(
 
     succ: dict[int, list[int]] = {v: [] for v in nodes}
     indeg: dict[int, int] = {v: 0 for v in nodes}
-    if keys is None:
-        keys = _staircase_keys(bag)
     # per block, its in- and out-edges as (staircase key, edge index) items
     in_items: dict[int, list] = {v: [] for v in nodes}
     out_items: dict[int, list] = {v: [] for v in nodes}
@@ -234,7 +216,6 @@ def _cut(
         return change
 
     sources = sorted(v for v in nodes if indeg[v] == 0)
-    a_set: set[int] = set()
     absorbed: list[int] = []
     a_area = 0.0
     total_area = sum(areas[v] for v in nodes) if areas else 0.0
@@ -258,7 +239,6 @@ def _cut(
         sources.remove(best)
         for i, count in pins_on[best]:
             in_a[i] += count
-        a_set.add(best)
         absorbed.append(best)
         for item in in_items[best]:
             del chain[bisect.bisect_left(chain, item)]
@@ -276,7 +256,7 @@ def _cut(
         for _ in range(n_sub // 2):
             absorb_next()
     else:
-        while 2.0 * a_area < total_area and len(a_set) < n_sub - 1:
+        while 2.0 * a_area < total_area and len(absorbed) < n_sub - 1:
             absorb_next()
         if len(absorbed) > 1:
             last = absorbed[-1]
@@ -285,13 +265,13 @@ def _cut(
             if without < with_last:
                 for i, count in pins_on[last]:
                     in_a[i] -= count
-                a_set.remove(last)
                 absorbed.pop()
                 a_area -= areas[last]
 
+    left = set(absorbed)
     cut_items = []  # (staircase key, edge index) of the cut's edges
     for idx, e in enumerate(bag.edges):
-        src_in, dst_in = e.src in a_set, e.dst in a_set
+        src_in, dst_in = e.src in left, e.dst in left
         if src_in and not dst_in:
             cut_items.append((keys[idx], idx))
         elif dst_in and not src_in:
@@ -299,12 +279,11 @@ def _cut(
     if not _is_monotone_keys([key for key, _ in cut_items]):
         raise InternalError("bipartition produced a non-monotone cut")
 
-    right = tuple(v for v in nodes if v not in a_set)
     return MsCut(
         id=0,
         orientation=bag.orientation,
-        left_set=tuple(sorted(a_set)),
-        right_set=right,
+        left_set=tuple(sorted(absorbed)),
+        right_set=tuple(v for v in nodes if v not in left),
         cut_edges=[bag.edges[idx] for _, idx in sorted(cut_items)],
         cut_nets=[nets[i][0] for i, held in enumerate(in_a) if 0 < held < total[i]],
     )
@@ -323,10 +302,10 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
 
-    def rec(block_ids: tuple[int, ...], nets: list[PinCounts], bags: dict, depth: int) -> MscNode:
+    def rec(block_ids: tuple[int, ...], nets: list[PinCounts], bags: dict, depth: int) -> None:
         # nets and (bag, keys) are the parent's; cut them down to this node's blocks
         if len(block_ids) == 1:
-            return MscNode(block_id=block_ids[0])
+            return
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
         blocks = set(block_ids)
         nets = _counts_within(nets, blocks)
@@ -335,13 +314,11 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         cut = _cut(bag, nets, balance, areas, keys)
         cut.id = len(cuts)
         cuts.append(cut)
-        node = MscNode(cut=cut)
-        node.left = rec(cut.left_set, nets, bags, depth + 1)
-        node.right = rec(cut.right_set, nets, bags, depth + 1)
-        return node
+        rec(cut.left_set, nets, bags, depth + 1)
+        rec(cut.right_set, nets, bags, depth + 1)
 
-    root = rec(tuple(range(len(fp.blocks))), _count_pins(fp.nets), {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
-    return MscTree(root=root, cuts=cuts, bags=full)
+    rec(tuple(range(len(fp.blocks))), _count_pins(fp.nets), {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
+    return MscTree(cuts, full)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +360,8 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
         line = (vlines if span.axis is Axis.V else hlines).get(span.fixed)
         if line is None:
             raise GeometryError(f"wall at {span.fixed} has no junctions on it")
-        on_span = [(c, jid) for c, jid in line if span.lo <= c <= span.hi]
+        first = bisect.bisect_left(line, (span.lo, -1))  # junction ids are >= 0
+        on_span = line[first:bisect.bisect_right(line, (span.hi, math.inf), first)]
         if len(on_span) < 2 or on_span[0][0] != span.lo or on_span[-1][0] != span.hi:
             raise GeometryError(
                 f"wall {span} endpoints are not junction-bounded ({on_span})")
@@ -497,24 +475,25 @@ def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> N
 # dumps
 
 def tree_text(tree: MscTree) -> str:
-    """Indented text rendering of the MSC tree."""
+    """Indented text rendering of the MSC tree, walking its preorder cuts."""
     out = io.StringIO()
+    cuts = iter(tree.cuts)
 
-    def rec(node: MscNode, depth: int):
+    def rec(blocks: tuple[int, ...], depth: int):
         pad = "  " * depth
-        if node.is_leaf:
-            out.write(f"{pad}block {node.block_id}\n")
+        if len(blocks) == 1:
+            out.write(f"{pad}block {blocks[0]}\n")
             return
-        cut = node.cut
+        cut = next(cuts)
         out.write(
             f"{pad}cut {cut.id} [{cut.orientation.value}] "
             f"left={list(cut.left_set)} right={list(cut.right_set)} "
             f"cut_nets={len(cut.cut_nets)}\n"
         )
-        rec(node.left, depth + 1)
-        rec(node.right, depth + 1)
+        rec(cut.left_set, depth + 1)
+        rec(cut.right_set, depth + 1)
 
-    rec(tree.root, 0)
+    rec(tuple(tree.bags[Orientation.MIS].nodes), 0)
     return out.getvalue()
 
 

@@ -75,7 +75,7 @@ def structural_counts():
             border = sum(1 for j in junctions
                          if abs(j.x - bx1) < tol or abs(j.x - bx2) < tol
                          or abs(j.y - by1) < tol or abs(j.y - by2) < tol)
-            records.append((n, seed, tree.n_internal, len(junctions), len(bag.edges), border))
+            records.append((n, seed, len(tree.cuts), len(junctions), len(bag.edges), border))
     elapsed = time.perf_counter() - t0
     return records, elapsed
 

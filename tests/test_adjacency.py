@@ -8,14 +8,14 @@ from hypothesis import given, settings
 
 from msroute.adjacency import (
     Axis,
+    Bag,
+    BagEdge,
     Orientation,
-    Relation,
     Span,
     _adjacent_pairs,
     all_junctions,
     build_bag,
     enumerate_tjunctions,
-    topological_order,
 )
 from msroute.errors import ValidationError
 from msroute.floorplan import generate_random_floorplan
@@ -52,7 +52,7 @@ def test_two_blocks_side_by_side_one_left_of_edge():
         bag = build_bag(fp, orientation)
         assert len(bag.edges) == 1
         e = bag.edges[0]
-        assert (e.src, e.dst, e.relation) == (0, 1, Relation.LEFT_OF)
+        assert (e.src, e.dst, e.span.axis) == (0, 1, Axis.V)  # 0 left of 1
         assert e.span.length == pytest.approx(1.0)
 
 
@@ -61,9 +61,9 @@ def test_vertical_stack_orientation_conventions():
     fp = make_fp([(0, 0, 1, 1), (0, 1, 1, 1)])
     mis = build_bag(fp, Orientation.MIS)
     assert len(mis.edges) == 1
-    assert (mis.edges[0].src, mis.edges[0].dst, mis.edges[0].relation) == (1, 0, Relation.ABOVE)
+    assert (mis.edges[0].src, mis.edges[0].dst, mis.edges[0].span.axis) == (1, 0, Axis.H)  # 1 above 0
     mds = build_bag(fp, Orientation.MDS)
-    assert (mds.edges[0].src, mds.edges[0].dst, mds.edges[0].relation) == (0, 1, Relation.BELOW)
+    assert (mds.edges[0].src, mds.edges[0].dst, mds.edges[0].span.axis) == (0, 1, Axis.H)  # 0 below 1
 
 
 def test_corner_contact_is_not_adjacency():
@@ -83,10 +83,10 @@ def test_adjacency_sweep_matches_the_dense_oracle(fp):
 
 def test_pinwheel_bag():
     fp = make_fp(pinwheel(1, 2, 1, 2, 3, 3))
-    pairs = {(e.src, e.dst, e.relation) for e in build_bag(fp, Orientation.MIS).edges}
-    assert pairs == {(0, 1, Relation.LEFT_OF), (3, 4, Relation.LEFT_OF), (4, 1, Relation.LEFT_OF),
-                     (3, 2, Relation.LEFT_OF), (4, 0, Relation.ABOVE), (3, 0, Relation.ABOVE),
-                     (2, 4, Relation.ABOVE), (2, 1, Relation.ABOVE)}
+    pairs = {(e.src, e.dst, e.span.axis) for e in build_bag(fp, Orientation.MIS).edges}
+    # V: src left of dst; H: src above dst
+    assert pairs == {(0, 1, Axis.V), (3, 4, Axis.V), (4, 1, Axis.V), (3, 2, Axis.V),
+                     (4, 0, Axis.H), (3, 0, Axis.H), (2, 4, Axis.H), (2, 1, Axis.H)}
     assert len(pairs) == 3 * (5 - 1) - 4  # 4 of its 8 T-junctions sit on the border
 
 
@@ -100,8 +100,8 @@ def test_sweep_runs_once_per_floorplan(monkeypatch):
     mis, mds = build_bag(fp, Orientation.MIS), build_bag(fp, Orientation.MDS)
     build_bag(fp, Orientation.MIS)
     assert len(calls) == 2  # one sweep per wall axis
-    assert [e.span for e in mis.edges if e.relation is Relation.LEFT_OF] == \
-        [e.span for e in mds.edges if e.relation is Relation.LEFT_OF]
+    assert [e.span for e in mis.edges if e.span.axis is Axis.V] == \
+        [e.span for e in mds.edges if e.span.axis is Axis.V]
 
 
 def test_region_geometry_memory_is_not_quadratic():
@@ -150,12 +150,29 @@ def test_bag_edges_have_positive_spans():
             assert e.span.length > fp.tol
 
 
+def _is_acyclic(bag):
+    """Test oracle: Kahn's algorithm removes every node of an acyclic graph."""
+    indeg = {v: 0 for v in bag.nodes}
+    for e in bag.edges:
+        indeg[e.dst] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    for v in ready:  # grows while it is walked
+        for e in bag.edges:
+            if e.src == v:
+                indeg[e.dst] -= 1
+                if indeg[e.dst] == 0:
+                    ready.append(e.dst)
+    return len(ready) == len(bag.nodes)
+
+
 def test_bag_is_acyclic_both_orientations():
     for seed in range(5):
         fp = generate_random_floorplan(20, 0, 2, seed=seed)
         for orientation in Orientation:
-            order = topological_order(build_bag(fp, orientation))
-            assert sorted(order) == list(range(20))
+            assert _is_acyclic(build_bag(fp, orientation))
+    # the oracle itself tells a cycle apart
+    (e,) = build_bag(make_fp([(0, 0, 1, 1), (1, 0, 1, 1)]), Orientation.MIS).edges
+    assert not _is_acyclic(Bag(Orientation.MIS, [0, 1], [e, BagEdge(1, 0, e.span)]))
 
 
 def test_tjunction_count_two_blocks():
@@ -197,3 +214,12 @@ def test_dot_dump():
     dot = build_bag(fp, Orientation.MIS).as_dot()
     assert dot.startswith("digraph")
     assert "b0 -> b1" in dot
+    # labels come from the wall's axis and the orientation: block 1 sits above
+    # block 0, and block 2 is right of both
+    fp = make_fp([(0, 0, 1, 1), (0, 1, 1, 1), (1, 0, 1, 2)])
+    assert build_bag(fp, Orientation.MIS).as_dot() == (
+        'digraph bag_mis {\n  b0;\n  b1;\n  b2;\n  b0 -> b2 [label="LEFT_OF"];\n'
+        '  b1 -> b0 [label="ABOVE"];\n  b1 -> b2 [label="LEFT_OF"];\n}\n')
+    assert build_bag(fp, Orientation.MDS).as_dot() == (
+        'digraph bag_mds {\n  b0;\n  b1;\n  b2;\n  b0 -> b1 [label="BELOW"];\n'
+        '  b0 -> b2 [label="LEFT_OF"];\n  b1 -> b2 [label="LEFT_OF"];\n}\n')

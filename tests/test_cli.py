@@ -201,6 +201,15 @@ def test_sweep_unknown_config_exits_one_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_has_no_config_option(tmp_path, capsys):
+    # sweep runs --configs or every preset, so a --config would go unread
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit):
+        main(["sweep", "--config", "FCH", "--n", "12", "--k", "30", "--layers", "2", "--out", str(out)])
+    assert "--config FCH" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("configs", [",", " , ", ""])
 def test_sweep_configs_naming_nothing_exits_one_and_writes_nothing(tmp_path, capsys, configs):
     out = tmp_path / "out"

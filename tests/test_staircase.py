@@ -14,17 +14,17 @@ from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
 from msroute.staircase import (
     BalanceMode,
     _is_monotone_keys,
+    _staircase_key,
     _stays_monotone,
     assign_capacities,
     bipartition,
     build_msc_tree,
     extract_segments,
-    is_monotone_chain,
     segments_csv,
     tree_text,
 )
 
-from test_floorplan import make_fp, make_net
+from test_floorplan import make_fp, make_net, pinwheel
 
 
 # ---------------------------------------------------------------------------
@@ -169,30 +169,34 @@ def test_tree_internal_node_counts():
     for n, seed in [(2, 0), (9, 1), (17, 2)]:
         fp = generate_random_floorplan(n, n, 3, seed=seed)
         tree = build_msc_tree(fp)
-        assert tree.n_internal == n - 1
+        assert len(tree.cuts) == n - 1
 
 
 def test_tree_single_block_is_leaf():
     fp = make_fp([(0, 0, 2, 2)])
     tree = build_msc_tree(fp)
-    assert tree.n_internal == 0
-    assert tree.root.is_leaf and tree.root.block_id == 0
+    assert tree.cuts == []
+    assert tree_text(tree) == "block 0\n"
 
 
 def test_tree_orientations_alternate():
     fp = generate_random_floorplan(12, 10, 3, seed=4)
     tree = build_msc_tree(fp)
-    assert tree.root.cut.orientation is Orientation.MIS
+    cuts = iter(tree.cuts)
 
-    def check(node, depth):
-        if node.is_leaf:
+    def check(blocks, depth):
+        # the cuts are in preorder: each side is a single block or the next cut
+        if len(blocks) == 1:
             return
+        cut = next(cuts)
+        assert sorted(cut.left_set + cut.right_set) == sorted(blocks)
         want = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
-        assert node.cut.orientation is want
-        check(node.left, depth + 1)
-        check(node.right, depth + 1)
+        assert cut.orientation is want
+        check(cut.left_set, depth + 1)
+        check(cut.right_set, depth + 1)
 
-    check(tree.root, 0)
+    check(tuple(range(12)), 0)
+    assert next(cuts, None) is None
 
 
 def test_tree_cuts_are_monotone_and_balanced():
@@ -200,7 +204,7 @@ def test_tree_cuts_are_monotone_and_balanced():
         fp = generate_random_floorplan(16, 40, 4, seed=seed)
         tree = build_msc_tree(fp)
         for cut in tree.cuts:
-            assert is_monotone_chain(cut.cut_edges, cut.orientation)
+            assert _is_monotone_keys([_staircase_key(e.span, cut.orientation) for e in cut.cut_edges])
             assert abs(len(cut.left_set) - len(cut.right_set)) <= 1
             assert set(cut.left_set).isdisjoint(cut.right_set)
 
@@ -279,17 +283,20 @@ def test_segments_cover_walls_exactly():
 
 
 def test_segment_endpoints_are_junctions():
-    fp = generate_random_floorplan(10, 0, 2, seed=6)
-    _, junctions, segments = _prepared(fp)
-    pos = {j.id: (j.x, j.y) for j in junctions}
-    for s in segments:
-        assert s.length > fp.tol
-        for jid, end in ((s.j1, (s.fixed, s.lo)), (s.j2, (s.fixed, s.hi))):
-            px, py = pos[jid]
-            if s.axis is Axis.V:
-                assert (px, py) == end
-            else:
-                assert (px, py) == (end[1], end[0])
+    generated = [generate_random_floorplan(n, 0, 2, seed=seed) for n, seed in [(10, 6), (2, 1), (70, 13)]]
+    pinwheels = [make_fp(pinwheel(1, 2, 1, 2, 3, 3)), make_fp(pinwheel(2, 5, 1, 4, 7, 6))]
+    for fp in generated + pinwheels:
+        _, junctions, segments = _prepared(fp)
+        pos = {j.id: (j.x, j.y) for j in junctions}
+        for s in segments:
+            assert s.length > fp.tol
+            assert s.j1 != s.j2  # dijkstra_ssp counts on two finish junctions per sink host
+            for jid, end in ((s.j1, (s.fixed, s.lo)), (s.j2, (s.fixed, s.hi))):
+                px, py = pos[jid]
+                if s.axis is Axis.V:
+                    assert (px, py) == end
+                else:
+                    assert (px, py) == (end[1], end[0])
 
 
 def test_junction_incident_segments_degree():
@@ -309,7 +316,7 @@ def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance
     tjunctions = enumerate_tjunctions(fp)
     junctions = all_junctions(fp)
     segments = extract_segments(tree, fp, junctions)
-    assert tree.n_internal == n - 1
+    assert len(tree.cuts) == n - 1
     assert len(tjunctions) == 2 * n - 2
     bx1, by1, bx2, by2 = fp.snapped_rects()[4]
     b = sum(1 for j in tjunctions if j.x in (bx1, bx2) or j.y in (by1, by2))
