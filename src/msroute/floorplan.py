@@ -170,14 +170,10 @@ def _cluster_snap(values: np.ndarray, tol: float) -> np.ndarray:
         return values
     order = np.argsort(values, kind="stable")
     sv = values[order]
-    out = np.empty_like(sv)
-    start = 0
-    for i in range(1, len(sv) + 1):
-        if i == len(sv) or sv[i] - sv[i - 1] > tol:
-            out[start:i] = sv[start:i].mean()
-            start = i
+    cuts = np.flatnonzero(np.diff(sv) > tol) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, len(sv)]
     res = np.empty_like(values)
-    res[order] = out
+    res[order] = np.repeat([sv[a:b].mean() for a, b in zip(starts, ends)], ends - starts)
     return res
 
 

@@ -202,31 +202,15 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
     length, then pin ids.  Equal-weight candidates break ties toward the
     smaller pair.
     """
-    t = net.degree
-    if t <= 2:
-        return [(0, 1)]
     pins = net.pins
-    in_tree = [False] * t
-    in_tree[0] = True
-    best: list[tuple[float, int, int] | None] = [None] * t  # (dist, lo, hi) per candidate
-    for j in range(1, t):
-        best[j] = (_manhattan(pins[0], pins[j]), 0, j)
+    # the least (length, lo, hi) pair joining each outside pin to the tree
+    best = {j: (_manhattan(pins[0], pins[j]), 0, j) for j in range(1, net.degree)}
     edges: list[tuple[float, int, int]] = []
-    for _ in range(t - 1):
-        pick = None
-        for j in range(t):
-            if not in_tree[j] and (pick is None or best[j] < best[pick]):
-                pick = j
-        edges.append(best[pick])
-        in_tree[pick] = True
-        best[pick] = None
-        for j in range(t):
-            if in_tree[j]:
-                continue
-            nd = _manhattan(pins[pick], pins[j])
-            cand = (nd, *sorted((pick, j)))
-            if cand < best[j]:
-                best[j] = cand
+    while best:
+        j = min(best, key=best.get)
+        edges.append(best.pop(j))
+        for k in best:
+            best[k] = min(best[k], (_manhattan(pins[j], pins[k]), min(j, k), max(j, k)))
     return [(lo, hi) for _, lo, hi in sorted(edges)]
 
 

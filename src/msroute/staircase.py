@@ -3,9 +3,10 @@
 A monotone staircase cut of the (sub-)floorplan corresponds one-to-one with a
 predecessor-closed node set of the oriented block adjacency graph: absorbing
 BAG sources grows the upper-left (MIS) or lower-left (MDS) side while its wall
-boundary stays a monotone staircase.  The bipartitioner absorbs, at each step,
-the source that minimizes the resulting cut-net count (ties to the smaller
-block id) and stops at the balance point.  The count sees only the pins on
+boundary stays a monotone staircase.  At each step the bipartitioner orders
+the sources by the change they would make to the cut-net count, then by
+block id, absorbs the first one that keeps the cut a monotone staircase, and
+stops at the balance point.  The count sees only the pins on
 the bag's blocks, and a net with fewer than 2 of them is never cut.
 `assign_capacities` sizes the segments from every net's full pin box, not
 from the cut nets, in one sweep per axis.
@@ -42,7 +43,6 @@ class BalanceMode(str, Enum):
 
 @dataclass
 class MsCut:
-    id: int
     orientation: Orientation
     left_set: tuple[int, ...]   # upper-left blocks (MIS) / lower-left (MDS)
     right_set: tuple[int, ...]
@@ -64,8 +64,9 @@ class MscTree:
 class Segment:
     """Atomic routing resource: a junction-bounded piece of a wall.
 
-    region_id is the owning cut's id, or -(side+1) for the four border
-    (non-MS) walls.  A run's usage lives in router.RoutingState, not here.
+    region_id is the owning cut's index in MscTree.cuts (its preorder
+    position), or -(side+1) for the four border (non-MS) walls.  A run's
+    usage lives in router.RoutingState, not here.
     """
 
     id: int
@@ -166,7 +167,9 @@ def bipartition(
     """Split the bag's blocks by a balanced monotone staircase cut.
 
     Returns an MsCut whose left_set is the absorbed (upper/lower-left) side.
-    The cut id is assigned by build_msc_tree; standalone calls get id 0.
+    Each step absorbs the least (cut change, block id) source that keeps the
+    cut a monotone staircase; NUMBER stops at half the blocks, AREA at half
+    the area (giving the last block back when that is nearer the half).
     """
     return _cut(bag, _counts_within(_count_pins(nets), set(bag.nodes)), balance, areas, _staircase_keys(bag))
 
@@ -215,25 +218,20 @@ def _cut(
             change += (in_a[i] + count < total[i]) - (0 < in_a[i] < total[i])
         return change
 
-    sources = sorted(v for v in nodes if indeg[v] == 0)
+    sources = {v for v in nodes if indeg[v] == 0}
     absorbed: list[int] = []
     a_area = 0.0
     total_area = sum(areas[v] for v in nodes) if areas else 0.0
     chain: list = []  # the current cut as sorted (key, edge index) items, a monotone staircase
 
-    def absorb_next():
-        # in staircase-shaped sub-regions not every source keeps the frontier
-        # a single monotone chain; only admissible sources may be absorbed.
-        # v is a source, so its in-edges leave the cut and its out-edges join it
-        nonlocal a_area
-        best = None
-        best_key = None
-        for v in sources:
-            if not _stays_monotone(chain, in_items[v], out_items[v]):
-                continue
-            key = (cut_change(v), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+    # NUMBER stops at half the blocks, AREA at half the area; both leave one block
+    while len(absorbed) < n_sub - 1 and (
+            len(absorbed) < n_sub // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
+        # in staircase-shaped sub-regions not every source keeps the cut a
+        # single monotone chain: absorb the least (cut change, id) source that
+        # does.  v is a source, so its in-edges leave the cut and its out-edges join it
+        best = next((v for v in sorted(sources, key=lambda v: (cut_change(v), v))
+                     if _stays_monotone(chain, in_items[v], out_items[v])), None)
         if best is None:
             raise InternalError("no source keeps the cut a monotone staircase")
         sources.remove(best)
@@ -249,24 +247,17 @@ def _cut(
         for w in succ[best]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                sources.append(w)
-        sources.sort()
+                sources.add(w)
 
-    if balance is BalanceMode.NUMBER:
-        for _ in range(n_sub // 2):
-            absorb_next()
-    else:
-        while 2.0 * a_area < total_area and len(absorbed) < n_sub - 1:
-            absorb_next()
-        if len(absorbed) > 1:
-            last = absorbed[-1]
-            with_last = abs(total_area - 2.0 * a_area)
-            without = abs(total_area - 2.0 * (a_area - areas[last]))
-            if without < with_last:
-                for i, count in pins_on[last]:
-                    in_a[i] -= count
-                absorbed.pop()
-                a_area -= areas[last]
+    if balance is BalanceMode.AREA and len(absorbed) > 1:
+        last = absorbed[-1]
+        with_last = abs(total_area - 2.0 * a_area)
+        without = abs(total_area - 2.0 * (a_area - areas[last]))
+        if without < with_last:
+            for i, count in pins_on[last]:
+                in_a[i] -= count
+            absorbed.pop()
+            a_area -= areas[last]
 
     left = set(absorbed)
     cut_items = []  # (staircase key, edge index) of the cut's edges
@@ -280,7 +271,6 @@ def _cut(
         raise InternalError("bipartition produced a non-monotone cut")
 
     return MsCut(
-        id=0,
         orientation=bag.orientation,
         left_set=tuple(sorted(absorbed)),
         right_set=tuple(v for v in nodes if v not in left),
@@ -312,7 +302,6 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         bags = {o: _induce(bag, keys, blocks) for o, (bag, keys) in bags.items()}
         bag, keys = bags[orientation]
         cut = _cut(bag, nets, balance, areas, keys)
-        cut.id = len(cuts)
         cuts.append(cut)
         rec(cut.left_set, nets, bags, depth + 1)
         rec(cut.right_set, nets, bags, depth + 1)
@@ -341,22 +330,15 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     for line in hlines.values():
         line.sort()
 
-    raw: list[tuple[Span, int]] = []
-    for cut in tree.cuts:
-        for e in cut.cut_edges:
-            raw.append((e.span, cut.id))
-    _, _, _, _, bbox = fp.snapped_rects()
-    bx1, by1, bx2, by2 = bbox
-    for side_idx, span in enumerate((
-        Span(Axis.H, by1, bx1, bx2),
-        Span(Axis.H, by2, bx1, bx2),
-        Span(Axis.V, bx1, by1, by2),
-        Span(Axis.V, bx2, by1, by2),
-    )):
-        raw.append((span, -(side_idx + 1)))
+    walls = [(e.span, region) for region, cut in enumerate(tree.cuts) for e in cut.cut_edges]
+    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    borders = (Span(Axis.H, by1, bx1, bx2), Span(Axis.H, by2, bx1, bx2),
+               Span(Axis.V, bx1, by1, by2), Span(Axis.V, bx2, by1, by2))
+    walls += [(span, -(side + 1)) for side, span in enumerate(borders)]
 
-    pieces: list[tuple[Span, int, int, int]] = []
-    for span, region in raw:
+    # (axis, fixed, lo, hi, region, j1, j2) per piece; no two share (axis, fixed, lo)
+    pieces = []
+    for span, region in walls:
         line = (vlines if span.axis is Axis.V else hlines).get(span.fixed)
         if line is None:
             raise GeometryError(f"wall at {span.fixed} has no junctions on it")
@@ -368,13 +350,12 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
         for (c1, ja), (c2, jb) in zip(on_span, on_span[1:]):
             if c2 <= c1:
                 raise GeometryError(f"zero-length piece on wall {span}")
-            pieces.append((Span(span.axis, span.fixed, c1, c2), region, ja, jb))
+            pieces.append((span.axis, span.fixed, c1, c2, region, ja, jb))
 
-    pieces.sort(key=lambda p: (p[0].axis.value, p[0].fixed, p[0].lo))
+    pieces.sort()
     return [
-        Segment(id=i, region_id=region, axis=span.axis, fixed=span.fixed,
-                lo=span.lo, hi=span.hi, j1=ja, j2=jb)
-        for i, (span, region, ja, jb) in enumerate(pieces)
+        Segment(id=i, region_id=region, axis=axis, fixed=fixed, lo=lo, hi=hi, j1=ja, j2=jb)
+        for i, (axis, fixed, lo, hi, region, ja, jb) in enumerate(pieces)
     ]
 
 
@@ -477,16 +458,16 @@ def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> N
 def tree_text(tree: MscTree) -> str:
     """Indented text rendering of the MSC tree, walking its preorder cuts."""
     out = io.StringIO()
-    cuts = iter(tree.cuts)
+    cuts = iter(enumerate(tree.cuts))
 
     def rec(blocks: tuple[int, ...], depth: int):
         pad = "  " * depth
         if len(blocks) == 1:
             out.write(f"{pad}block {blocks[0]}\n")
             return
-        cut = next(cuts)
+        cut_id, cut = next(cuts)
         out.write(
-            f"{pad}cut {cut.id} [{cut.orientation.value}] "
+            f"{pad}cut {cut_id} [{cut.orientation.value}] "
             f"left={list(cut.left_set)} right={list(cut.right_set)} "
             f"cut_nets={len(cut.cut_nets)}\n"
         )

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute import floorplan as floorplan_module
@@ -494,6 +494,53 @@ def test_validation_report_matches_the_dense_oracle(fp):
     assert swept == dense
     assert [repr((v.kind, v.message, v.x, v.y)) for v in swept.violations] == \
         [repr((v.kind, v.message, v.x, v.y)) for v in dense.violations]
+
+
+# ---------------------------------------------------------------------------
+# coordinate snap
+
+def _cluster_snap_by_loop(values, tol):
+    """Test oracle: the per-element loop that the split of the sorted values replaced."""
+    if len(values) == 0:
+        return values
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    out = np.empty_like(sv)
+    start = 0
+    for i in range(1, len(sv) + 1):
+        if i == len(sv) or sv[i] - sv[i - 1] > tol:
+            out[start:i] = sv[start:i].mean()
+            start = i
+    res = np.empty_like(values)
+    res[order] = out
+    return res
+
+
+@st.composite
+def _snap_cases(draw):
+    """Values on a grid whose step divides tol exactly (so gaps of exactly
+    tol occur, and few distinct steps make clusters of 9 or more), or
+    arbitrary floats; empty and one-value arrays included."""
+    tol = draw(st.sampled_from([0.25, 1.0, 1e-9]))
+    if draw(st.booleans()):
+        step = tol * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        values = [i * step for i in draw(st.lists(st.integers(-4, 12), max_size=40))]
+    else:
+        values = draw(st.lists(st.floats(-1e3, 1e3), max_size=40))
+    return np.array(values, dtype=float), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_snap_cases())
+@example(case=(np.array([], dtype=float), 0.25))
+@example(case=(np.array([3.5]), 0.25))
+@example(case=(np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5]), 0.25))
+def test_cluster_snap_equals_the_loop(case):
+    values, tol = case
+    snapped = floorplan_module._cluster_snap(values, tol)
+    expected = _cluster_snap_by_loop(values, tol)
+    assert snapped.dtype == expected.dtype
+    assert snapped.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -143,9 +143,12 @@ def _mst_brute_force(net):
 
 def test_decompose_matches_spanning_tree_enumeration():
     rng = random.Random(13)
-    for _ in range(12):
-        t = rng.randint(3, 6)
-        net = _net([(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(t)])
+    real = [[(rng.uniform(0, 50), rng.uniform(0, 50)) for _ in range(rng.randint(3, 6))] for _ in range(12)]
+    # pins on a small integer grid, where lengths tie and pins may coincide
+    grid = [[(float(rng.randint(0, 3)), float(rng.randint(0, 3))) for _ in range(rng.randint(3, 6))] for _ in range(12)]
+    for points in real + grid:
+        t = len(points)
+        net = _net(points)
         pairs = decompose_net(net)
         assert len(pairs) == t - 1
         total = sum(abs(net.pins[i].x - net.pins[j].x) + abs(net.pins[i].y - net.pins[j].y)
@@ -158,6 +161,14 @@ def test_decompose_matches_spanning_tree_enumeration():
 def test_decompose_deterministic():
     net = _net([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert decompose_net(net) == decompose_net(net)
+
+
+@pytest.mark.parametrize("points, pairs", [
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 3)]),
+    ([(1, 1), (0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (0, 2), (0, 3), (0, 4)]),
+])
+def test_decompose_breaks_length_ties_toward_the_smaller_pair(points, pairs):
+    assert decompose_net(_net(points)) == pairs
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, enumerate_tjunctions
@@ -288,6 +288,8 @@ def test_segment_endpoints_are_junctions():
     for fp in generated + pinwheels:
         _, junctions, segments = _prepared(fp)
         pos = {j.id: (j.x, j.y) for j in junctions}
+        # extract_segments sorts its pieces as plain tuples, so none may tie on its sort key
+        assert len({(s.axis, s.fixed, s.lo) for s in segments}) == len(segments)
         for s in segments:
             assert s.length > fp.tol
             assert s.j1 != s.j2  # dijkstra_ssp counts on two finish junctions per sink host
@@ -490,6 +492,78 @@ def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, see
         assert ref.left_set == cut.left_set
         assert ref.cut_edges == cut.cut_edges
         assert ref.cut_nets == cut.cut_nets
+
+
+def _eager_cut(bag, nets, balance, areas):
+    """Test oracle: the eager scan that the ordered pick replaced.  Every step
+    checks every source, each by a full rescan of the cut it would leave,
+    then absorbs the least (cut change, id) admissible one.  Returns the
+    absorbed blocks and the cut nets."""
+    nodes = set(bag.nodes)
+    on = [{p.block_id for p in net.pins} & nodes for net in nets]
+
+    def n_cut(left):
+        return sum(1 for blocks in on if blocks & left and blocks - left)
+
+    def admissible(left):
+        cut = [_staircase_key(e.span, bag.orientation) for e in bag.edges if e.src in left and e.dst not in left]
+        return _is_monotone_keys(cut)
+
+    absorbed, a_area = [], 0.0
+    total_area = sum(areas[v] for v in sorted(nodes))  # in the order _cut sums them
+    while len(absorbed) < len(nodes) - 1 and (
+            len(absorbed) < len(nodes) // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
+        left = set(absorbed)
+        sources = [v for v in sorted(nodes - left)
+                   if all(e.src in left for e in bag.edges if e.dst == v)]
+        admitted = [v for v in sources if admissible(left | {v})]
+        assert admitted, "no source keeps the cut a monotone staircase"
+        best = min(admitted, key=lambda v: (n_cut(left | {v}) - n_cut(left), v))
+        absorbed.append(best)
+        a_area += areas[best]
+    if balance is BalanceMode.AREA and len(absorbed) > 1:
+        last = absorbed[-1]
+        if abs(total_area - 2.0 * (a_area - areas[last])) < abs(total_area - 2.0 * a_area):
+            absorbed.pop()
+    left = set(absorbed)
+    return tuple(sorted(left)), [net.id for net, blocks in zip(nets, on) if blocks & left and blocks - left]
+
+
+@st.composite
+def _mosaics_with_nets(draw):
+    """Generated mosaics with their nets, and pinwheels with nets whose pins
+    sit at the centres of drawn blocks."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        return generate_random_floorplan(n, n * draw(st.integers(0, 5)), 6, seed=draw(st.integers(0, 10_000)))
+    w, h = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    xa, xb = sorted(draw(st.lists(st.integers(1, w - 1), min_size=2, max_size=2, unique=True)))
+    ya, yb = sorted(draw(st.lists(st.integers(1, h - 1), min_size=2, max_size=2, unique=True)))
+    rects = pinwheel(xa, xb, ya, yb, w, h)
+    nets = []
+    for net_id, blocks in enumerate(draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=6), max_size=12))):
+        pins = [Pin(net_id, b, 0.0, 0.0, rects[b][0] + rects[b][2] / 2, rects[b][1] + rects[b][3] / 2) for b in blocks]
+        net = Net(net_id, f"n{net_id}", pins)
+        net.hpwl = compute_hpwl(net)
+        nets.append(net)
+    return make_fp(rects, nets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fp=_mosaics_with_nets(), balance=st.sampled_from(list(BalanceMode)))
+# mosaics where a better-ranked source would break the staircase and is passed over
+@example(fp=generate_random_floorplan(13, 26, 6, seed=23), balance=BalanceMode.AREA)
+@example(fp=generate_random_floorplan(22, 88, 6, seed=1), balance=BalanceMode.AREA)
+@example(fp=generate_random_floorplan(26, 52, 6, seed=16), balance=BalanceMode.NUMBER)
+def test_ordered_pick_equals_the_eager_scan(fp, balance):
+    tree = build_msc_tree(fp, balance)
+    areas = {b.id: b.area for b in fp.blocks}
+    for cut in tree.cuts:
+        blocks = set(cut.left_set) | set(cut.right_set)
+        edges = [e for e in tree.bags[cut.orientation].edges if e.src in blocks and e.dst in blocks]
+        left_set, cut_nets = _eager_cut(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
+        assert cut.left_set == left_set
+        assert cut.cut_nets == cut_nets
 
 
 @st.composite
