@@ -28,7 +28,7 @@ class Axis(str, Enum):
     V = "V"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """Wall piece: a V span is a vertical wall at x=fixed covering y in [lo, hi]."""
 
@@ -42,7 +42,7 @@ class Span:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BagEdge:
     """src and dst are the two blocks, span their wall: src is left of dst
     across a V wall, and above (MIS) or below (MDS) it across an H wall."""
@@ -70,7 +70,7 @@ class Bag:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(slots=True)
 class TJunction:
     id: int
     x: float

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 from pathlib import Path
@@ -142,15 +143,15 @@ def _cmd_dump_graph(args) -> int:
     fp = _resolve_instance(args)
     out = _out_dir(args)
     region = RegionModel.build(fp, balance=_BALANCES[args.balance])
-    state = RoutingState.prepare(region, config)
+    usage = None  # unrouted: every layer's usage is 0, so no run state is needed
     if args.route_first:
-        route_all(state)
+        usage = route_all(RoutingState.prepare(region, config)).state.usage
     artifacts = {
         "bag_mis.dot": region.tree.bags[Orientation.MIS].as_dot(),
         "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),
         "msc_tree.txt": tree_text(region.tree),
         "segments.csv": segments_csv(region.segments),
-        "junction_graph.csv": junction_graph_csv(region.graph, state.usage, config.profile.layers),
+        "junction_graph.csv": junction_graph_csv(region.graph, usage, config.profile.layers),
     }
     for name, text in artifacts.items():
         path = out / name
@@ -207,9 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command with the cyclic garbage collector paused.
+
+    The pipeline makes no reference cycles, so a collection would only walk
+    its many live records and free nothing.  The command owns the process, so
+    it pauses the collector and restores the caller's setting on the way out;
+    library entry points leave the setting alone.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InternalError, GeometryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
@@ -217,6 +226,9 @@ def main(argv=None) -> int:
     except (MsRouteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

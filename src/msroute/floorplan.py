@@ -31,7 +31,7 @@ from .errors import InvalidNetError, ParseError, ValidationError
 TOL_FRACTION = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     """Axis-aligned block with its lower-left corner at (x, y)."""
 
@@ -60,7 +60,7 @@ class Block:
         return self.width * self.height
 
 
-@dataclass
+@dataclass(slots=True)
 class Pin:
     """Net terminal; absolute position is block center + offset, clamped."""
 
@@ -72,7 +72,7 @@ class Pin:
     y: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Net:
     id: int
     name: str

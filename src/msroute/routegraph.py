@@ -92,7 +92,7 @@ def layer_permitted(profile: CapacityProfile, axis: Axis, layer: int) -> bool:
     return (layer % 2 == 1) if axis is Axis.H else (layer % 2 == 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentUsage:
     """One segment's usage in one run."""
 
@@ -213,7 +213,7 @@ def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) ->
                          jx=jx, jy=jy, kappa=kappa * (1.0 - KAPPA_MARGIN))
 
 
-@dataclass
+@dataclass(slots=True)
 class PinAttachment:
     host_seg: int
     d1: float  # Manhattan pin -> the host segment's j1
@@ -264,13 +264,16 @@ def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, f
     return att.d1 * host_penalty, att.d2 * host_penalty
 
 
-def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage], layers: int) -> str:
-    """CSV dump: one row per usable edge with its per-layer usage."""
+def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage] | None, layers: int) -> str:
+    """CSV dump: one row per usable edge with its per-layer usage (0 on every
+    layer when `usage` is None, as before any routing)."""
     header = "segment,j1,j2,length,r," + ",".join(f"u{l}" for l in range(1, layers + 1))
     lines = [header]
+    unused = ",".join(["0"] * layers)
     for sid in jg.usable:
         seg = jg.segments[sid]
-        lines.append(f"{sid},{seg.j1},{seg.j2},{seg.length:.6f},{seg.r}," + ",".join(map(str, usage[sid].u)))
+        used = unused if usage is None else ",".join(map(str, usage[sid].u))
+        lines.append(f"{sid},{seg.j1},{seg.j2},{seg.length:.6f},{seg.r},{used}")
     return "\n".join(lines) + "\n"
 
 

@@ -91,7 +91,7 @@ class RunConfig:
         return cls(search, CapacityProfile(kind, **kwargs))
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutePath:
     source_pin: int
     sink_pin: int
@@ -105,7 +105,7 @@ class RoutePath:
     vias: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NetResult:
     """A net's outcome.  A routed net holds its Steiner tree, the union of its
     pair paths; a failed one keeps the empty defaults."""

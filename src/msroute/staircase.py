@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -41,7 +41,7 @@ class BalanceMode(str, Enum):
     AREA = "AREA"
 
 
-@dataclass
+@dataclass(slots=True)
 class MsCut:
     orientation: Orientation
     left_set: tuple[int, ...]   # upper-left blocks (MIS) / lower-left (MDS)
@@ -60,7 +60,7 @@ class MscTree:
     bags: dict[Orientation, Bag]  # the full MIS and MDS BAGs it was cut from
 
 
-@dataclass
+@dataclass(slots=True)
 class Segment:
     """Atomic routing resource: a junction-bounded piece of a wall.
 
@@ -78,10 +78,10 @@ class Segment:
     j1: int
     j2: int
     r: int = 0
+    length: float = field(init=False)  # hi - lo, stored once: the router reads it at every step
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
+    def __post_init__(self):
+        self.length = self.hi - self.lo
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +291,14 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
     full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
-
-    def rec(block_ids: tuple[int, ...], nets: list[PinCounts], bags: dict, depth: int) -> None:
-        # nets and (bag, keys) are the parent's; cut them down to this node's blocks
+    # (blocks, the parent's nets and (bag, keys) per orientation, depth); a
+    # node pushes its right side before its left, so cuts come out in preorder
+    stack = [(tuple(range(len(fp.blocks))), _count_pins(fp.nets),
+              {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)]
+    while stack:
+        block_ids, nets, bags, depth = stack.pop()
         if len(block_ids) == 1:
-            return
+            continue
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
         blocks = set(block_ids)
         nets = _counts_within(nets, blocks)
@@ -303,10 +306,8 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         bag, keys = bags[orientation]
         cut = _cut(bag, nets, balance, areas, keys)
         cuts.append(cut)
-        rec(cut.left_set, nets, bags, depth + 1)
-        rec(cut.right_set, nets, bags, depth + 1)
-
-    rec(tuple(range(len(fp.blocks))), _count_pins(fp.nets), {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)
+        stack.append((cut.right_set, nets, bags, depth + 1))
+        stack.append((cut.left_set, nets, bags, depth + 1))
     return MscTree(cuts, full)
 
 
@@ -459,22 +460,21 @@ def tree_text(tree: MscTree) -> str:
     """Indented text rendering of the MSC tree, walking its preorder cuts."""
     out = io.StringIO()
     cuts = iter(enumerate(tree.cuts))
-
-    def rec(blocks: tuple[int, ...], depth: int):
+    stack = [(tuple(tree.bags[Orientation.MIS].nodes), 0)]  # (blocks, depth), right side pushed first
+    while stack:
+        blocks, depth = stack.pop()
         pad = "  " * depth
         if len(blocks) == 1:
             out.write(f"{pad}block {blocks[0]}\n")
-            return
+            continue
         cut_id, cut = next(cuts)
         out.write(
             f"{pad}cut {cut_id} [{cut.orientation.value}] "
             f"left={list(cut.left_set)} right={list(cut.right_set)} "
             f"cut_nets={len(cut.cut_nets)}\n"
         )
-        rec(cut.left_set, depth + 1)
-        rec(cut.right_set, depth + 1)
-
-    rec(tuple(tree.bags[Orientation.MIS].nodes), 0)
+        stack.append((cut.right_set, depth + 1))
+        stack.append((cut.left_set, depth + 1))
     return out.getvalue()
 
 

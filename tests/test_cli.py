@@ -1,15 +1,18 @@
 """Command line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import gc
 import json
 
 import pytest
 
 import msroute.routegraph
 from msroute.cli import main
+from msroute.errors import InternalError
 from msroute.floorplan import generate_random_floorplan, load_floorplan, validate_floorplan
 from msroute.metrics import summarize
-from msroute.router import PRESETS, RunConfig, route_floorplan
+from msroute.routegraph import LayerModel, RegionModel, junction_graph_csv
+from msroute.router import PRESETS, RoutingState, RunConfig, route_all, route_floorplan
 
 
 def test_gen_writes_valid_instance(tmp_path):
@@ -251,6 +254,72 @@ def test_dump_graph_route_first_fills_usage(tmp_path):
     rows = (tmp_path / "junction_graph.csv").read_text().splitlines()[1:]
     used = sum(int(v) for row in rows for v in row.split(",")[5:])
     assert used > 0
+
+
+@pytest.mark.parametrize("layers", [2, 8])
+@pytest.mark.parametrize("layer_model", ["reserved-hv", "unreserved"])
+def test_unrouted_dump_equals_a_fresh_run_state(tmp_path, layers, layer_model):
+    assert main(["dump-graph", "--n", "20", "--k", "90", "--seed", "6", "--layers", str(layers),
+                 "--layer-model", layer_model, "--out", str(tmp_path)]) == 0
+    # the oracle: the dump as written from a freshly prepared run state
+    region = RegionModel.build(generate_random_floorplan(20, 90, 6, seed=6))
+    model = LayerModel.RESERVED_HV if layer_model == "reserved-hv" else LayerModel.UNRESERVED
+    state = RoutingState.prepare(region, RunConfig.from_name("FCN", layers=layers, layer_model=model))
+    assert (tmp_path / "junction_graph.csv").read_text() == junction_graph_csv(region.graph, state.usage, layers)
+
+
+def test_route_first_dump_equals_the_routed_run(tmp_path):
+    assert main(["dump-graph", "--n", "20", "--k", "90", "--seed", "6", "--layers", "4", "--config", "BCH",
+                 "--route-first", "--out", str(tmp_path)]) == 0
+    region = RegionModel.build(generate_random_floorplan(20, 90, 6, seed=6))
+    state = route_all(RoutingState.prepare(region, RunConfig.from_name("BCH", layers=4))).state
+    assert (tmp_path / "junction_graph.csv").read_text() == junction_graph_csv(region.graph, state.usage, 4)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("layers, trip, code", [
+    ("8", False, 0), ("0", False, 1), ("8", True, 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, enabled, layers, trip, code):
+    def tripped(*args, **kwargs):
+        raise InternalError("tripped")
+
+    if trip:
+        monkeypatch.setattr(msroute.routegraph.RegionModel, "build", tripped)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["dump-graph", "--n", "6", "--k", "10", "--layers", layers, "--out", str(tmp_path)]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_usage_error_restores_the_collector_state(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(SystemExit):
+            main(["dump-graph", "--layers", "many"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_command_runs_no_cyclic_collection(tmp_path):
+    collections = []
+
+    def seen(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(seen)
+    try:
+        assert main(["route", "--n", "40", "--k", "218", "--seed", "2", "--out", str(tmp_path)]) == 0
+    finally:
+        gc.callbacks.remove(seen)
+    assert collections == []
 
 
 def test_gen_requires_counts():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, 
 from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
 from msroute.staircase import (
     BalanceMode,
+    Segment,
     _is_monotone_keys,
     _staircase_key,
     _stays_monotone,
@@ -247,6 +249,14 @@ def test_border_wall_splits_at_junction():
     _, _, segments = _prepared(fp)
     bottom = sorted((s.lo, s.hi) for s in segments if s.axis is Axis.H and s.fixed == 0.0)
     assert bottom == [(0.0, 1.0), (1.0, 2.0)]
+
+
+def test_segment_length_is_stored_from_its_ends():
+    seg = Segment(id=0, region_id=-1, axis=Axis.H, fixed=0.0, lo=0.1, hi=0.7, j1=0, j2=1, r=3)
+    assert seg.length == 0.7 - 0.1
+    assert replace(seg, hi=2.5).length == 2.5 - 0.1
+    with pytest.raises(TypeError):
+        Segment(id=0, region_id=-1, axis=Axis.H, fixed=0.0, lo=0.0, hi=1.0, j1=0, j2=1, length=1.0)
 
 
 def test_segment_count_identity():
