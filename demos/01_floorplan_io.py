@@ -45,7 +45,7 @@ print("instance hash:", msr.instance_hash(fp))
 
 section("Net statistics")
 degrees = [net.degree for net in fp.nets]
-hpwls = [net.hpwl for net in fp.nets]
+hpwls = [msr.compute_hpwl(net) for net in fp.nets]
 print(f"average degree {sum(degrees) / len(degrees):.2f}, "
       f"HPWL range [{min(hpwls):.1f}, {max(hpwls):.1f}]")
 print("HPWL is half the perimeter of the pin bounding box:",

@@ -32,7 +32,7 @@ print("floorplan, its nets and the balance mode; every run configuration reuses 
 section("Edge weight grows as a segment fills up")
 state = msr.RoutingState.prepare(region, msr.RunConfig.from_name("FCN", layers=1,
                                                                  layer_model=LayerModel.UNRESERVED))
-seg = max((s for s in region.segments if s.r > 0), key=lambda s: (s.r, -s.id))
+seg = max((s for s in region.graph.segments if s.r > 0), key=lambda s: (s.r, -s.id))
 print(f"segment {seg.id}, length {seg.length:.1f}, capacity {seg.r}, one layer; "
       "usage changes only by charging a routed net:")
 while state.weight[seg.id] != msr.UNUSABLE:
@@ -44,7 +44,7 @@ print(f"  u={state.usage[seg.id].u[0]:>2}: weight {state.weight[seg.id]}  "
 section("Layer advancement under the reserved-HV model")
 state = msr.RoutingState.prepare(region, msr.RunConfig.from_name("FCN", layers=8))
 for axis, parity in (("H", "odd"), ("V", "even")):
-    seg = min((s for s in region.segments if s.r > 0 and s.axis.value == axis),
+    seg = min((s for s in region.graph.segments if s.r > 0 and s.axis.value == axis),
               key=lambda s: (s.r, s.id))
     landed = [state.charge(seg.id) for _ in range(3 * seg.r + 1)]
     print(f"{axis} segment {seg.id} (r = {seg.r}) uses {parity} layers: "

@@ -16,8 +16,8 @@ config = msr.RunConfig.from_name("FCN", layers=8)  # forward search, uniform cap
 section("Net ordering")
 ordered = msr.order_nets(fp.nets)
 print("nets route in non-decreasing (HPWL, degree) order;")
-print("first three:", [(n.name, round(n.hpwl, 1), n.degree) for n in ordered[:3]])
-print("last one:   ", [(n.name, round(n.hpwl, 1), n.degree) for n in ordered[-1:]])
+print("first three:", [(n.name, round(msr.compute_hpwl(n), 1), n.degree) for n in ordered[:3]])
+print("last one:   ", [(n.name, round(msr.compute_hpwl(n), 1), n.degree) for n in ordered[-1:]])
 
 section("Multi-terminal decomposition")
 big = max(fp.nets, key=lambda n: n.degree)

@@ -13,7 +13,7 @@ print(f"instance: {len(fp.blocks)} blocks, {len(fp.nets)} nets, "
       f"hash {msr.instance_hash(fp)}")
 # the MSC tree, segments and capacities do not depend on the configuration
 region = msr.RegionModel.build(fp)
-print(f"region model: {len(region.segments)} segments, built once for all six runs\n")
+print(f"region model: {len(region.graph.segments)} segments, built once for all six runs\n")
 
 header = f"{'config':<7}{'routed %':>9}{'wirelength':>13}{'vias':>7}{'wACE4max':>10}{'runtime':>9}"
 print(header)

@@ -72,7 +72,8 @@ class Bag:
 
 @dataclass(slots=True)
 class TJunction:
-    id: int
+    """A junction; its id is its index in the junction list."""
+
     x: float
     y: float
     on_boundary: bool = False  # True only for the four degree-2 floorplan corners
@@ -171,15 +172,15 @@ def enumerate_tjunctions(fp: Floorplan) -> list[TJunction]:
             raise GeometryError(f"'+' crossing: four blocks meet at {key}")
         if count != 2:
             raise GeometryError(f"dangling block corner at {key}")
-        junctions.append(TJunction(id=len(junctions), x=key[0], y=key[1]))
+        junctions.append(TJunction(x=key[0], y=key[1]))
     return junctions
 
 
 def all_junctions(fp: Floorplan) -> list[TJunction]:
     """Interior T-junctions followed by the four degree-2 junctions at the
-    floorplan corners, ids continuing in order."""
+    floorplan corners; a junction's id is its index here."""
     junctions = enumerate_tjunctions(fp)
     bx1, by1, bx2, by2 = fp.snapped_rects()[4]
     for px, py in sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)]):
-        junctions.append(TJunction(id=len(junctions), x=px, y=py, on_boundary=True))
+        junctions.append(TJunction(x=px, y=py, on_boundary=True))
     return junctions

@@ -150,7 +150,7 @@ def _cmd_dump_graph(args) -> int:
         "bag_mis.dot": region.tree.bags[Orientation.MIS].as_dot(),
         "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),
         "msc_tree.txt": tree_text(region.tree),
-        "segments.csv": segments_csv(region.segments),
+        "segments.csv": segments_csv(region.graph.segments),
         "junction_graph.csv": junction_graph_csv(region.graph, usage, config.profile.layers),
     }
     for name, text in artifacts.items():

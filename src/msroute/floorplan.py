@@ -62,9 +62,9 @@ class Block:
 
 @dataclass(slots=True)
 class Pin:
-    """Net terminal; absolute position is block center + offset, clamped."""
+    """Net terminal; absolute position is block center + offset, clamped.
+    Its net is the `Net` that lists it."""
 
-    net_id: int
     block_id: int
     dx: float
     dy: float
@@ -74,10 +74,11 @@ class Pin:
 
 @dataclass(slots=True)
 class Net:
+    """A net; its box and HPWL come from its pins (`net_box`, `compute_hpwl`)."""
+
     id: int
     name: str
     pins: list[Pin]
-    hpwl: float = 0.0
 
     @property
     def degree(self) -> int:
@@ -223,9 +224,12 @@ def parse_blocks(text: str) -> list[Block]:
             raise ParseError(f"expected 4 corner points for block {name!r}", lineno)
         xs = _numbers([cx for cx, _ in coords], "corner", line, lineno)
         ys = _numbers([cy for _, cy in coords], "corner", line, lineno)
-        w, h = max(xs) - min(xs), max(ys) - min(ys)
+        x1, y1, x2, y2 = min(xs), min(ys), max(xs), max(ys)
+        w, h = x2 - x1, y2 - y1
         if w <= 0 or h <= 0:
             raise ParseError(f"block {name!r} has non-positive dimensions", lineno)
+        if set(zip(xs, ys)) != {(x1, y1), (x1, y2), (x2, y1), (x2, y2)}:
+            raise ParseError(f"the points of block {name!r} are not the 4 corners of a rectangle", lineno)
         seen.add(name)
         blocks.append(Block(id=len(blocks), name=name, x=0.0, y=0.0, width=w, height=h))
     return blocks
@@ -301,11 +305,9 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
         if len(tokens) > 3:
             dx, dy = _numbers([t.lstrip("%") for t in tokens[2:4]], "pin offset", line, lineno)
         bid, cx, cy, x1, y1, x2, y2 = frame
-        pins.append(Pin(len(nets), bid, dx, dy, min(max(cx + dx, x1), x2), min(max(cy + dy, y1), y2)))
+        pins.append(Pin(bid, dx, dy, min(max(cx + dx, x1), x2), min(max(cy + dy, y1), y2)))
         if len(pins) == degree:
-            net = Net(id=len(nets), name=name, pins=pins)
-            net.hpwl = compute_hpwl(net)
-            nets.append(net)
+            nets.append(Net(id=len(nets), name=name, pins=pins))
             degree = 0
     if degree:
         raise ParseError(f"net {name!r} declares {degree} pins but has {len(pins)}", header)
@@ -396,13 +398,19 @@ def instance_hash(fp: Floorplan) -> str:
 # ---------------------------------------------------------------------------
 # validation and metrics
 
+def net_box(net: Net) -> tuple[float, float, float, float]:
+    """The bounding box (x1, y1, x2, y2) of the net's pins."""
+    xs = [p.x for p in net.pins]
+    ys = [p.y for p in net.pins]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
 def compute_hpwl(net: Net) -> float:
     """Half-perimeter of the net's pin bounding box."""
     if net.degree < 2:
         raise InvalidNetError(f"net {net.name!r} has {net.degree} pin(s); need >= 2")
-    xs = [p.x for p in net.pins]
-    ys = [p.y for p in net.pins]
-    return (max(xs) - min(xs)) + (max(ys) - min(ys))
+    x1, y1, x2, y2 = net_box(net)
+    return (x2 - x1) + (y2 - y1)
 
 
 def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
@@ -567,9 +575,7 @@ def generate_random_floorplan(n: int, k: int, max_degree: int = 6, seed: int = 0
         pins = []
         for bid in rng.sample(range(n), degree):
             cx, cy = blocks[bid].center
-            pins.append(Pin(net_id=net_id, block_id=bid, dx=0.0, dy=0.0, x=cx, y=cy))
-        net = Net(id=net_id, name=f"n{net_id}", pins=pins)
-        net.hpwl = compute_hpwl(net)
-        nets.append(net)
+            pins.append(Pin(block_id=bid, dx=0.0, dy=0.0, x=cx, y=cy))
+        nets.append(Net(id=net_id, name=f"n{net_id}", pins=pins))
 
     return Floorplan(origin=(0.0, 0.0), width=side, height=side, blocks=blocks, nets=nets)

@@ -15,11 +15,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import MetricError
-from .floorplan import instance_hash
+from .floorplan import compute_hpwl, instance_hash
 from .router import RouteRun, RoutingState
 
 
@@ -118,11 +119,12 @@ def summarize(run: RouteRun) -> RouteReport:
     routed_hpwl = 0.0
     detours: list[float] = []
     for result, net in zip(run.results, fp.nets):
+        hpwl = compute_hpwl(net)
         if result.status == "ROUTED":
             routed += 1
             total_wl += result.wirelength
             total_vias += result.vias
-            routed_hpwl += net.hpwl
+            routed_hpwl += hpwl
             for path in result.paths:
                 a, b = net.pins[path.source_pin], net.pins[path.sink_pin]
                 manhattan = abs(a.x - b.x) + abs(a.y - b.y)
@@ -134,7 +136,7 @@ def summarize(run: RouteRun) -> RouteReport:
             "status": result.status,
             "wirelength": result.wirelength,
             "vias": result.vias,
-            "hpwl": net.hpwl,
+            "hpwl": hpwl,
         })
 
     n_nets = len(fp.nets)
@@ -186,8 +188,8 @@ def summarize(run: RouteRun) -> RouteReport:
 
 def write_report(report: RouteReport, out_dir, stem: str, report_format: str = "both") -> list:
     """Write report_{stem}.json and/or the two CSV views; returns the paths."""
-    from pathlib import Path
-
+    if report_format not in ("json", "csv", "both"):
+        raise ValueError(f"report_format must be json, csv or both, not {report_format!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

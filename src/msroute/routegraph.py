@@ -2,9 +2,10 @@
 
 A `RegionModel` holds what depends only on the floorplan (with its nets,
 read from `region.fp.nets`) and the balance mode: the MSC tree, the
-junctions, the segments with their base capacity r and the junction graph.
-Build it once with `RegionModel.build`; every run configuration routes over
-the same region, and no run writes to it.
+junctions and the junction graph, whose `segments` (with their base
+capacity r) are the region's only segment list.  Build it once with
+`RegionModel.build`; every run configuration routes over the same region,
+and no run writes to it.
 
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions; `JunctionGraph.usable` lists those segment
@@ -282,14 +283,14 @@ def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage] | None, laye
 
 @dataclass(frozen=True)
 class RegionModel:
-    """Everything the runs over one (floorplan, balance) read and none writes."""
+    """Everything the runs over one (floorplan, balance) read and none writes;
+    its segments are `graph.segments`."""
 
     fp: Floorplan
     balance: BalanceMode
     tree: MscTree
     junctions: list[TJunction]
-    segments: list[Segment]   # indexed by segment id, base capacity r set
-    graph: JunctionGraph
+    graph: JunctionGraph      # its segments are indexed by id, base capacity r set
 
     @classmethod
     def build(cls, fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> "RegionModel":
@@ -304,5 +305,4 @@ class RegionModel:
             "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
             len(graph.adj), len(graph.usable), 3 * n - 7,
         )
-        return cls(fp=fp, balance=balance, tree=tree, junctions=junctions,
-                   segments=segments, graph=graph)
+        return cls(fp=fp, balance=balance, tree=tree, junctions=junctions, graph=graph)

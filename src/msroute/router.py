@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParseError, PinHostError
-from .floorplan import Floorplan, Net, Pin
+from .floorplan import Floorplan, Net, Pin, compute_hpwl
 from .routegraph import (
     UNUSABLE,
     CapacityProfile,
@@ -132,10 +132,10 @@ class RoutingState:
 
     @classmethod
     def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
-        n = len(region.segments)
+        n = len(region.graph.segments)
         rows = {}  # (r, axis) -> its capacity_row, built once
         usage = []
-        for seg in region.segments:
+        for seg in region.graph.segments:
             row = rows.get((seg.r, seg.axis))
             if row is None:
                 row = rows[seg.r, seg.axis] = capacity_row(config.profile, seg.r, seg.axis)
@@ -154,7 +154,7 @@ class RoutingState:
             self.weight[sid] = self.penalty[sid] = UNUSABLE
             return
         free = 1.0 - usage.u[layer - 1] / usage.cap[layer - 1]
-        self.weight[sid] = self.region.segments[sid].length / free
+        self.weight[sid] = self.region.graph.segments[sid].length / free
         self.penalty[sid] = 1.0 / free
 
     def charge(self, sid: int) -> int:
@@ -176,7 +176,7 @@ class RouteRun:
 
 def order_nets(nets: list[Net]) -> list[Net]:
     """Routing priority: non-decreasing HPWL, then degree, then net id."""
-    return sorted(nets, key=lambda n: (n.hpwl, n.degree, n.id))
+    return sorted(nets, key=lambda n: (compute_hpwl(n), n.degree, n.id))
 
 
 def identify_source(pin_a: Pin, pin_b: Pin, search: SearchDir) -> tuple[Pin, Pin]:
@@ -412,7 +412,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
                              reason=f"no usable path for pins {i}-{j}")
         _charge_path(state, gsrg, path, journal)
         paths.append(path)
-    return identify_steiner_points(paths, state.region.segments)
+    return identify_steiner_points(paths, state.region.graph.segments)
 
 
 def route_all(state: RoutingState) -> RouteRun:

@@ -8,8 +8,8 @@ the sources by the change they would make to the cut-net count, then by
 block id, absorbs the first one that keeps the cut a monotone staircase, and
 stops at the balance point.  The count sees only the pins on
 the bag's blocks, and a net with fewer than 2 of them is never cut.
-`assign_capacities` sizes the segments from every net's full pin box, not
-from the cut nets, in one sweep per axis.
+`assign_capacities` sizes the segments from every net's full pin box
+(`floorplan.net_box`), not from the cut nets, in one sweep per axis.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
 tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
@@ -33,7 +33,7 @@ import numpy as np
 
 from .adjacency import Axis, Bag, BagEdge, Orientation, Span, build_bag
 from .errors import GeometryError, InternalError
-from .floorplan import Floorplan, Net
+from .floorplan import Floorplan, Net, net_box
 
 
 class BalanceMode(str, Enum):
@@ -319,13 +319,13 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
 
     `junctions` must be the full set (interior T-junctions plus boundary
     corners, e.g. from adjacency.all_junctions); each resulting segment is
-    bounded by exactly two of them.
+    bounded by exactly two of them, named by their list indices.
     """
     vlines: dict[float, list[tuple[float, int]]] = {}
     hlines: dict[float, list[tuple[float, int]]] = {}
-    for j in junctions:
-        vlines.setdefault(j.x, []).append((j.y, j.id))
-        hlines.setdefault(j.y, []).append((j.x, j.id))
+    for jid, j in enumerate(junctions):
+        vlines.setdefault(j.x, []).append((j.y, jid))
+        hlines.setdefault(j.y, []).append((j.x, jid))
     for line in vlines.values():
         line.sort()
     for line in hlines.values():
@@ -414,12 +414,6 @@ def _touching(walls: np.ndarray, boxes: np.ndarray, tol: float) -> np.ndarray:
     return count
 
 
-def _net_box(net: Net) -> tuple[float, float, float, float]:
-    xs = [p.x for p in net.pins]
-    ys = [p.y for p in net.pins]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
 def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> None:
     """Set every segment's reference capacity r (nets per base layer).
 
@@ -431,7 +425,7 @@ def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> N
     found by bisecting their wall's pins sorted along it; zero makes the
     segment unusable.
     """
-    boxes = np.array([_net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
+    boxes = np.array([net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
     for axis in Axis:
         interior = [seg for seg in segments if seg.region_id >= 0 and seg.axis is axis]
         walls = np.array([(seg.fixed, seg.lo, seg.hi) for seg in interior], dtype=float).reshape(-1, 3).T

@@ -197,7 +197,7 @@ def test_criterion_4_congestion_never_exceeds_capacity(paper_scale_runs):
     wace_ok = True
     for kind, (run, report) in runs.items():
         state = run.state
-        for seg in state.region.segments:
+        for seg in state.region.graph.segments:
             if seg.r <= 0:
                 continue
             for layer in range(1, state.config.profile.layers + 1):

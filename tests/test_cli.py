@@ -3,13 +3,15 @@
 import csv
 import gc
 import json
+import sys
 
 import pytest
 
+import msroute.floorplan
 import msroute.routegraph
 from msroute.cli import main
 from msroute.errors import InternalError
-from msroute.floorplan import generate_random_floorplan, load_floorplan, validate_floorplan
+from msroute.floorplan import generate_random_floorplan, load_floorplan, save_floorplan, validate_floorplan
 from msroute.metrics import summarize
 from msroute.routegraph import LayerModel, RegionModel, junction_graph_csv
 from msroute.router import PRESETS, RoutingState, RunConfig, route_all, route_floorplan
@@ -143,6 +145,13 @@ def test_pl_placing_a_block_twice_exits_one_naming_the_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_blocks_line_whose_points_are_not_corners_exits_one_naming_the_line(tmp_path, capsys):
+    blocks = "a hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)\nb hardrectilinear 4 (0,0) (0,1) (1,0.5) (1,0)\n"
+    assert _route_files(tmp_path, blocks=blocks) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: the points of block 'b' are not")
+    assert not (tmp_path / "out").exists()
+
+
 def test_route_incomplete_file_triple_exits_one(tmp_path):
     code = main(["route", "--blocks", "x.blocks", "--out", str(tmp_path)])
     assert code == 1
@@ -254,6 +263,21 @@ def test_dump_graph_route_first_fills_usage(tmp_path):
     rows = (tmp_path / "junction_graph.csv").read_text().splitlines()[1:]
     used = sum(int(v) for row in rows for v in row.split(",")[5:])
     assert used > 0
+
+
+def test_unrouted_dump_computes_no_hpwl(tmp_path, monkeypatch):
+    """Only routing reads a net's HPWL: ordering computes it once per net."""
+    paths = save_floorplan(generate_random_floorplan(20, 90, 6, seed=6), tmp_path, "in")
+    args = [f"--{ext}={path}" for ext, path in zip(("blocks", "pl", "nets"), paths)]
+    calls = []
+    compute_hpwl = msroute.floorplan.compute_hpwl
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "msroute"]:
+        if hasattr(module, "compute_hpwl"):
+            monkeypatch.setattr(module, "compute_hpwl", lambda net: calls.append(net) or compute_hpwl(net))
+    assert main(["dump-graph", *args, "--out", str(tmp_path / "dump")]) == 0
+    assert calls == []
+    assert main(["dump-graph", *args, "--route-first", "--out", str(tmp_path / "routed")]) == 0
+    assert len(calls) == 90
 
 
 @pytest.mark.parametrize("layers", [2, 8])

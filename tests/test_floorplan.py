@@ -87,10 +87,8 @@ def dense_overlapping_pairs(x1, y1, x2, y2, tol):
 
 
 def make_net(net_id, points, name=None):
-    pins = [Pin(net_id=net_id, block_id=0, dx=0.0, dy=0.0, x=x, y=y) for x, y in points]
-    net = Net(id=net_id, name=name or f"n{net_id}", pins=pins)
-    net.hpwl = compute_hpwl(net)
-    return net
+    pins = [Pin(block_id=0, dx=0.0, dy=0.0, x=x, y=y) for x, y in points]
+    return Net(id=net_id, name=name or f"n{net_id}", pins=pins)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +133,19 @@ def test_parse_blocks_skips_terminals():
     text = ("p1 terminal\n"
             "a hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)")
     assert len(parse_blocks(text)) == 1
+
+
+@pytest.mark.parametrize("points", ["(0,0) (0,2) (3,1) (3,0)", "(0,0) (0,0) (0,0) (3,2)"],
+                         ids=["off-corner", "repeated-corner"])
+def test_parse_blocks_rejects_points_that_are_not_the_corners(points):
+    text = f"a hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)\nb hardrectilinear 4 {points}"
+    with pytest.raises(ParseError, match="line 2: the points of block 'b' are not"):
+        parse_blocks(text)
+
+
+def test_parse_blocks_takes_the_corners_in_any_order():
+    (block,) = parse_blocks("a hardrectilinear 4 (3,2) (0,0) (3,0) (0,2)")
+    assert (block.width, block.height) == (3.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def test_parse_nets_two_pin():
     # pins default to block centers
     assert (net.pins[0].x, net.pins[0].y) == (1.0, 1.0)
     assert (net.pins[1].x, net.pins[1].y) == (3.0, 1.0)
-    assert net.hpwl == 2.0
+    assert compute_hpwl(net) == 2.0
 
 
 def test_parse_nets_offsets_and_clamping():
@@ -307,10 +318,8 @@ def _parse_nets_by_lines(text, blocks):
             cx, cy = block.center
             px = min(max(cx + dx, block.x), block.x2)
             py = min(max(cy + dy, block.y), block.y2)
-            pins.append(Pin(net_id=net_id, block_id=block.id, dx=dx, dy=dy, x=px, y=py))
-        net = Net(id=net_id, name=name, pins=pins)
-        net.hpwl = compute_hpwl(net)
-        nets.append(net)
+            pins.append(Pin(block_id=block.id, dx=dx, dy=dy, x=px, y=py))
+        nets.append(Net(id=net_id, name=name, pins=pins))
         i += 1 + degree
     return nets
 
@@ -355,7 +364,7 @@ def _parsed(parse, text, blocks):
         nets = parse(text, blocks)
     except (ParseError, InvalidNetError, IndexError) as exc:
         return type(exc), str(exc)
-    return [(net.id, net.name, net.hpwl, [(p.net_id, p.block_id, p.dx, p.dy, p.x, p.y) for p in net.pins])
+    return [(net.id, net.name, compute_hpwl(net), [(p.block_id, p.dx, p.dy, p.x, p.y) for p in net.pins])
             for net in nets]
 
 
@@ -404,7 +413,7 @@ def test_hpwl_examples():
 
 
 def test_hpwl_rejects_single_pin():
-    net = Net(id=0, name="bad", pins=[Pin(0, 0, 0, 0, 1.0, 1.0)])
+    net = Net(id=0, name="bad", pins=[Pin(0, 0, 0, 1.0, 1.0)])
     with pytest.raises(InvalidNetError):
         compute_hpwl(net)
 

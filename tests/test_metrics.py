@@ -10,7 +10,7 @@ import pytest
 
 from msroute.errors import MetricError
 from msroute.floorplan import generate_random_floorplan
-from msroute.metrics import ace, snapshot, summarize, wace4
+from msroute.metrics import ace, snapshot, summarize, wace4, write_report
 from msroute.routegraph import capacity_at
 from msroute.router import RunConfig, route_floorplan
 
@@ -82,7 +82,7 @@ def test_snapshot_entries_in_unit_interval():
     assert snap.size > 0
     assert float(snap.min()) >= 0.0
     assert float(snap.max()) <= 1.0
-    usable = sum(1 for s in run.state.region.segments if s.r > 0)
+    usable = sum(1 for s in run.state.region.graph.segments if s.r > 0)
     assert snap.shape == (usable, run.state.config.profile.layers)
 
 
@@ -90,7 +90,7 @@ def test_snapshot_matches_loop_reference():
     # the reserved model forbids every segment half of the layers, which read 0
     run, _ = _routed_report(n=12, k=80, seed=3, config="FCH")
     state = run.state
-    usable = [seg for seg in state.region.segments if seg.r > 0]
+    usable = [seg for seg in state.region.graph.segments if seg.r > 0]
     profile = state.config.profile
     snap = snapshot(state)
     assert snap.shape == (len(usable), profile.layers)
@@ -157,6 +157,13 @@ def test_report_json_and_csv_agree():
     assert summary["instance.hash"] == payload["instance"]["hash"]
     assert summary["config.name"] == payload["config"]["name"]
     assert float(summary["totals.wirelength"]) == pytest.approx(payload["totals"]["wirelength"])
+
+
+def test_write_report_rejects_an_unknown_format(tmp_path):
+    _, report = _routed_report()
+    with pytest.raises(ValueError, match="'jsn'"):
+        write_report(report, tmp_path / "out", "X", "jsn")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_canonical_excludes_timing_on_request():

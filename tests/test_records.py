@@ -40,7 +40,7 @@ def _whole_pipeline(tmp_path) -> None:
             junction_graph_csv(region.graph, state.usage, layers)
         junction_graph_csv(region.graph, None, layers)
         tree_text(region.tree)
-        segments_csv(region.segments)
+        segments_csv(region.graph.segments)
         for orientation in Orientation:
             region.tree.bags[orientation].as_dot()
 
@@ -88,7 +88,7 @@ def instances():
         RoutePath: routed.paths[0],
         NetResult: routed,
         MsCut: region.tree.cuts[0],
-        Segment: region.segments[0],
+        Segment: region.graph.segments[0],
     }
 
 

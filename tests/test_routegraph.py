@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, TJunction, all_junctions
 from msroute.errors import InternalError, PinHostError
-from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute.routegraph import (
     UNUSABLE,
     CapacityProfile,
@@ -39,10 +39,9 @@ def hand_state(segments, profile, junctions=None, search=SearchDir.FWD):
     and route_floorplan use; junctions default to one per referenced id."""
     if junctions is None:
         n = 1 + max(max(seg.j1, seg.j2) for seg in segments)
-        junctions = [TJunction(i, float(i), 0.0) for i in range(n)]
+        junctions = [TJunction(float(i), 0.0) for i in range(n)]
     region = RegionModel(fp=None, balance=BalanceMode.NUMBER, tree=None,
-                         junctions=junctions, segments=segments,
-                         graph=build_junction_graph(segments, junctions))
+                         junctions=junctions, graph=build_junction_graph(segments, junctions))
     return RoutingState.prepare(region, RunConfig(search, profile))
 
 
@@ -253,7 +252,7 @@ def test_junction_graph_two_blocks():
     region = _prepared(fp).region
     jg = region.graph
     assert len(jg.adj) == 6
-    interior = next(s for s in region.segments if s.region_id >= 0)
+    interior = next(s for s in region.graph.segments if s.region_id >= 0)
     assert jg.usable == [interior.id]  # only the interior wall is usable
     assert jg.adj[interior.j1] == [(interior.j2, interior.id)]
     assert jg.adj[interior.j2] == [(interior.j1, interior.id)]
@@ -263,7 +262,7 @@ def test_junction_graph_node_count_matches_junctions():
     fp = generate_random_floorplan(10, 0, 2, seed=2)
     region = _prepared(fp).region
     assert len(region.graph.adj) == len(region.junctions) == (2 * 10 - 2) + 4
-    assert region.graph.usable == [seg.id for seg in region.segments if seg.r > 0]
+    assert region.graph.usable == [seg.id for seg in region.graph.segments if seg.r > 0]
 
 
 def test_junction_graph_zero_capacity_everywhere():
@@ -294,10 +293,8 @@ def host_segment(jg, x, y):
 
 
 def _net_on(fp, points):
-    pins = [Pin(net_id=0, block_id=0, dx=0, dy=0, x=x, y=y) for x, y in points]
-    net = Net(id=0, name="n0", pins=pins)
-    net.hpwl = compute_hpwl(net)
-    return net
+    pins = [Pin(block_id=0, dx=0, dy=0, x=x, y=y) for x, y in points]
+    return Net(id=0, name="n0", pins=pins)
 
 
 def test_gsrg_two_pin_net_has_two_attachments():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, TJunction, all_junctions
-from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute import router
 from msroute.metrics import summarize
 from msroute.routegraph import (
@@ -52,14 +52,12 @@ from test_floorplan import make_fp
 from test_routegraph import hand_state, host_segment
 
 
-def _pin(x, y, net_id=0, block_id=0):
-    return Pin(net_id=net_id, block_id=block_id, dx=0, dy=0, x=x, y=y)
+def _pin(x, y, block_id=0):
+    return Pin(block_id=block_id, dx=0, dy=0, x=x, y=y)
 
 
 def _net(points, net_id=0, name=None):
-    net = Net(id=net_id, name=name or f"n{net_id}", pins=[_pin(x, y, net_id) for x, y in points])
-    net.hpwl = compute_hpwl(net)
-    return net
+    return Net(id=net_id, name=name or f"n{net_id}", pins=[_pin(x, y) for x, y in points])
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +68,13 @@ def test_order_nets_hpwl_then_degree():
             _net([(0, 0), (5, 5)], 1),               # hpwl 10, degree 2
             _net([(0, 0), (12, 8)], 2)]              # hpwl 20, degree 2
     assert [n.id for n in order_nets(nets)] == [1, 0, 2]
+
+
+def test_order_nets_reads_each_nets_hpwl_from_its_pins():
+    nets = [Net(0, "far", [_pin(0, 0), _pin(12, 8)]),     # hpwl 20
+            Net(1, "near", [_pin(0, 0), _pin(1, 1)]),     # hpwl 2
+            Net(2, "mid", [_pin(0, 0), _pin(5, 5)])]      # hpwl 10
+    assert [n.id for n in order_nets(nets)] == [1, 2, 0]
 
 
 def test_order_nets_equal_keys_keep_id_order():
@@ -177,7 +182,7 @@ def test_decompose_breaks_length_ties_toward_the_smaller_pair(points, pairs):
 def _random_gsrg(rng, n_junctions, profile):
     """Random connected junction graph with random usage, plus 2 pins; returns
     the GSRG and the run holding the usage."""
-    junctions = [TJunction(id=i, x=float(i), y=0.0) for i in range(n_junctions)]
+    junctions = [TJunction(x=float(i), y=0.0) for i in range(n_junctions)]
     segments = []
 
     def add_seg(a, b):
@@ -253,7 +258,7 @@ def test_dijkstra_matches_path_enumeration():
 
 def test_dijkstra_single_edge():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(0, 0.0, 0.0), TJunction(1, 10.0, 0.0)]
+    junctions = [TJunction(0.0, 0.0), TJunction(10.0, 0.0)]
     seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1, r=1)
     state = hand_state([seg], profile, junctions)
     # off-wall escape distances so the traversal is strictly cheapest
@@ -269,7 +274,7 @@ def test_dijkstra_single_edge():
 
 def test_dijkstra_unreachable_sink():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(i, float(i), 0.0) for i in range(4)]
+    junctions = [TJunction(float(i), 0.0) for i in range(4)]
     segs = []
     for sid, (a, b) in enumerate([(0, 1), (2, 3)]):  # two disconnected edges
         segs.append(Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b, r=1))
@@ -343,7 +348,7 @@ def _grid_gsrg(rng, cols, rows, layers):
     ids = list(range(cols * rows))
     rng.shuffle(ids)
     at = {(c, r): ids[r * cols + c] for c in range(cols) for r in range(rows)}
-    junctions = sorted((TJunction(at[c, r], float(xs[c]), float(ys[r])) for c, r in at), key=lambda j: j.id)
+    junctions = [TJunction(float(xs[c]), float(ys[r])) for _, c, r in sorted((j, c, r) for (c, r), j in at.items())]
     segments = []
     for (c, r), j in sorted(at.items()):
         for dc, dr in ((1, 0), (0, 1)):
@@ -382,8 +387,8 @@ def test_astar_zero_length_segments_keep_dijkstra_predecessors():
     Junction 0 ties junction 2's distance only after 2 was reached from 1, so
     it must not become 2's predecessor: 2 -> 0 -> 2 would be a loop."""
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(0, 5.0, 0.0), TJunction(1, 5.0, 0.0), TJunction(2, 5.0, 0.0),
-                 TJunction(3, 6.0, 0.0), TJunction(4, 0.0, 0.0)]
+    junctions = [TJunction(5.0, 0.0), TJunction(5.0, 0.0), TJunction(5.0, 0.0),
+                 TJunction(6.0, 0.0), TJunction(0.0, 0.0)]
     segs = [Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=lo, hi=hi, j1=a, j2=b, r=1)
             for sid, (a, b, lo, hi) in enumerate([(4, 1, 0.0, 5.0), (1, 2, 5.0, 5.0), (2, 0, 5.0, 5.0),
                                                  (2, 3, 5.0, 6.0)])]
@@ -439,8 +444,8 @@ def _ring_fixture():
     on layer 3 and pays vias; the top route stays on layer 1.
     """
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-    junctions = [TJunction(0, 0.0, 0.0), TJunction(1, 0.0, 10.0),
-                 TJunction(2, 10.0, 10.0), TJunction(3, 10.0, 0.0)]
+    junctions = [TJunction(0.0, 0.0), TJunction(0.0, 10.0),
+                 TJunction(10.0, 10.0), TJunction(10.0, 0.0)]
     left = Segment(id=0, region_id=0, axis=Axis.V, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1)
     right = Segment(id=1, region_id=0, axis=Axis.V, fixed=10.0, lo=0.0, hi=10.0, j1=3, j2=2)
     bottom = Segment(id=2, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=3)
@@ -515,8 +520,8 @@ def test_identify_steiner_points_pure_chain_has_none():
 def with_capacities(region, r_of):
     """The region with each segment's r replaced by r_of(segment), its junction
     graph built again as RegionModel.build builds it."""
-    segments = [replace(seg, r=r_of(seg)) for seg in region.segments]
-    return replace(region, segments=segments, graph=build_junction_graph(segments, region.junctions))
+    segments = [replace(seg, r=r_of(seg)) for seg in region.graph.segments]
+    return replace(region, graph=build_junction_graph(segments, region.junctions))
 
 
 def _starved(seg):
@@ -527,17 +532,16 @@ def _t_mosaic_state(layers=1, bc_capacity=1):
     """A over B/C with one 3-pin net whose second pair crosses a full wall."""
     fp = make_fp([(0, 0, 1, 2), (1, 0, 1, 1), (1, 1, 1, 1)])
     net = Net(0, "n0", [
-        Pin(0, 0, 0.5, -0.75, 1.0, 0.25),   # on the A|B wall
-        Pin(0, 1, -0.5, 0.25, 1.0, 0.75),   # on the A|B wall
-        Pin(0, 2, 0.5, 0.0, 2.0, 1.5),      # near the B|C wall
+        Pin(0, 0.5, -0.75, 1.0, 0.25),   # on the A|B wall
+        Pin(1, -0.5, 0.25, 1.0, 0.75),   # on the A|B wall
+        Pin(2, 0.5, 0.0, 2.0, 1.5),      # near the B|C wall
     ])
-    net.hpwl = compute_hpwl(net)
     fp.nets.append(net)
     config = RunConfig(SearchDir.FWD, CapacityProfile(ProfileKind.UNIFORM, layers, LayerModel.UNRESERVED))
     region = RegionModel.build(fp)
-    ab = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 0.0)
-    ac = next(s for s in region.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 1.0)
-    bc = next(s for s in region.segments if s.axis is Axis.H and s.fixed == 1.0)
+    ab = next(s for s in region.graph.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 0.0)
+    ac = next(s for s in region.graph.segments if s.axis is Axis.V and s.fixed == 1.0 and s.lo == 1.0)
+    bc = next(s for s in region.graph.segments if s.axis is Axis.H and s.fixed == 1.0)
     r = {ab.id: 5, ac.id: 5, bc.id: bc_capacity}
     state = RoutingState.prepare(with_capacities(region, lambda seg: r.get(seg.id, 0)), config)
     state.charge(bc.id)  # an earlier net already uses the B|C wall
@@ -662,7 +666,7 @@ def test_route_all_stress_fails_some_but_never_over_capacity():
     run = route_all(state)
     statuses = {r.status for r in run.results}
     assert "FAILED" in statuses and "ROUTED" in statuses
-    for seg in state.region.segments:
+    for seg in state.region.graph.segments:
         if seg.r > 0:
             for layer in range(1, state.config.profile.layers + 1):
                 assert state.usage[seg.id].u[layer - 1] <= capacity_at(state.config.profile, seg.r, layer)
@@ -672,7 +676,7 @@ def test_routed_paths_are_connected_chains():
     fp = generate_random_floorplan(12, 40, 4, seed=5)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))
     region = run.state.region
-    segs = region.segments
+    segs = region.graph.segments
     for result, net in zip(run.results, region.fp.nets):
         if result.status != "ROUTED":
             continue
@@ -782,13 +786,13 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     region = RegionModel.build(fp)
     state = RoutingState.prepare(region, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
     jg, profile = region.graph, state.config.profile
-    for seg in region.segments:
+    for seg in region.graph.segments:
         assert state.usage[seg.id].cap == [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
                                            else 0 for l in range(1, layers + 1)]
     for net in order_nets(region.fp.nets):
         route_net(state, net)
         for sid in jg.usable:
-            seg, usage = region.segments[sid], state.usage[sid]
+            seg, usage = region.graph.segments[sid], state.usage[sid]
             # the layer rule from the profile itself, not from the capacity rows
             free = [l for l in range(usage.curr_layer, layers + 1)
                     if layer_permitted(profile, seg.axis, l) and usage.u[l - 1] < capacity_at(profile, seg.r, l)]
@@ -813,9 +817,9 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
 def test_runs_leave_the_region_unchanged(n, nets_per_block, seed, layers, first, second, balance):
     fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
     region = RegionModel.build(fp, balance=balance)
-    before = tree_text(region.tree), segments_csv(region.segments)
+    before = tree_text(region.tree), segments_csv(region.graph.segments)
     route_all(RoutingState.prepare(region, RunConfig.from_name(first, layers=layers)))
-    assert (tree_text(region.tree), segments_csv(region.segments)) == before
+    assert (tree_text(region.tree), segments_csv(region.graph.segments)) == before
     for (x, y), host in region.graph.hosts.items():
         assert host is host_segment(region.graph, x, y)
     config = RunConfig.from_name(second, layers=layers)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, enumerate_tjunctions
-from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan
+from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute.staircase import (
     BalanceMode,
     Segment,
@@ -145,10 +145,8 @@ def test_bipartition_matches_exhaustive_oracle():
 
 def test_bipartition_cut_nets_use_pin_presence():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    crossing = Net(0, "x", [Pin(0, 0, 0, 0, 0.5, 0.5), Pin(0, 1, 0, 0, 1.5, 0.5)])
-    crossing.hpwl = compute_hpwl(crossing)
-    local = Net(1, "l", [Pin(1, 0, 0, 0, 0.2, 0.2), Pin(1, 0, 0, 0, 0.8, 0.8)])
-    local.hpwl = compute_hpwl(local)
+    crossing = Net(0, "x", [Pin(0, 0, 0, 0.5, 0.5), Pin(1, 0, 0, 1.5, 0.5)])
+    local = Net(1, "l", [Pin(0, 0, 0, 0.2, 0.2), Pin(0, 0, 0, 0.8, 0.8)])
     cut = bipartition(build_bag(fp, Orientation.MIS), [crossing, local])
     assert cut.cut_nets == [0]
 
@@ -297,7 +295,7 @@ def test_segment_endpoints_are_junctions():
     pinwheels = [make_fp(pinwheel(1, 2, 1, 2, 3, 3)), make_fp(pinwheel(2, 5, 1, 4, 7, 6))]
     for fp in generated + pinwheels:
         _, junctions, segments = _prepared(fp)
-        pos = {j.id: (j.x, j.y) for j in junctions}
+        pos = [(j.x, j.y) for j in junctions]
         # extract_segments sorts its pieces as plain tuples, so none may tie on its sort key
         assert len({(s.axis, s.fixed, s.lo) for s in segments}) == len(segments)
         for s in segments:
@@ -315,8 +313,8 @@ def test_junction_incident_segments_degree():
     fp = generate_random_floorplan(10, 0, 2, seed=6)
     _, junctions, segments = _prepared(fp)
     degree = Counter(jid for s in segments for jid in (s.j1, s.j2))
-    for j in junctions:
-        assert degree[j.id] == (2 if j.on_boundary else 3)
+    for jid, j in enumerate(junctions):
+        assert degree[jid] == (2 if j.on_boundary else 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -336,7 +334,7 @@ def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance
         assert len(build_bag(fp, orientation).edges) == 3 * (n - 1) - b
     assert len(segments) == 3 * n + 1
     degree = Counter(jid for s in segments for jid in (s.j1, s.j2))
-    assert [degree[j.id] for j in junctions] == [2 if j.on_boundary else 3 for j in junctions]
+    assert [degree[jid] for jid in range(len(junctions))] == [2 if j.on_boundary else 3 for j in junctions]
     cut_walls = Counter(frozenset((e.src, e.dst)) for cut in tree.cuts for e in cut.cut_edges)
     assert all(count == 1 for count in cut_walls.values())
     assert set(cut_walls) == {frozenset((e.src, e.dst)) for e in tree.bags[Orientation.MIS].edges}
@@ -552,10 +550,8 @@ def _mosaics_with_nets(draw):
     rects = pinwheel(xa, xb, ya, yb, w, h)
     nets = []
     for net_id, blocks in enumerate(draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=6), max_size=12))):
-        pins = [Pin(net_id, b, 0.0, 0.0, rects[b][0] + rects[b][2] / 2, rects[b][1] + rects[b][3] / 2) for b in blocks]
-        net = Net(net_id, f"n{net_id}", pins)
-        net.hpwl = compute_hpwl(net)
-        nets.append(net)
+        pins = [Pin(b, 0.0, 0.0, rects[b][0] + rects[b][2] / 2, rects[b][1] + rects[b][3] / 2) for b in blocks]
+        nets.append(Net(net_id, f"n{net_id}", pins))
     return make_fp(rects, nets)
 
 

@@ -48,7 +48,7 @@ def answer_digests(sizes: list[int]):
             region = RegionModel.build(fp, balance)
             label = f"n={n} k={k} seed={SEED} {balance.value}"
             yield f"{label} msc_tree.txt", _digest(tree_text(region.tree))
-            yield f"{label} segments.csv", _digest(segments_csv(region.segments))
+            yield f"{label} segments.csv", _digest(segments_csv(region.graph.segments))
             yield f"{label} bag_mis.dot", _digest(region.tree.bags[Orientation.MIS].as_dot())
             yield f"{label} bag_mds.dot", _digest(region.tree.bags[Orientation.MDS].as_dot())
             if n >= ROUTE_BELOW:
