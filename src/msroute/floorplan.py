@@ -499,8 +499,10 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
         cy = (max(bi.y, bj.y) + min(bi.y2, bj.y2)) / 2
         violations.append(Violation("overlap", f"blocks {bi.name} and {bj.name} overlap", cx, cy))
 
-    area = float(np.sum((x2 - x1) * (y2 - y1)))
-    if abs(area - w * h) > tol * 2.0 * (w + h):
+    with np.errstate(over="ignore"):
+        area = float(np.sum((x2 - x1) * (y2 - y1)))
+    # an area that overflows to inf leaves a NaN difference, which fails too
+    if not abs(area - w * h) <= tol * 2.0 * (w + h):
         violations.append(Violation(
             "coverage", f"block area {area:.6f} != bounding area {w * h:.6f}", ox, oy))
 

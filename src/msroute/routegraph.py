@@ -1,11 +1,11 @@
 """The region model: the static routing graph every run of an instance reads.
 
 A `RegionModel` holds what depends only on the floorplan (with its nets,
-read from `region.fp.nets`) and the balance mode: the MSC tree, the
-junctions and the junction graph, whose `segments` (with their base
-capacity r) are the region's only segment list.  Build it once with
-`RegionModel.build`; every run configuration routes over the same region,
-and no run writes to it.
+read from `region.fp.nets`) and the balance mode: the MSC tree and the
+junction graph, whose `segments` (with their base capacity r) are the
+region's only segment list and whose `jx`/`jy` are the only junction
+coordinates.  Build it once with `RegionModel.build`; every run
+configuration routes over the same region, and no run writes to it.
 
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions; `JunctionGraph.usable` lists those segment
@@ -22,12 +22,13 @@ scale of the router's A* bound.
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
 run reads both once per distinct (r, axis) into a `capacity_row` (0 on
-layers the axis may not use), and each segment's `SegmentUsage` gets its
-own copy.  The layer rule reads only that row: a segment's effective layer
-is the first layer at or above its current layer with spare capacity, and
-`charge` lands a net there, so usage never exceeds capacity; the router
-undoes a charge by taking the unit off the landed layer and restoring
-`curr_layer`.  A run keeps one `SegmentUsage` per segment in its
+layers the axis may not use), which every segment with that (r, axis)
+shares.  The layer rule reads only that row: a segment's effective layer
+is the first layer at or above its current layer with spare capacity
+(every segment starts on layer 1, and a layer of capacity 0 is never
+spare), and `charge` lands a net there, so usage never exceeds capacity;
+the router undoes a charge by taking the unit off the landed layer and
+restoring `curr_layer`.  A run keeps one `SegmentUsage` per segment in its
 `router.RoutingState`.
 """
 
@@ -98,24 +99,16 @@ class SegmentUsage:
     """One segment's usage in one run."""
 
     sid: int
-    cap: list[int]       # capacity per layer, 0 where the segment's axis may not go
-    u: list[int]         # usage per layer
-    curr_layer: int      # layer of the last charge; never decreases
-
-    @classmethod
-    def fresh(cls, sid: int, row: tuple[tuple[int, ...], int]) -> "SegmentUsage":
-        """No usage yet, on the segment's `capacity_row`, of which it gets its own copy."""
-        cap, first = row
-        return cls(sid, list(cap), [0] * len(cap), first)
+    cap: tuple[int, ...]  # the shared `capacity_row` of the segment's (r, axis)
+    u: list[int]          # usage per layer
+    curr_layer: int = 1   # layer of the last charge; never decreases
 
 
-def capacity_row(profile: CapacityProfile, r: int, axis: Axis) -> tuple[tuple[int, ...], int]:
-    """Capacity per layer of a segment with base capacity r on this axis (0
-    where the axis may not go), and the first layer it may use (1 when none)."""
-    layers = range(1, profile.layers + 1)
-    cap = tuple(capacity_at(profile, r, l) if layer_permitted(profile, axis, l) else 0 for l in layers)
-    first = next((l for l in layers if layer_permitted(profile, axis, l)), 1)
-    return cap, first
+def capacity_row(profile: CapacityProfile, r: int, axis: Axis) -> tuple[int, ...]:
+    """Capacity per layer of a segment with base capacity r on this axis, 0
+    where the axis may not go."""
+    return tuple(capacity_at(profile, r, l) if layer_permitted(profile, axis, l) else 0
+                 for l in range(1, profile.layers + 1))
 
 
 def effective_layer(usage: SegmentUsage) -> int | None:
@@ -289,7 +282,6 @@ class RegionModel:
     fp: Floorplan
     balance: BalanceMode
     tree: MscTree
-    junctions: list[TJunction]
     graph: JunctionGraph      # its segments are indexed by id, base capacity r set
 
     @classmethod
@@ -305,4 +297,4 @@ class RegionModel:
             "junction graph: %d nodes, %d usable edges (3n-7 = %d)",
             len(graph.adj), len(graph.usable), 3 * n - 7,
         )
-        return cls(fp=fp, balance=balance, tree=tree, junctions=junctions, graph=graph)
+        return cls(fp=fp, balance=balance, tree=tree, graph=graph)

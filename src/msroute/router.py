@@ -133,13 +133,13 @@ class RoutingState:
     @classmethod
     def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
         n = len(region.graph.segments)
-        rows = {}  # (r, axis) -> its capacity_row, built once
+        rows = {}  # (r, axis) -> its capacity_row, built once and shared
         usage = []
         for seg in region.graph.segments:
-            row = rows.get((seg.r, seg.axis))
-            if row is None:
-                row = rows[seg.r, seg.axis] = capacity_row(config.profile, seg.r, seg.axis)
-            usage.append(SegmentUsage.fresh(seg.id, row))
+            cap = rows.get((seg.r, seg.axis))
+            if cap is None:
+                cap = rows[seg.r, seg.axis] = capacity_row(config.profile, seg.r, seg.axis)
+            usage.append(SegmentUsage(seg.id, cap, [0] * len(cap)))
         state = cls(region=region, config=config, usage=usage,
                     weight=[UNUSABLE] * n, penalty=[UNUSABLE] * n)
         for sid in range(n):

@@ -7,11 +7,14 @@ import sys
 from pathlib import Path
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "answer_digests.py"
+#: the tool's full output (`python3 tools/answer_digests.py > tests/data/answer_digests.txt`);
+#: an intended answer change shows up as a diff of this file
+_ANSWERS = Path(__file__).resolve().parent / "data" / "answer_digests.txt"
 
 
-def _run(hash_seed):
+def _run(hash_seed, sizes="6"):
     env = {**os.environ, "PYTHONHASHSEED": hash_seed}
-    done = subprocess.run([sys.executable, str(_TOOL), "--sizes", "6"],
+    done = subprocess.run([sys.executable, str(_TOOL), "--sizes", sizes],
                           capture_output=True, text=True, env=env, check=True, timeout=120)
     return done.stdout
 
@@ -24,3 +27,11 @@ def test_two_runs_print_the_same_digests():
     # at M=2 and 4 and FCN and BCH at M=8
     assert len(lines) == 2 * (4 + 14 * 2)
     assert all(re.fullmatch(r"[0-9a-f]{64}  n=\d+ k=\d+ seed=1000 (NUMBER|AREA) .+", line) for line in lines)
+
+
+def test_answers_equal_the_committed_file():
+    # n = 40 and 120 cover every routed configuration in a few seconds; the
+    # file's n = 300 and 1200 lines are checked by running the tool by hand
+    committed = [line for line in _ANSWERS.read_text().splitlines() if line.split()[1] in ("n=40", "n=120")]
+    assert len(committed) == 128
+    assert _run("0", sizes="40,120").splitlines() == committed

@@ -108,9 +108,9 @@ _TWO_BLOCKS = {
 }
 
 
-def _route_files(tmp_path, **texts):
+def _route_files(tmp_path, command="route", **texts):
     files = {**_TWO_BLOCKS, **texts}
-    args = ["route"]
+    args = [command]
     for ext, text in files.items():
         (tmp_path / f"in.{ext}").write_text(text)
         args += [f"--{ext}", str(tmp_path / f"in.{ext}")]
@@ -150,6 +150,14 @@ def test_blocks_line_whose_points_are_not_corners_exits_one_naming_the_line(tmp_
     assert _route_files(tmp_path, blocks=blocks) == 1
     assert capsys.readouterr().err.startswith("error: line 2: the points of block 'b' are not")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["route", "dump-graph"])
+def test_coverage_gap_whose_areas_overflow_exits_one(tmp_path, capsys, command):
+    # two 1e200-wide squares with a 1e200 gap between them: both areas are inf
+    square = "hardrectilinear 4 (0,0) (0,1e200) (1e200,1e200) (1e200,0)"
+    assert _route_files(tmp_path, command, blocks=f"a {square}\nb {square}\n", pl="a 0 0\nb 2e200 0\n") == 1
+    assert capsys.readouterr().err.startswith("error: invalid floorplan: block area inf != bounding area inf")
 
 
 def test_route_incomplete_file_triple_exits_one(tmp_path):

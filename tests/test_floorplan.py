@@ -460,6 +460,14 @@ def test_validate_coverage_gap():
     assert "coverage" in report.kinds()
 
 
+def test_validate_coverage_gap_whose_areas_overflow():
+    # both areas are inf, so their difference is NaN: still a coverage gap
+    fp = make_fp([(0, 0, 1e200, 1e200), (2e200, 0, 1e200, 1e200)])
+    report = validate_floorplan(fp)
+    assert not report.passed
+    assert report.kinds() == {"coverage"}
+
+
 def test_validate_violations_carry_coordinates():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)])
     report = validate_floorplan(fp)

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from msroute.adjacency import BagEdge, Orientation, Span, TJunction
+from msroute.adjacency import BagEdge, Orientation, Span, TJunction, all_junctions
 from msroute.floorplan import Block, Net, Pin, generate_random_floorplan, load_floorplan, save_floorplan
 from msroute.metrics import summarize, write_report
 from msroute.routegraph import PinAttachment, RegionModel, SegmentUsage, build_gsrg, junction_graph_csv
@@ -79,7 +79,7 @@ def instances():
     return {
         Span: region.tree.cuts[0].cut_edges[0].span,
         BagEdge: region.tree.cuts[0].cut_edges[0],
-        TJunction: region.junctions[0],
+        TJunction: all_junctions(fp)[0],
         Block: fp.blocks[0],
         Pin: fp.nets[0].pins[0],
         Net: fp.nets[0],

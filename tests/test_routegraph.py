@@ -41,7 +41,7 @@ def hand_state(segments, profile, junctions=None, search=SearchDir.FWD):
         n = 1 + max(max(seg.j1, seg.j2) for seg in segments)
         junctions = [TJunction(float(i), 0.0) for i in range(n)]
     region = RegionModel(fp=None, balance=BalanceMode.NUMBER, tree=None,
-                         junctions=junctions, graph=build_junction_graph(segments, junctions))
+                         graph=build_junction_graph(segments, junctions))
     return RoutingState.prepare(region, RunConfig(search, profile))
 
 
@@ -180,8 +180,8 @@ def test_advance_layer_requires_saturation():
 def test_reserved_vertical_segments_start_on_layer_two():
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
     state = hand_state([make_seg(axis=Axis.V, r=1)], profile)
-    assert state.usage[0].curr_layer == 2
     assert effective_layer(state.usage[0]) == 2
+    assert state.charge(0) == 2
 
 
 def test_reserved_vertical_with_single_layer_is_unusable():
@@ -213,7 +213,7 @@ def test_charge_weight_reflects_next_free_layer():
 def test_capacity_table_reads_the_profile_and_layer_model():
     profile = CapacityProfile(ProfileKind.LADDER, 6, LayerModel.RESERVED_HV)
     state = hand_state([make_seg(0, Axis.H, r=8), make_seg(1, Axis.V, r=8), make_seg(2, r=0)], profile)
-    assert [usage.cap for usage in state.usage] == [[8, 0, 4, 0, 2, 0], [0, 8, 0, 4, 0, 2], [0] * 6]
+    assert [usage.cap for usage in state.usage] == [(8, 0, 4, 0, 2, 0), (0, 8, 0, 4, 0, 2), (0,) * 6]
 
 
 def test_prepare_builds_one_capacity_row_per_r_and_axis(monkeypatch):
@@ -223,9 +223,9 @@ def test_prepare_builds_one_capacity_row_per_r_and_axis(monkeypatch):
                 for i, (axis, r) in enumerate([(Axis.H, 3), (Axis.V, 3), (Axis.H, 3), (Axis.H, 5), (Axis.V, 3)])]
     state = hand_state(segments, CapacityProfile(ProfileKind.HYPERBOLIC, 4))
     assert rows == [(3, Axis.H), (3, Axis.V), (5, Axis.H)]
-    assert state.usage[0].cap == state.usage[2].cap == [3, 0, 1, 0]
-    state.usage[0].cap[0] = 0
-    assert state.usage[2].cap == [3, 0, 1, 0]  # every usage owns its row
+    assert state.usage[0].cap == (3, 0, 1, 0)
+    assert state.usage[0].cap is state.usage[2].cap  # equal (r, axis) share one row
+    assert state.usage[1].cap is state.usage[4].cap
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_junction_graph_two_blocks():
 def test_junction_graph_node_count_matches_junctions():
     fp = generate_random_floorplan(10, 0, 2, seed=2)
     region = _prepared(fp).region
-    assert len(region.graph.adj) == len(region.junctions) == (2 * 10 - 2) + 4
+    assert len(region.graph.adj) == len(all_junctions(fp)) == (2 * 10 - 2) + 4
     assert region.graph.usable == [seg.id for seg in region.graph.segments if seg.r > 0]
 
 

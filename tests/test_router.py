@@ -521,7 +521,7 @@ def with_capacities(region, r_of):
     """The region with each segment's r replaced by r_of(segment), its junction
     graph built again as RegionModel.build builds it."""
     segments = [replace(seg, r=r_of(seg)) for seg in region.graph.segments]
-    return replace(region, graph=build_junction_graph(segments, region.junctions))
+    return replace(region, graph=build_junction_graph(segments, all_junctions(region.fp)))
 
 
 def _starved(seg):
@@ -787,8 +787,8 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     state = RoutingState.prepare(region, RunConfig.from_name(name, layers=layers, layer_model=layer_model))
     jg, profile = region.graph, state.config.profile
     for seg in region.graph.segments:
-        assert state.usage[seg.id].cap == [capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
-                                           else 0 for l in range(1, layers + 1)]
+        assert state.usage[seg.id].cap == tuple(capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
+                                                else 0 for l in range(1, layers + 1))
     for net in order_nets(region.fp.nets):
         route_net(state, net)
         for sid in jg.usable:
