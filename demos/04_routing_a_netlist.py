@@ -46,9 +46,9 @@ for path in result.paths[:2]:
           f"layers {path.layers}")
 
 section("Congestion after routing")
-snap = msr.snapshot(run.state)
-print(f"max normalized usage p = {snap.max():.3f} over {snap.shape[0]} usable segments "
-      f"x {snap.shape[1]} layers (never exceeds 1.0)")
+snap = msr.snapshot(run.state)  # a row per usable segment, an entry per layer
+print(f"max normalized usage p = {max(max(row) for row in snap):.3f} over {len(snap)} usable segments "
+      f"x {len(snap[0])} layers (never exceeds 1.0)")
 print(f"wACE4 per layer: "
       f"{[round(w, 3) for w in report.congestion['wace4_per_layer']]}")
 print(f"max-layer wACE4 = {report.congestion['wace4_max']:.4f}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import GeometryError
 from .floorplan import Floorplan, corner_counts
 
@@ -112,14 +110,10 @@ def _touching_pairs(near: list[float], far: list[float], lo: list[float], hi: li
     return pairs
 
 
-def _shared_spans(axis: Axis, pairs, fixed: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[tuple[int, int, Span]]:
+def _shared_spans(axis: Axis, pairs, fixed: list[float], lo: list[float], hi: list[float]) -> list[tuple[int, int, Span]]:
     """(i, j, Span) per pair: the wall at fixed[i] covering the overlap of
     [lo, hi] of i and j."""
-    if not pairs:
-        return []
-    i, j = np.array(pairs).T
-    spans = zip(fixed[i].tolist(), np.maximum(lo[i], lo[j]).tolist(), np.minimum(hi[i], hi[j]).tolist())
-    return [(a, b, Span(axis, f, s, e)) for a, b, (f, s, e) in zip(i.tolist(), j.tolist(), spans)]
+    return [(i, j, Span(axis, fixed[i], max(lo[i], lo[j]), min(hi[i], hi[j]))) for i, j in pairs]
 
 
 def _adjacent_pairs(fp: Floorplan):
@@ -129,9 +123,8 @@ def _adjacent_pairs(fp: Floorplan):
     """
     if fp._walls is None:
         x1, y1, x2, y2, _ = fp.snapped_rects()
-        lx1, ly1, lx2, ly2 = x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist()
-        horiz = _shared_spans(Axis.V, _touching_pairs(lx2, lx1, ly1, ly2), x2, y1, y2)  # i left of j
-        vert = _shared_spans(Axis.H, _touching_pairs(ly1, ly2, lx1, lx2), y1, x1, x2)   # i above j
+        horiz = _shared_spans(Axis.V, _touching_pairs(x2, x1, y1, y2), x2, y1, y2)  # i left of j
+        vert = _shared_spans(Axis.H, _touching_pairs(y1, y2, x1, x2), y1, x1, x2)   # i above j
         fp._walls = (horiz, vert)
     return fp._walls
 

@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InvalidNetError, ParseError, ValidationError
 
@@ -142,7 +139,7 @@ class Floorplan:
         return self._validation
 
     def snapped_rects(self):
-        """Block rectangles (x1, y1, x2, y2 arrays) with near-equal wall
+        """Block rectangles (x1, y1, x2, y2 lists) with near-equal wall
         coordinates snapped to a shared value, plus the snapped bounding box.
 
         Downstream geometry (adjacency, junctions, segments) compares these
@@ -150,31 +147,61 @@ class Floorplan:
         """
         if self._snapped is None:
             n = len(self.blocks)
-            x1 = np.array([b.x for b in self.blocks], dtype=float)
-            y1 = np.array([b.y for b in self.blocks], dtype=float)
-            x2 = np.array([b.x2 for b in self.blocks], dtype=float)
-            y2 = np.array([b.y2 for b in self.blocks], dtype=float)
-            bx = np.array([self.origin[0], self.origin[0] + self.width])
-            by = np.array([self.origin[1], self.origin[1] + self.height])
-            xs = _cluster_snap(np.concatenate([x1, x2, bx]), self.tol)
-            ys = _cluster_snap(np.concatenate([y1, y2, by]), self.tol)
-            self._snapped = (
-                xs[:n], ys[:n], xs[n:2 * n], ys[n:2 * n],
-                (float(xs[2 * n]), float(ys[2 * n]), float(xs[2 * n + 1]), float(ys[2 * n + 1])),
-            )
+            (ox, oy), blocks = self.origin, self.blocks
+            xs = _cluster_snap([b.x for b in blocks] + [b.x2 for b in blocks] + [ox, ox + self.width],
+                               self.tol)
+            ys = _cluster_snap([b.y for b in blocks] + [b.y2 for b in blocks] + [oy, oy + self.height],
+                               self.tol)
+            self._snapped = (xs[:n], ys[:n], xs[n:2 * n], ys[n:2 * n], (xs[2 * n], ys[2 * n], xs[-1], ys[-1]))
         return self._snapped
 
 
-def _cluster_snap(values: np.ndarray, tol: float) -> np.ndarray:
+def pairwise_sum(values: list[float]) -> float:
+    """0.0 plus the pairwise float sum of the values: bit for bit the sum a
+    float64 `add.reduce` gives.  A run of fewer than 8 values is added in
+    sequence; a run of up to 128 goes into 8 interleaved accumulators,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then its remainder
+    in sequence; a longer run splits at half its length rounded down to a
+    multiple of 8.  An explicit loop, as `sum` is compensated from Python
+    3.12 on."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(values: list[float], start: int, n: int) -> float:
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
+    if n < 8:
+        return _in_sequence(values[start:start + n])
+    end = start + n - n % 8
+    r = [_in_sequence(values[i + 8:end:8], values[i]) for i in range(start, start + 8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return _in_sequence(values[end:start + n], total)
+
+
+def _in_sequence(values: list[float], total: float = 0.0) -> float:
+    for v in values:
+        total += v
+    return total
+
+
+def mean(values: list[float]) -> float:
+    """`pairwise_sum` over the count: bit for bit a float64 `mean`."""
+    return pairwise_sum(values) / len(values)
+
+
+def _cluster_snap(values: list[float], tol: float) -> list[float]:
     """Snap 1-D coordinates to their cluster mean (clusters split on gaps > tol)."""
-    if len(values) == 0:
-        return values
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cuts = np.flatnonzero(np.diff(sv) > tol) + 1
-    starts, ends = np.r_[0, cuts], np.r_[cuts, len(sv)]
-    res = np.empty_like(values)
-    res[order] = np.repeat([sv[a:b].mean() for a, b in zip(starts, ends)], ends - starts)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    res = [0.0] * len(values)
+    start = 0
+    for end in range(1, len(order) + 1):
+        if end == len(order) or values[order[end]] - values[order[end - 1]] > tol:
+            cluster = order[start:end]
+            centre = mean([values[i] for i in cluster])
+            for i in cluster:
+                res[i] = centre
+            start = end
     return res
 
 
@@ -250,6 +277,8 @@ def parse_pl(text: str, blocks: list[Block]) -> list[Block]:
         if name in placed:
             raise ParseError(f"duplicate placement for block {name!r}", lineno)
         block.x, block.y = _numbers(tokens[1:3], "coordinates", line, lineno)
+        if not (math.isfinite(block.x2) and math.isfinite(block.y2)):
+            raise ParseError(f"block {name!r} has its far corner beyond the float range in {line!r}", lineno)
         block.placed = True
         placed.add(name)
     missing = [b.name for b in blocks if b.name not in placed]
@@ -303,9 +332,16 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
             raise ParseError(f"pin offset needs both dx and dy in {line!r}", lineno)
         dx = dy = 0.0
         if len(tokens) > 3:
-            dx, dy = _numbers([t.lstrip("%") for t in tokens[2:4]], "pin offset", line, lineno)
+            try:
+                dx, dy = float(tokens[2].lstrip("%")), float(tokens[3].lstrip("%"))
+            except ValueError:
+                dx = math.nan
+            if not (math.isfinite(dx) and math.isfinite(dy)):  # `_numbers` names the fault
+                dx, dy = _numbers([t.lstrip("%") for t in tokens[2:4]], "pin offset", line, lineno)
         bid, cx, cy, x1, y1, x2, y2 = frame
-        pins.append(Pin(bid, dx, dy, min(max(cx + dx, x1), x2), min(max(cy + dy, y1), y2)))
+        x, y = cx + dx, cy + dy
+        pins.append(Pin(bid, dx, dy, x1 if x < x1 else x2 if x > x2 else x,
+                        y1 if y < y1 else y2 if y > y2 else y))
         if len(pins) == degree:
             nets.append(Net(id=len(nets), name=name, pins=pins))
             degree = 0
@@ -325,6 +361,8 @@ def parse_floorplan(blocks_text: str, pl_text: str, nets_text: str) -> Floorplan
     y0 = min(b.y for b in blocks)
     w = max(b.x2 for b in blocks) - x0
     h = max(b.y2 for b in blocks) - y0
+    if not (math.isfinite(w) and math.isfinite(h)):
+        raise ParseError(f"the blocks span {w} x {h}, beyond the float range")
     return Floorplan(origin=(x0, y0), width=w, height=h, blocks=blocks, nets=nets)
 
 
@@ -419,15 +457,11 @@ def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
     if fp._corners is None:
         x1, y1, x2, y2, _ = fp.snapped_rects()
         fp._corners = Counter(
-            (float(cx), float(cy))
+            corner
             for i in range(len(fp.blocks))
-            for cx, cy in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
+            for corner in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
         )
     return fp._corners
-
-
-#: candidate pairs the overlap sweep gathers before checking them with numpy
-_OVERLAP_BATCH = 4096
 
 
 def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
@@ -437,37 +471,23 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
     An x-sweep: rectangles open in x1 order, and each one is a candidate
     pair with every rectangle still open.  An open rectangle closes (a heap on
     x2) once its x2 - x1 of the opening one is at most tol, as it then
-    overlaps no later one by more than tol.  The candidates are checked with
-    the expressions above in numpy batches, so memory stays linear in n.
+    overlaps no later one by more than tol.  Every open rectangle thus
+    reaches past the opening one's x1 + tol and starts no later, so their x
+    overlap exceeds tol exactly when the opening one's own x2 - x1 does, and
+    only the y overlap is left to check.  Memory stays linear in n.
     """
-    lx1, lx2 = x1.tolist(), x2.tolist()
     closing: list[tuple[float, int]] = []   # (x2, id) of the open rectangles
     open_: dict[int, None] = {}             # open ids, in opening order
-    older: list[int] = []
-    newer: list[int] = []
     found: list[tuple[int, int]] = []
-
-    def check():
-        a, b = np.array(older, dtype=np.intp), np.array(newer, dtype=np.intp)
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        ovx = np.minimum(x2[i], x2[j]) - np.maximum(x1[i], x1[j])
-        ovy = np.minimum(y2[i], y2[j]) - np.maximum(y1[i], y1[j])
-        hit = (ovx > tol) & (ovy > tol)
-        found.extend(zip(i[hit].tolist(), j[hit].tolist()))
-        older.clear()
-        newer.clear()
-
-    for b in np.argsort(x1, kind="stable").tolist():
-        start = lx1[b]
+    for b in sorted(range(len(x1)), key=x1.__getitem__):
+        start = x1[b]
         while closing and closing[0][0] - start <= tol:
             del open_[heapq.heappop(closing)[1]]
-        older.extend(open_)
-        newer.extend(itertools.repeat(b, len(open_)))
-        if len(older) >= _OVERLAP_BATCH:
-            check()
+        if x2[b] - start > tol:
+            lo, hi = y1[b], y2[b]
+            found.extend((a, b) if a < b else (b, a) for a in open_ if min(y2[a], hi) - max(y1[a], lo) > tol)
         open_[b] = None
-        heapq.heappush(closing, (lx2[b], b))
-    check()
+        heapq.heappush(closing, (x2[b], b))
     found.sort()
     return found
 
@@ -478,29 +498,27 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
     not exceptions."""
     violations: list[Violation] = []
     tol = fp.tol
-    n = len(fp.blocks)
-    if n == 0:
+    blocks = fp.blocks
+    if not blocks:
         return ValidationReport(True, [])
 
-    x1 = np.array([b.x for b in fp.blocks])
-    y1 = np.array([b.y for b in fp.blocks])
-    x2 = np.array([b.x2 for b in fp.blocks])
-    y2 = np.array([b.y2 for b in fp.blocks])
+    x1 = [b.x for b in blocks]
+    y1 = [b.y for b in blocks]
+    x2 = [b.x2 for b in blocks]
+    y2 = [b.y2 for b in blocks]
     (ox, oy), w, h = fp.origin, fp.width, fp.height
 
-    outside = (x1 < ox - tol) | (y1 < oy - tol) | (x2 > ox + w + tol) | (y2 > oy + h + tol)
-    for i in np.flatnonzero(outside):
-        b = fp.blocks[i]
-        violations.append(Violation("outside", f"block {b.name} exceeds the bounding rectangle", b.x, b.y))
+    for b in blocks:
+        if b.x < ox - tol or b.y < oy - tol or b.x2 > ox + w + tol or b.y2 > oy + h + tol:
+            violations.append(Violation("outside", f"block {b.name} exceeds the bounding rectangle", b.x, b.y))
 
     for i, j in _overlapping_pairs(x1, y1, x2, y2, tol):
-        bi, bj = fp.blocks[i], fp.blocks[j]
+        bi, bj = blocks[i], blocks[j]
         cx = (max(bi.x, bj.x) + min(bi.x2, bj.x2)) / 2
         cy = (max(bi.y, bj.y) + min(bi.y2, bj.y2)) / 2
         violations.append(Violation("overlap", f"blocks {bi.name} and {bj.name} overlap", cx, cy))
 
-    with np.errstate(over="ignore"):
-        area = float(np.sum((x2 - x1) * (y2 - y1)))
+    area = pairwise_sum([(b.x2 - b.x) * (b.y2 - b.y) for b in blocks])
     # an area that overflows to inf leaves a NaN difference, which fails too
     if not abs(area - w * h) <= tol * 2.0 * (w + h):
         violations.append(Violation(

@@ -4,8 +4,8 @@ ACE(x%) is the mean normalized usage over the ceil(x% * N) most congested
 segment-layer entries; wACE4 averages ACE at x = 0.5, 1, 2 and 5 with equal
 weights.  The population contains one entry per (usable segment, layer), so
 an entry's p = u / capacity is always in [0, 1] once routing finished.
-`snapshot` holds it as one array, a row per usable segment and a column per
-layer; a layer's metrics read its column, the overall ones the whole array.
+`snapshot` holds it as rows, one per usable segment with an entry per
+layer; a layer's metrics read its column, the overall ones every entry.
 """
 
 from __future__ import annotations
@@ -17,33 +17,30 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import MetricError
-from .floorplan import compute_hpwl, instance_hash
+from .floorplan import compute_hpwl, instance_hash, mean
 from .router import RouteRun, RoutingState
 
 
-def snapshot(state: RoutingState) -> np.ndarray:
+def snapshot(state: RoutingState) -> list[list[float]]:
     """u / capacity per usable segment (rows, in `JunctionGraph.usable` order)
-    and layer (column layer - 1); 0 where the axis may not go."""
-    usable = [state.usage[sid] for sid in state.region.graph.usable]
-    shape = (len(usable), state.config.profile.layers)
-    u = np.array([usage.u for usage in usable], dtype=float).reshape(shape)
-    cap = np.array([usage.cap for usage in usable], dtype=float).reshape(shape)
-    return np.divide(u, cap, out=np.zeros(shape), where=cap > 0)
+    and layer (entry layer - 1); 0 where the axis may not go."""
+    rows = []
+    for sid in state.region.graph.usable:
+        usage = state.usage[sid]
+        rows.append([u / cap if cap > 0 else 0.0 for u, cap in zip(usage.u, usage.cap)])
+    return rows
 
 
 def ace(x_percent: float, values) -> float:
-    """Mean p over the ceil(x% * N) most congested entries of an array-like of any shape."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
+    """Mean p over the ceil(x% * N) most congested of N values."""
+    values = sorted(values)
+    if not values:
         raise MetricError("ACE undefined for an empty congestion snapshot")
     if not 0 < x_percent <= 100:
         raise MetricError(f"ACE percentage {x_percent} outside (0, 100]")
-    k = math.ceil(x_percent / 100.0 * values.size)
-    top = np.sort(values, axis=None)[-k:]
-    return float(top.mean())
+    k = math.ceil(x_percent / 100.0 * len(values))
+    return mean(values[-k:])
 
 
 def wace4(values) -> float:
@@ -155,13 +152,14 @@ def summarize(run: RouteRun) -> RouteReport:
     }
 
     snap = snapshot(state)
-    if snap.size:
-        per_layer = [wace4(p) for p in snap.T]
+    if snap:
+        per_layer = [wace4(p) for p in zip(*snap)]
+        entries = [p for row in snap for p in row]
         congestion = {
             "wace4_per_layer": per_layer,
             "wace4_max": max(per_layer),
-            "wace4_all": wace4(snap),
-            "max_usage": float(snap.max()),
+            "wace4_all": wace4(entries),
+            "max_usage": max(entries),
         }
     else:
         congestion = {"wace4_per_layer": [], "wace4_max": None, "wace4_all": None, "max_usage": 0.0}

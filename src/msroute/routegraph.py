@@ -34,12 +34,13 @@ restoring `curr_layer`.  A run keeps one `SegmentUsage` per segment in its
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from operator import itemgetter
 
 from .adjacency import Axis, TJunction, all_junctions
 from .errors import InternalError, PinHostError
@@ -150,37 +151,69 @@ class JunctionGraph:
     jy: list[float]
     kappa: float                             # min(1, length / L1 of its junctions), shrunk
     hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
-    host_index: tuple[np.ndarray, np.ndarray] | None = None  # usable ids; (is V, fixed, lo, hi) rows
+    host_index: dict[Axis, tuple[list[float], list[Segment]]] | None = None  # usable walls by fixed
 
     def host(self, x: float, y: float) -> Segment:
         """Nearest usable segment by Euclidean point-to-wall distance, memoised
         per pin coordinate.  Walking the segments in id order, one replaces the
-        best so far when nearer by more than 1e-12.  numpy prices them all at
-        once; the walk then visits only those up to a cut that no other comes
-        within 1e-9 (relative) of, so it ends where the full walk would."""
+        best so far when nearer by more than 1e-12.  The walk visits only those
+        up to a cut that no other comes within 1e-9 (relative) of, so it ends
+        where the full walk would.  Each axis keeps its usable walls sorted by
+        their fixed coordinate, and the walls are met outward from the pin,
+        smallest perpendicular gap first; a wall is no nearer than its gap, so
+        the walls stop once the gap passes the cut's 1e-9 reach."""
         seg = self.hosts.get((x, y))
         if seg is not None:
             return seg
         if self.host_index is None:
-            usable = [self.segments[sid] for sid in self.usable]
-            rows = [(s.axis is Axis.V, s.fixed, s.lo, s.hi) for s in usable]
-            self.host_index = (np.array([s.id for s in usable], dtype=np.int64),
-                               np.array(rows, dtype=float).reshape(-1, 4).T)
-        ids, (vertical, fixed, lo, hi) = self.host_index
-        if not ids.size:
+            self.host_index = {}
+            for axis in Axis:
+                walls = sorted((s for s in map(self.segments.__getitem__, self.usable) if s.axis is axis),
+                               key=lambda s: s.fixed)
+                self.host_index[axis] = ([s.fixed for s in walls], walls)
+        if not self.usable:
             raise PinHostError("no usable segment to host the pin")
-        along = np.where(vertical, y, x)
-        dist = np.hypot(np.where(vertical, x, y) - fixed, np.maximum(np.maximum(lo - along, along - hi), 0.0))
-        cut = dist.min()
-        while (near := dist[(dist > cut) & (dist <= cut + 1e-9 * (1.0 + cut))]).size:
-            cut = near.max()
+        seen: list[tuple[float, Segment]] = []  # (distance, wall) of the walls met
+        cut = reach = math.inf
+        for gap, wall in heapq.merge(_outward(*self.host_index[Axis.V], x),
+                                     _outward(*self.host_index[Axis.H], y), key=itemgetter(0)):
+            if gap > reach:
+                break
+            d = _point_interval_dist(wall, x, y)
+            seen.append((d, wall))
+            if d <= reach:
+                cut = _cut(sorted(dist for dist, _ in seen))
+                reach = cut + 1e-9 * (1.0 + cut)
         best_d = math.inf
-        for sid in ids[dist <= cut].tolist():
-            d = _point_interval_dist(self.segments[sid], x, y)
+        for d, wall in sorted((item for item in seen if item[0] <= cut), key=lambda item: item[1].id):
             if d < best_d - 1e-12:
-                seg, best_d = self.segments[sid], d
+                seg, best_d = wall, d
         self.hosts[(x, y)] = seg
         return seg
+
+
+def _outward(fixed: list[float], walls: list[Segment], p: float):
+    """One axis's walls, sorted by `fixed`, as (|p - fixed|, wall), smallest first."""
+    right = bisect.bisect_left(fixed, p)
+    left = right - 1
+    while left >= 0 or right < len(fixed):
+        if right == len(fixed) or (left >= 0 and p - fixed[left] <= fixed[right] - p):
+            yield p - fixed[left], walls[left]
+            left -= 1
+        else:
+            yield fixed[right] - p, walls[right]
+            right += 1
+
+
+def _cut(dists: list[float]) -> float:
+    """The largest of the sorted distances reached from the first in steps
+    of at most 1e-9 (relative)."""
+    cut = dists[0]
+    for d in dists:
+        if d > cut + 1e-9 * (1.0 + cut):
+            break
+        cut = d
+    return cut
 
 
 def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:

@@ -28,8 +28,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from operator import itemgetter
 
 from .adjacency import Axis, Bag, BagEdge, Orientation, Span, build_bag
 from .errors import GeometryError, InternalError
@@ -360,58 +359,41 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     ]
 
 
-def _prefix_below(ranks: np.ndarray, m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per query j, how many of ranks[:m[j]] are below t[j] (ranks in [0, k)).
+def _touching(walls: list[tuple[float, float, float]], boxes: list[tuple[float, float, float, float]],
+              tol: float) -> list[int]:
+    """Per wall (fixed, lo, hi), how many boxes (f1, p1, f2, p2) touch it:
+    f1 - tol <= fixed <= f2 + tol and max(lo, p1) <= min(hi, p2) + tol.
 
-    The prefix [0, m) is the union of one aligned block per set bit of m: at
-    block size 2**L, block m // 2**L - 1 when that quotient is odd.  Each
-    level sorts its blocks' ranks once, keyed by block, and answers every
-    query with one searchsorted: O((k + queries) log k) in all.
+    A sweep along `fixed`.  A box is active at a wall once f1 - tol <= fixed
+    (it has opened) and until f2 + tol < fixed (it has closed); every closed
+    box has opened.  Rounding is monotone, so the span test is exactly
+    lo <= p2 + tol and p1 <= hi + tol, and with lo <= hi and p1 <= p2 no box
+    fails both.  A wall's count is thus the active boxes with p1 <= hi + tol
+    less the active ones with p2 + tol < lo: one bisection each of the active
+    boxes' p1 and p2 + tol, kept sorted.
     """
-    k = len(ranks)
-    counts = np.zeros(len(m), dtype=np.int64)
-    pos = np.arange(k)
-    size = 1
-    while size <= k:
-        keyed = np.sort(pos // size * k + ranks)
-        block = m // size - 1
-        take = block % 2 == 0
-        block = block[take]
-        counts[take] += np.searchsorted(keyed, block * k + t[take]) - block * size
-        size *= 2
+    by_opening = sorted(boxes)
+    by_closing = sorted(boxes, key=itemgetter(2))
+    opening = [f1 - tol for f1, _, _, _ in by_opening]   # rounding is monotone: both stay sorted
+    closing = [f2 + tol for _, _, f2, _ in by_closing]
+    starts: list[float] = []  # p1 of the active boxes, sorted
+    ends: list[float] = []    # p2 + tol of the active boxes, sorted
+    counts = [0] * len(walls)
+    opened = closed = 0
+    for w in sorted(range(len(walls)), key=walls.__getitem__):
+        fixed, lo, hi = walls[w]
+        upto = bisect.bisect_right(opening, fixed, opened)
+        for _, p1, _, p2 in by_opening[opened:upto]:
+            bisect.insort(starts, p1)
+            bisect.insort(ends, p2 + tol)
+        opened = upto
+        upto = bisect.bisect_left(closing, fixed, closed)
+        for _, p1, _, p2 in by_closing[closed:upto]:
+            del starts[bisect.bisect_left(starts, p1)]
+            del ends[bisect.bisect_left(ends, p2 + tol)]
+        closed = upto
+        counts[w] = bisect.bisect_right(starts, hi + tol) - bisect.bisect_left(ends, lo)
     return counts
-
-
-def _touching(walls: np.ndarray, boxes: np.ndarray, tol: float) -> np.ndarray:
-    """Per wall (a column fixed, lo, hi), how many boxes (columns f1, p1, f2,
-    p2) touch it: f1 - tol <= fixed <= f2 + tol and max(lo, p1) <= min(hi, p2) + tol.
-
-    A sweep along `fixed`, counted offline.  A box is active at a wall once
-    f1 - tol <= fixed (it has opened) and until f2 + tol < fixed (it has
-    closed); every closed box has opened.  Rounding is monotone, so the span
-    test is exactly lo <= p2 + tol and p1 <= hi + tol, and with lo <= hi and
-    p1 <= p2 no box fails both.  A wall's count is thus the active boxes with
-    p1 <= hi + tol less the active ones with p2 + tol < lo.  Each of those is
-    the opened boxes less the closed ones: a prefix of the boxes in opening
-    (closing) order, counted by their rank in p1 (p2 + tol) order.
-    """
-    fixed, lo, hi = walls
-    f1, p1, f2, p2 = boxes
-    opening, closing = f1 - tol, f2 + tol
-    by_opening = np.argsort(opening, kind="stable")
-    by_closing = np.argsort(closing, kind="stable")
-    opened = np.searchsorted(opening[by_opening], fixed, side="right")
-    closed = np.searchsorted(closing[by_closing], fixed, side="left")
-    count = np.zeros(len(fixed), dtype=np.int64)
-    # the boxes with p1 <= hi + tol count, those with p2 + tol < lo do not
-    for values, threshold, side, sign in ((p1, hi + tol, "right", 1), (p2 + tol, lo, "left", -1)):
-        order = np.argsort(values, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        below = np.searchsorted(values[order], threshold, side=side)
-        count += sign * (_prefix_below(rank[by_opening], opened, below)
-                         - _prefix_below(rank[by_closing], closed, below))
-    return count
 
 
 def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> None:
@@ -425,26 +407,28 @@ def assign_capacities(segments: list[Segment], nets: list[Net], tol: float) -> N
     found by bisecting their wall's pins sorted along it; zero makes the
     segment unusable.
     """
-    boxes = np.array([net_box(net) for net in nets], dtype=float).reshape(-1, 4).T
+    boxes = [net_box(net) for net in nets]
+    # a V wall's fixed coordinate is x and its span is in y; an H wall's the other way
+    across = {Axis.V: boxes, Axis.H: [(y1, x1, y2, x2) for x1, y1, x2, y2 in boxes]}
     for axis in Axis:
         interior = [seg for seg in segments if seg.region_id >= 0 and seg.axis is axis]
-        walls = np.array([(seg.fixed, seg.lo, seg.hi) for seg in interior], dtype=float).reshape(-1, 3).T
-        # a V wall's fixed coordinate is x and its span is in y; an H wall's the other way
-        counts = _touching(walls, boxes if axis is Axis.V else boxes[[1, 0, 3, 2]], tol)
-        for seg, count in zip(interior, counts.tolist()):
+        counts = _touching([(seg.fixed, seg.lo, seg.hi) for seg in interior], across[axis], tol)
+        for seg, count in zip(interior, counts):
             seg.r = max(1, count)
 
-    px, py = np.array([(p.x, p.y) for net in nets for p in net.pins], dtype=float).reshape(-1, 2).T
-    on_wall: dict[tuple[Axis, float], np.ndarray] = {}  # per border wall, its pins sorted along it
+    pins = [(p.x, p.y) for net in nets for p in net.pins]
+    on_wall: dict[tuple[Axis, float], list[float]] = {}  # per border wall, its pins sorted along it
     for seg in segments:
         if seg.region_id >= 0:
             continue
         along = on_wall.get((seg.axis, seg.fixed))
         if along is None:
-            perp, coords = (px, py) if seg.axis is Axis.V else (py, px)
-            along = on_wall[seg.axis, seg.fixed] = np.sort(coords[np.abs(perp - seg.fixed) <= tol])
-        seg.r = int(np.searchsorted(along, seg.hi + tol, side="right")
-                    - np.searchsorted(along, seg.lo - tol, side="left"))
+            if seg.axis is Axis.V:
+                along = sorted(y for x, y in pins if -tol <= x - seg.fixed <= tol)
+            else:
+                along = sorted(x for x, y in pins if -tol <= y - seg.fixed <= tol)
+            on_wall[seg.axis, seg.fixed] = along
+        seg.r = bisect.bisect_right(along, seg.hi + tol) - bisect.bisect_left(along, seg.lo - tol)
 
 
 # ---------------------------------------------------------------------------

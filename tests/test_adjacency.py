@@ -26,7 +26,7 @@ from test_floorplan import floorplans, make_fp, pinwheel
 def dense_adjacency(fp):
     """Test oracle: the n x n wall comparison that the sweep replaced.  All
     left-of and above/below adjacent pairs with their shared spans."""
-    x1, y1, x2, y2, _ = fp.snapped_rects()
+    x1, y1, x2, y2 = map(np.array, fp.snapped_rects()[:4])
     horiz = []  # (i, j, span): i left of j
     vert = []   # (i, j, span): i above j
     eq_x = x2[:, None] == x1[None, :]

@@ -35,3 +35,23 @@ def test_answers_equal_the_committed_file():
     committed = [line for line in _ANSWERS.read_text().splitlines() if line.split()[1] in ("n=40", "n=120")]
     assert len(committed) == 128
     assert _run("0", sizes="40,120").splitlines() == committed
+
+
+def test_check_names_each_differing_label_and_exits_one(tmp_path):
+    answers = tmp_path / "answers.txt"
+    lines = _run("0").splitlines()
+    answers.write_text("\n".join(lines) + "\n")
+    same = subprocess.run([sys.executable, str(_TOOL), "--sizes", "6", "--check", str(answers)],
+                          capture_output=True, text=True, timeout=120)
+    assert (same.returncode, same.stdout) == (0, f"all {len(lines)} lines equal {answers}\n")
+    doctored = lines[:-1]
+    doctored[2] = "0" * 64 + "  " + doctored[2].partition("  ")[2]
+    answers.write_text("\n".join(doctored) + "\n")
+    differ = subprocess.run([sys.executable, str(_TOOL), "--sizes", "6", "--check", str(answers)],
+                            capture_output=True, text=True, timeout=120)
+    assert differ.returncode == 1
+    assert differ.stdout.splitlines() == [
+        f"differs: line 3: {lines[2].partition('  ')[2]}",
+        f"differs: line {len(lines)}: {lines[-1].partition('  ')[2]}",
+        f"2 of {len(lines)} lines differ from {answers}",
+    ]

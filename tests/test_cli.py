@@ -3,6 +3,8 @@
 import csv
 import gc
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -158,6 +160,22 @@ def test_coverage_gap_whose_areas_overflow_exits_one(tmp_path, capsys, command):
     square = "hardrectilinear 4 (0,0) (0,1e200) (1e200,1e200) (1e200,0)"
     assert _route_files(tmp_path, command, blocks=f"a {square}\nb {square}\n", pl="a 0 0\nb 2e200 0\n") == 1
     assert capsys.readouterr().err.startswith("error: invalid floorplan: block area inf != bounding area inf")
+
+
+@pytest.mark.parametrize("command", ["route", "dump-graph"])
+@pytest.mark.parametrize("pl, message", [
+    ("a 0 0\nb 1e308 0\n", "line 2: block 'b' has its far corner beyond the float range"),
+    ("a -1e308 0\nb 0 0\n", "the blocks span inf x 1.0, beyond the float range"),
+], ids=["block", "bounding-box"])
+def test_far_corner_beyond_the_float_range_exits_one(tmp_path, capsys, command, pl, message):
+    # b's x + width, or the bounding box's width, overflows to inf: no false
+    # crossing at inf or NaN, and no traceback
+    wide = "hardrectilinear 4 (0,0) (0,1) (1e308,1) (1e308,0)"
+    assert _route_files(tmp_path, command, blocks=f"a {wide}\nb {wide}\n", pl=pl) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err and "crossing" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_route_incomplete_file_triple_exits_one(tmp_path):
@@ -352,6 +370,18 @@ def test_command_runs_no_cyclic_collection(tmp_path):
     finally:
         gc.callbacks.remove(seen)
     assert collections == []
+
+
+@pytest.mark.parametrize("command", [["route", "--config", "FCN"], ["dump-graph"]], ids=["route", "dump-graph"])
+def test_command_imports_no_numpy(tmp_path, command):
+    # a fresh process: a CLI command needs the standard library only
+    script = ("import sys\n"
+              "from msroute.cli import main\n"
+              f"code = main({command + ['--n', '12', '--k', '40', '--seed', '3', '--out', str(tmp_path)]!r})\n"
+              "print(code, 'numpy' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert done.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_gen_requires_counts():

@@ -79,6 +79,7 @@ def floorplans(draw):
 
 def dense_overlapping_pairs(x1, y1, x2, y2, tol):
     """Test oracle: the n x n overlap check that the x-sweep replaced."""
+    x1, y1, x2, y2 = map(np.array, (x1, y1, x2, y2))
     ovx = np.minimum(x2[:, None], x2[None, :]) - np.maximum(x1[:, None], x1[None, :])
     ovy = np.minimum(y2[:, None], y2[None, :]) - np.maximum(y1[:, None], y1[None, :])
     over = (ovx > tol) & (ovy > tol)
@@ -176,6 +177,23 @@ def test_parse_pl_missing_placement():
         f"bk{i} hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)" for i in range(2)))
     with pytest.raises(ParseError, match="missing placement"):
         parse_pl("bk0 0 0", blocks)
+
+
+@pytest.mark.parametrize("pl", ["bk0 1e308 0", "bk0 0 1e308"], ids=["x", "y"])
+def test_parse_pl_rejects_a_far_corner_beyond_the_float_range(pl):
+    # x + width (or y + height) overflows to inf, which validation would
+    # then report as a crossing at inf
+    blocks = parse_blocks("bk0 hardrectilinear 4 (0,0) (0,1e308) (1e308,1e308) (1e308,0)")
+    with pytest.raises(ParseError, match=r"line 1: block 'bk0' has its far corner beyond the float range"):
+        parse_pl(pl, blocks)
+    assert not blocks[0].placed
+
+
+def test_parse_floorplan_rejects_a_bounding_box_beyond_the_float_range():
+    # each block's corners are finite, but the box from -1e308 to 1e308 is not
+    wide = "hardrectilinear 4 (0,0) (0,1e-300) (1e308,1e-300) (1e308,0)"
+    with pytest.raises(ParseError, match=r"the blocks span inf x 1e-300, beyond the float range"):
+        parse_floorplan(f"a {wide}\nb {wide}", "a -1e308 0\nb 0 0", "")
 
 
 def test_parse_pl_round_trip_from_generator():
@@ -493,10 +511,10 @@ def test_validate_nested_and_corner_contact():
 @settings(max_examples=150, deadline=None)
 @given(fp=floorplans())
 def test_overlap_sweep_matches_the_dense_oracle(fp):
-    x1 = np.array([b.x for b in fp.blocks])
-    y1 = np.array([b.y for b in fp.blocks])
-    x2 = np.array([b.x2 for b in fp.blocks])
-    y2 = np.array([b.y2 for b in fp.blocks])
+    x1 = [b.x for b in fp.blocks]
+    y1 = [b.y for b in fp.blocks]
+    x2 = [b.x2 for b in fp.blocks]
+    y2 = [b.y2 for b in fp.blocks]
     for tol in (fp.tol, 0.0, 0.5):
         assert floorplan_module._overlapping_pairs(x1, y1, x2, y2, tol) == dense_overlapping_pairs(x1, y1, x2, y2, tol)
 
@@ -554,10 +572,58 @@ def _snap_cases(draw):
 @example(case=(np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5]), 0.25))
 def test_cluster_snap_equals_the_loop(case):
     values, tol = case
-    snapped = floorplan_module._cluster_snap(values, tol)
+    snapped = np.array(floorplan_module._cluster_snap(values.tolist(), tol), dtype=float)
     expected = _cluster_snap_by_loop(values, tol)
     assert snapped.dtype == expected.dtype
     assert snapped.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pairwise summation
+
+_PAIRWISE_LENGTHS = (0, 1, 7, 8, 9, 127, 128, 129, 256, 9000)
+
+
+@st.composite
+def _float_runs(draw):
+    """Float lists of the lengths where the pairwise sum changes shape, or any
+    length up to 400; the values mix magnitudes from 1e-300 to 1e300, signs
+    and signed zeros, so the order of the additions shows in the bits."""
+    n = draw(st.one_of(st.sampled_from(_PAIRWISE_LENGTHS), st.integers(0, 400)))
+    scale = st.sampled_from([1e-300, 1e-12, 1.0, 3.0, 1e8, 1e16, 1e300])
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    scales = [draw(scale) for _ in range(4)]
+    values = [rng.choice((-1.0, 1.0)) * rng.random() * rng.choice(scales) for _ in range(n)]
+    if n and draw(st.booleans()):
+        values[rng.randrange(n)] = draw(st.sampled_from([0.0, -0.0, 1e300, -1e300]))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_float_runs())
+@example(values=[])
+@example(values=[-0.0])
+@example(values=[0.1] * 9000)
+@example(values=[1e300, 1e300, -1e300] * 3)
+def test_pairwise_sum_and_mean_equal_numpy_bit_for_bit(values):
+    array = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected_sum = np.add.reduce(array)
+        expected_mean = np.mean(array) if values else None
+    got = floorplan_module.pairwise_sum(values)
+    assert np.float64(got).tobytes() == expected_sum.tobytes()
+    if values:
+        assert np.float64(floorplan_module.mean(values)).tobytes() == expected_mean.tobytes()
+
+
+@pytest.mark.parametrize("n", _PAIRWISE_LENGTHS)
+def test_pairwise_sum_equals_numpy_at_each_block_boundary(n):
+    rng = random.Random(n)
+    values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20) for _ in range(n)]
+    assert floorplan_module.pairwise_sum(values) == float(np.add.reduce(np.array(values, dtype=float)))
+    if n:
+        assert floorplan_module.mean(values) == float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,19 @@ outputs; equal outputs mean every answer it covers is byte-identical:
 
     python3 tools/answer_digests.py > answers.txt
     python3 tools/answer_digests.py --sizes 8,20
+
+`--check FILE` compares the output with FILE line by line instead of
+printing it, names the label of each line that differs, and exits 1 on any
+difference.  Checking the committed answers, n = 300 and 1200 included:
+
+    python3 tools/answer_digests.py --check tests/data/answer_digests.txt
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -61,14 +68,31 @@ def answer_digests(sizes: list[int]):
                        _digest(junction_graph_csv(region.graph, state.usage, layers)))
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="40,120,300,1200", help="comma-separated block counts n")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with FILE line by line; exit 1 naming each differing label")
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
-    for label, digest in answer_digests(sizes):
-        print(f"{digest}  {label}", flush=True)
+    lines = (f"{digest}  {label}" for label, digest in answer_digests(sizes))
+    if args.check is None:
+        for line in lines:
+            print(line, flush=True)
+        return 0
+    expected = Path(args.check).read_text().splitlines()
+    got = list(lines)
+    differing = 0
+    for i, (ours, theirs) in enumerate(itertools.zip_longest(got, expected), start=1):
+        if ours != theirs:
+            differing += 1
+            print(f"differs: line {i}: {(ours or theirs).partition('  ')[2]}")
+    if differing:
+        print(f"{differing} of {max(len(got), len(expected))} lines differ from {args.check}")
+        return 1
+    print(f"all {len(got)} lines equal {args.check}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
