@@ -13,12 +13,12 @@ fixed-point coordinates, so serialize -> parse -> serialize is byte-stable.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 import random
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,8 +162,7 @@ def pairwise_sum(values: list[float]) -> float:
     sequence; a run of up to 128 goes into 8 interleaved accumulators,
     combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and then its remainder
     in sequence; a longer run splits at half its length rounded down to a
-    multiple of 8.  An explicit loop, as `sum` is compensated from Python
-    3.12 on."""
+    multiple of 8."""
     return 0.0 + _pairwise(values, 0, len(values))
 
 
@@ -172,14 +171,17 @@ def _pairwise(values: list[float], start: int, n: int) -> float:
         half = n // 2 - n // 2 % 8
         return _pairwise(values, start, half) + _pairwise(values, start + half, n - half)
     if n < 8:
-        return _in_sequence(values[start:start + n])
+        return sequential_sum(values[start:start + n])
     end = start + n - n % 8
-    r = [_in_sequence(values[i + 8:end:8], values[i]) for i in range(start, start + 8)]
+    r = [sequential_sum(values[i + 8:end:8], values[i]) for i in range(start, start + 8)]
     total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return _in_sequence(values[end:start + n], total)
+    return sequential_sum(values[end:start + n], total)
 
 
-def _in_sequence(values: list[float], total: float = 0.0) -> float:
+def sequential_sum(values: Iterable[float], total: float = 0.0) -> float:
+    """The total plus the values, added left to right: the float sum `sum`
+    gives up to Python 3.11.  An explicit loop, as `sum` is compensated from
+    Python 3.12 on, and the report bytes must not depend on the version."""
     for v in values:
         total += v
     return total
@@ -424,8 +426,11 @@ def save_floorplan(fp: Floorplan, out_dir, stem: str) -> list[Path]:
 
 def instance_hash(fp: Floorplan) -> str:
     """The first 16 hex digits of the sha256 of the three serialized files,
-    computed once per floorplan."""
+    computed once per floorplan.  hashlib, and with it OpenSSL, loads on the
+    first call."""
     if fp._hash is None:
+        # OpenSSL costs about 3.5 MB of resident memory; only summarize (route, sweep) and the demos hash
+        import hashlib
         digest = hashlib.sha256()
         for text in serialize_floorplan(fp):
             digest.update(text.encode())

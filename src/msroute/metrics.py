@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MetricError
-from .floorplan import compute_hpwl, instance_hash, mean
+from .floorplan import compute_hpwl, instance_hash, mean, sequential_sum
 from .router import RouteRun, RoutingState
 
 
@@ -45,7 +45,7 @@ def ace(x_percent: float, values) -> float:
 
 def wace4(values) -> float:
     """Equal-weight mean of ACE(0.5), ACE(1), ACE(2) and ACE(5)."""
-    return sum(ace(x, values) for x in (0.5, 1.0, 2.0, 5.0)) / 4.0
+    return sequential_sum(ace(x, values) for x in (0.5, 1.0, 2.0, 5.0)) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def summarize(run: RouteRun) -> RouteReport:
         "vias": total_vias,
         "routed_hpwl": routed_hpwl,
         "wl_over_hpwl": (total_wl / routed_hpwl) if routed_hpwl > 0 else None,
-        "detour_ratio_mean": (sum(detours) / len(detours)) if detours else None,
+        "detour_ratio_mean": (sequential_sum(detours) / len(detours)) if detours else None,
         "detour_ratio_max": max(detours) if detours else None,
         "runtime_seconds": run.runtime,
     }

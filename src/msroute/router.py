@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParseError, PinHostError
-from .floorplan import Floorplan, Net, Pin, compute_hpwl
+from .floorplan import Floorplan, Net, Pin, compute_hpwl, sequential_sum
 from .routegraph import (
     UNUSABLE,
     CapacityProfile,
@@ -307,7 +307,7 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
 
     entry_dist = src.d1 if seq_j[0] == src_seg.j1 else src.d2
     exit_dist = dst.d1 if best_j == dst_seg.j1 else dst.d2
-    length = sum(segs[s].length for s in seq_s) + entry_dist + exit_dist
+    length = sequential_sum(segs[s].length for s in seq_s) + entry_dist + exit_dist
     return RoutePath(
         source_pin=source_pin,
         sink_pin=sink_pin,
@@ -345,8 +345,8 @@ def identify_steiner_points(paths: list[RoutePath], segments: list[Segment]) -> 
     for p in paths:
         pin_edges.add((p.source_pin, p.junctions[0], p.entry_dist))
         pin_edges.add((p.sink_pin, p.junctions[-1], p.exit_dist))
-    wirelength = sum(segments[sid].length for sid in seg_ids)
-    wirelength += sum(d for _, _, d in pin_edges)
+    wirelength = sequential_sum(segments[sid].length for sid in seg_ids)
+    wirelength += sequential_sum(d for _, _, d in pin_edges)
 
     incident: dict[int, set] = {}
     for sid in seg_ids:

@@ -32,7 +32,7 @@ from operator import itemgetter
 
 from .adjacency import Axis, Bag, BagEdge, Orientation, Span, build_bag
 from .errors import GeometryError, InternalError
-from .floorplan import Floorplan, Net, net_box
+from .floorplan import Floorplan, Net, net_box, sequential_sum
 
 
 class BalanceMode(str, Enum):
@@ -220,7 +220,7 @@ def _cut(
     sources = {v for v in nodes if indeg[v] == 0}
     absorbed: list[int] = []
     a_area = 0.0
-    total_area = sum(areas[v] for v in nodes) if areas else 0.0
+    total_area = sequential_sum(areas[v] for v in nodes) if areas else 0.0
     chain: list = []  # the current cut as sorted (key, edge index) items, a monotone staircase
 
     # NUMBER stops at half the blocks, AREA at half the area; both leave one block

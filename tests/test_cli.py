@@ -372,16 +372,18 @@ def test_command_runs_no_cyclic_collection(tmp_path):
     assert collections == []
 
 
-@pytest.mark.parametrize("command", [["route", "--config", "FCN"], ["dump-graph"]], ids=["route", "dump-graph"])
-def test_command_imports_no_numpy(tmp_path, command):
-    # a fresh process: a CLI command needs the standard library only
+@pytest.mark.parametrize("command, hashes", [(["route", "--config", "FCN"], True), (["dump-graph"], False)],
+                         ids=["route", "dump-graph"])
+def test_command_imports_no_numpy(tmp_path, command, hashes):
+    # a fresh process: a CLI command needs the standard library only, and
+    # OpenSSL (`_hashlib`) only once a report hashes the instance
     script = ("import sys\n"
               "from msroute.cli import main\n"
               f"code = main({command + ['--n', '12', '--k', '40', '--seed', '3', '--out', str(tmp_path)]!r})\n"
-              "print(code, 'numpy' in sys.modules)\n")
+              "print(code, 'numpy' in sys.modules, '_hashlib' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
-    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert done.stdout.split()[-3:] == ["0", "False", str(hashes)]
 
 
 def test_gen_requires_counts():

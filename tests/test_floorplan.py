@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute import floorplan as floorplan_module
-from msroute.errors import InvalidNetError, ParseError
+from msroute.errors import InvalidNetError, MsRouteError, ParseError
 from msroute.floorplan import (
     Block,
     Floorplan,
@@ -407,6 +407,48 @@ def test_parse_nets_pin_line_without_a_block_exits_one(tmp_path, capsys):
     args = [f"--{ext}={tmp_path / f'one.{ext}'}" for ext in ("blocks", "pl", "nets")]
     assert main(["route", *args, "--out", str(tmp_path)]) == 1
     assert "line 3: pin line names no block" in capsys.readouterr().err
+
+
+_FUZZ_TEXTS = serialize_floorplan(generate_random_floorplan(5, 7, 4, seed=3))
+_ODD_TOKENS = ["", "nan", "-nan", "inf", "1e999", "-1e999", "1e308", "-1e308", "5e-324", "-0", "0", "-1", ":",
+               "B", "#", "NetDegree : 1", "NetDegree : 0", "NetDegree : 99", "NumNets : 1", "UCLA nets 1.0",
+               "hardrectilinear", "terminal", "(0,0)", "(nan,0)", "(1e999,1)", "(0,0,0)", "bk0", "bk9"]
+
+
+@st.composite
+def _mutated_texts(draw):
+    """The three serialized files of a small instance after one to four line
+    mutations: a line deleted, duplicated, truncated, given an odd line before
+    it, or with one token swapped for an odd one."""
+    files = [text.split("\n") for text in _FUZZ_TEXTS]
+    for _ in range(draw(st.integers(1, 4))):
+        lines = files[draw(st.integers(0, 2))]
+        if not lines:
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "truncate", "insert", "swap"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(_ODD_TOKENS)))
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            lines[i] = " ".join(tokens)
+    return tuple("\n".join(lines) for lines in files)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(texts=_mutated_texts())
+def test_mutated_files_parse_and_validate_or_raise_a_package_error(texts):
+    try:
+        parse_floorplan(*texts).require_valid()
+    except MsRouteError:
+        pass
 
 
 def test_corner_counts_and_instance_hash_are_computed_once_per_floorplan(monkeypatch):

@@ -1,5 +1,6 @@
 """ACE / wACE4 congestion metrics and report generation."""
 
+import builtins
 import csv
 import io
 import json
@@ -183,3 +184,28 @@ def test_reports_share_instance_hash_across_configs():
         hashes.add(report.instance["hash"])
         assert report.config["name"] == name
     assert len(hashes) == 1
+
+
+def test_report_bytes_do_not_depend_on_a_compensated_builtin_sum(monkeypatch):
+    # Python 3.12 made the builtin float sum compensated (Neumaier); the report
+    # must read the same on every version, so no float reaches it through `sum`
+    builtin_sum = builtins.sum
+
+    def neumaier_sum(values, start=0):
+        values = list(values)
+        if not any(isinstance(v, float) for v in values):
+            return builtin_sum(values, start)
+        total, compensation = float(start), 0.0
+        for v in values:
+            t = total + v
+            compensation += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+            total = t
+        return total + compensation
+
+    def report_json():
+        fp = generate_random_floorplan(20, 109, 6, seed=1000)
+        return summarize(route_floorplan(fp, RunConfig.from_name("FCN", layers=2))).to_json(include_timing=False)
+
+    expected = report_json()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert report_json() == expected
