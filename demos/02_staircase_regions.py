@@ -26,8 +26,8 @@ for orientation in (msr.Orientation.MIS, msr.Orientation.MDS):
 section("T-junctions")
 junctions = msr.enumerate_tjunctions(fp)
 print(f"{len(junctions)} interior T-junctions = 2n-2 = {2 * len(fp.blocks) - 2}")
-print("plus 4 degree-2 corner junctions:",
-      [(j.x, j.y) for j in msr.all_junctions(fp) if j.on_boundary])
+print("plus 4 degree-2 corner junctions, the last four of all_junctions:",
+      msr.all_junctions(fp)[-4:])
 
 section("MSC tree: hierarchy of monotone staircase cuts")
 tree = msr.build_msc_tree(fp)

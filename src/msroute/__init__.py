@@ -8,7 +8,7 @@ junction graph across a configurable stack of metal layers.
 """
 
 from .adjacency import Orientation, all_junctions, build_bag, enumerate_tjunctions
-from .errors import GeometryError, InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
+from .errors import InternalError, InvalidNetError, MsRouteError, ParseError, ValidationError
 from .floorplan import (
     Block,
     Floorplan,

@@ -5,6 +5,10 @@ length; corner contact does not count.  The BAG is directed: horizontal
 neighbours always point left -> right, vertical neighbours point in the
 direction selected by the staircase orientation (top -> bottom for MIS,
 bottom -> top for MDS).  Both orientations are acyclic on a mosaic floorplan.
+
+A junction is its snapped (x, y) point and its id is its index in
+`all_junctions`.  Validation owns the mosaic contract, so listing the
+junctions checks nothing itself.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import GeometryError
 from .floorplan import Floorplan, corner_counts
 
 
@@ -34,10 +37,6 @@ class Span:
     fixed: float
     lo: float
     hi: float
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,15 +65,6 @@ class Bag:
             lines.append(f'  b{e.src} -> b{e.dst} [label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(slots=True)
-class TJunction:
-    """A junction; its id is its index in the junction list."""
-
-    x: float
-    y: float
-    on_boundary: bool = False  # True only for the four degree-2 floorplan corners
 
 
 def _touching_pairs(near: list[float], far: list[float], lo: list[float], hi: list[float]) -> list[tuple[int, int]]:
@@ -142,38 +132,21 @@ def build_bag(fp: Floorplan, orientation: Orientation) -> Bag:
     return Bag(orientation, list(range(len(fp.blocks))), edges)
 
 
-def enumerate_tjunctions(fp: Floorplan) -> list[TJunction]:
-    """T-junctions: points where three wall directions meet.
+def enumerate_tjunctions(fp: Floorplan) -> list[tuple[float, float]]:
+    """T-junctions: points where three wall directions meet, sorted.
 
-    In a crossing-free mosaic every such point is shared by exactly two block
-    corners, so bucketing the 4n corners pins them all down; a bucket of four
-    corners is a '+' crossing.  The four floorplan corners (single-corner
-    buckets) are not included here — see all_junctions.
+    On a validated mosaic they are exactly the snapped points holding two
+    block corners; validation has checked every other count.  The four
+    floorplan corners hold one each and are not included here — see
+    all_junctions.
     """
     fp.require_valid()
-    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
-    fp_corners = {(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)}
-    buckets = corner_counts(fp)
-    junctions: list[TJunction] = []
-    for key in sorted(buckets):
-        count = buckets[key]
-        if key in fp_corners:
-            if count != 1:
-                raise GeometryError(f"{count} block corners at floorplan corner {key}")
-            continue
-        if count >= 4:
-            raise GeometryError(f"'+' crossing: four blocks meet at {key}")
-        if count != 2:
-            raise GeometryError(f"dangling block corner at {key}")
-        junctions.append(TJunction(x=key[0], y=key[1]))
-    return junctions
+    return [point for point, count in sorted(corner_counts(fp).items()) if count == 2]
 
 
-def all_junctions(fp: Floorplan) -> list[TJunction]:
+def all_junctions(fp: Floorplan) -> list[tuple[float, float]]:
     """Interior T-junctions followed by the four degree-2 junctions at the
-    floorplan corners; a junction's id is its index here."""
-    junctions = enumerate_tjunctions(fp)
+    floorplan corners, each its (x, y) point; a junction's id is its index
+    here, so the last four are the corners."""
     bx1, by1, bx2, by2 = fp.snapped_rects()[4]
-    for px, py in sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)]):
-        junctions.append(TJunction(x=px, y=py, on_boundary=True))
-    return junctions
+    return enumerate_tjunctions(fp) + sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)])

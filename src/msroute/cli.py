@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .adjacency import Orientation
-from .errors import GeometryError, InternalError, MsRouteError, ParseError
+from .errors import InternalError, MsRouteError, ParseError
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
 from .routegraph import LayerModel, RegionModel, junction_graph_csv
@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InternalError, GeometryError) as exc:
+    except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     except (MsRouteError, OSError, ValueError) as exc:

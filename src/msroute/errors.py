@@ -23,10 +23,6 @@ class ValidationError(MsRouteError):
         self.violations = violations or []
 
 
-class GeometryError(MsRouteError):
-    """Geometric structure is inconsistent (crossings, dangling walls, ...)."""
-
-
 class InvalidNetError(MsRouteError):
     """Net violates basic structural requirements (e.g. fewer than 2 pins)."""
 

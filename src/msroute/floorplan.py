@@ -6,9 +6,11 @@ File dialects (Bookshelf-style):
   .pl      ``name x y``
   .nets    ``NetDegree : t [name]`` followed by ``blockname B [: dx dy]`` lines
 
-Comments start with ``#``; ``UCLA ...`` and ``NumXxx : n`` header lines are
-skipped.  Canonical serialization writes the same dialects with 6-decimal
-fixed-point coordinates, so serialize -> parse -> serialize is byte-stable.
+Comments start with ``#``; ``UCLA <format> <version>`` and ``NumXxx : n``
+header lines are skipped, and any other line, such as one declaring a block
+named ``UCLA``, is read.  Canonical serialization writes the same dialects
+with 6-decimal fixed-point coordinates, so serialize -> parse -> serialize
+is byte-stable.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class Net:
 
 @dataclass
 class Violation:
-    kind: str  # overlap | coverage | crossing | outside
+    kind: str  # overlap | coverage (a gap, sliver or unmatched corner) | crossing | outside
     message: str
     x: float
     y: float
@@ -210,7 +212,7 @@ def _cluster_snap(values: list[float], tol: float) -> list[float]:
 # ---------------------------------------------------------------------------
 # parsing
 
-_SKIP_RE = re.compile(r"^\s*(#|UCLA\b|Num\w*\s*:)")
+_SKIP_RE = re.compile(r"^\s*(#|UCLA\s+[A-Za-z]\S*\s+\S+$|Num\w*\s*:)")
 _COORD_RE = re.compile(r"\(\s*([-+0-9.eE]+)\s*,\s*([-+0-9.eE]+)\s*\)")
 
 
@@ -500,7 +502,13 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
 def validate_floorplan(fp: Floorplan) -> ValidationReport:
     """Check the mosaic properties: containment, non-overlap, full coverage,
     and absence of four-block '+' crossings.  Violations are report entries,
-    not exceptions."""
+    not exceptions.
+
+    The one owner of the mosaic contract: besides the raw checks it checks
+    the snapped rectangles every later stage reads, so a floorplan that
+    passes builds.  Each block keeps a positive snapped width and height,
+    each snapped point holding block corners holds two (a T-junction), and
+    each corner of the snapped bounding rectangle holds one."""
     violations: list[Violation] = []
     tol = fp.tol
     blocks = fp.blocks
@@ -529,10 +537,20 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
         violations.append(Violation(
             "coverage", f"block area {area:.6f} != bounding area {w * h:.6f}", ox, oy))
 
-    # '+' crossing: a point shared as a corner by four blocks
-    for (cx, cy), count in sorted(corner_counts(fp).items()):
+    # the snapped tiling every later stage reads
+    sx1, sy1, sx2, sy2, (bx1, by1, bx2, by2) = fp.snapped_rects()
+    for i, b in enumerate(blocks):
+        if not (sx1[i] < sx2[i] and sy1[i] < sy2[i]):
+            violations.append(Violation("coverage", f"block {b.name} is thinner than the tolerance", b.x, b.y))
+    outer = {(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)}
+    counts = corner_counts(fp)
+    for cx, cy in sorted(counts.keys() | outer):
+        count, want = counts[cx, cy], 1 if (cx, cy) in outer else 2  # a missing corner counts 0
         if count >= 4:
             violations.append(Violation("crossing", f"four blocks meet at ({cx:.6f}, {cy:.6f})", cx, cy))
+        elif count != want:
+            violations.append(Violation(
+                "coverage", f"{count} block corners at ({cx:.6f}, {cy:.6f}), not {want}", cx, cy))
 
     return ValidationReport(passed=not violations, violations=violations)
 

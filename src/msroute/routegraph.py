@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 
-from .adjacency import Axis, TJunction, all_junctions
+from .adjacency import Axis, all_junctions
 from .errors import InternalError, PinHostError
 from .floorplan import Floorplan, Net
 from .staircase import BalanceMode, MscTree, Segment, assign_capacities, build_msc_tree, extract_segments
@@ -216,10 +216,11 @@ def _cut(dists: list[float]) -> float:
     return cut
 
 
-def build_junction_graph(segments: list[Segment], junctions: list[TJunction]) -> JunctionGraph:
-    """One edge per usable (r > 0) segment; touches each segment once."""
-    jx = [j.x for j in junctions]
-    jy = [j.y for j in junctions]
+def build_junction_graph(segments: list[Segment], junctions: list[tuple[float, float]]) -> JunctionGraph:
+    """One edge per usable (r > 0) segment over the (x, y) junction points;
+    touches each segment once."""
+    jx = [x for x, _ in junctions]
+    jy = [y for _, y in junctions]
     usable: list[int] = []
     adj: list[list[tuple[int, int]]] = [[] for _ in junctions]
     kappa = 1.0

@@ -31,7 +31,7 @@ from enum import Enum
 from operator import itemgetter
 
 from .adjacency import Axis, Bag, BagEdge, Orientation, Span, build_bag
-from .errors import GeometryError, InternalError
+from .errors import InternalError
 from .floorplan import Floorplan, Net, net_box, sequential_sum
 
 
@@ -316,15 +316,16 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
 def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     """Split every cut wall and border wall at the junctions lying on it.
 
-    `junctions` must be the full set (interior T-junctions plus boundary
-    corners, e.g. from adjacency.all_junctions); each resulting segment is
-    bounded by exactly two of them, named by their list indices.
+    `junctions` must be the full set of (x, y) points (interior T-junctions
+    plus the floorplan corners, as adjacency.all_junctions lists them); each
+    resulting segment is bounded by exactly two of them, named by their list
+    indices.
     """
     vlines: dict[float, list[tuple[float, int]]] = {}
     hlines: dict[float, list[tuple[float, int]]] = {}
-    for jid, j in enumerate(junctions):
-        vlines.setdefault(j.x, []).append((j.y, jid))
-        hlines.setdefault(j.y, []).append((j.x, jid))
+    for jid, (x, y) in enumerate(junctions):
+        vlines.setdefault(x, []).append((y, jid))
+        hlines.setdefault(y, []).append((x, jid))
     for line in vlines.values():
         line.sort()
     for line in hlines.values():
@@ -339,17 +340,15 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
     # (axis, fixed, lo, hi, region, j1, j2) per piece; no two share (axis, fixed, lo)
     pieces = []
     for span, region in walls:
-        line = (vlines if span.axis is Axis.V else hlines).get(span.fixed)
-        if line is None:
-            raise GeometryError(f"wall at {span.fixed} has no junctions on it")
+        # on a validated mosaic every wall ends at junctions and holds no two at one point
+        line = (vlines if span.axis is Axis.V else hlines).get(span.fixed, [])
         first = bisect.bisect_left(line, (span.lo, -1))  # junction ids are >= 0
         on_span = line[first:bisect.bisect_right(line, (span.hi, math.inf), first)]
         if len(on_span) < 2 or on_span[0][0] != span.lo or on_span[-1][0] != span.hi:
-            raise GeometryError(
-                f"wall {span} endpoints are not junction-bounded ({on_span})")
+            raise InternalError(f"wall {span} endpoints are not junction-bounded ({on_span})")
         for (c1, ja), (c2, jb) in zip(on_span, on_span[1:]):
             if c2 <= c1:
-                raise GeometryError(f"zero-length piece on wall {span}")
+                raise InternalError(f"zero-length piece on wall {span}")
             pieces.append((span.axis, span.fixed, c1, c2, region, ja, jb))
 
     pieces.sort()

@@ -72,9 +72,9 @@ def structural_counts():
             bx1, by1 = fp.origin
             bx2, by2 = bx1 + fp.width, by1 + fp.height
             tol = fp.tol
-            border = sum(1 for j in junctions
-                         if abs(j.x - bx1) < tol or abs(j.x - bx2) < tol
-                         or abs(j.y - by1) < tol or abs(j.y - by2) < tol)
+            border = sum(1 for x, y in junctions
+                         if abs(x - bx1) < tol or abs(x - bx2) < tol
+                         or abs(y - by1) < tol or abs(y - by2) < tol)
             records.append((n, seed, len(tree.cuts), len(junctions), len(bag.edges), border))
     elapsed = time.perf_counter() - t0
     return records, elapsed

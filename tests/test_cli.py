@@ -154,12 +154,35 @@ def test_blocks_line_whose_points_are_not_corners_exits_one_naming_the_line(tmp_
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["route", "dump-graph"])
-def test_coverage_gap_whose_areas_overflow_exits_one(tmp_path, capsys, command):
+def _rect(name, w, h):
+    return f"{name} hardrectilinear 4 (0,0) (0,{h}) ({w},{h}) ({w},0)\n"
+
+
+# name: (.blocks, .pl, the start of the error); the unnamed case keeps its plain command id
+_NOT_A_MOSAIC = {
     # two 1e200-wide squares with a 1e200 gap between them: both areas are inf
-    square = "hardrectilinear 4 (0,0) (0,1e200) (1e200,1e200) (1e200,0)"
-    assert _route_files(tmp_path, command, blocks=f"a {square}\nb {square}\n", pl="a 0 0\nb 2e200 0\n") == 1
-    assert capsys.readouterr().err.startswith("error: invalid floorplan: block area inf != bounding area inf")
+    "": (_rect("a", "1e200", "1e200") + _rect("b", "1e200", "1e200"), "a 0 0\nb 2e200 0\n",
+         "block area inf != bounding area inf"),
+    # a 1.5 tol gap in the wall: the area misfit is within its bound, and the
+    # wall's corners do not meet
+    "wall-gap": ("a hardrectilinear 4 (0,0) (0,100) (40,100) (40,0)\n" + _rect("b", 60, 100),
+                 "a 0 0\nb 40.000212 0\n", "1 block corners at (40.000000, 0.000000), not 2"),
+    # a block thinner than tol on the border snaps to no width
+    "border-sliver": (_rect("a", "1e-9", 10) + _rect("b", "9.999999999", 10), "a 0 0\nb 0.000000001 0\n",
+                      "block a is thinner than the tolerance"),
+    # a sliver inside the wall between a and b: its corners pair up, its width is gone
+    "wall-sliver": (_rect("a", 1, 10) + _rect("b", 1, 10) + _rect("s", "1e-9", 1), "a 0 0\nb 1 0\ns 1 3\n",
+                    "block s is thinner than the tolerance"),
+}
+
+
+@pytest.mark.parametrize("command, blocks, pl, message", [
+    pytest.param(command, *case, id="-".join(filter(None, (name, command))))
+    for name, case in _NOT_A_MOSAIC.items() for command in ("route", "dump-graph")])
+def test_coverage_gap_whose_areas_overflow_exits_one(tmp_path, capsys, command, blocks, pl, message):
+    assert _route_files(tmp_path, command, blocks=blocks, pl=pl) == 1
+    assert capsys.readouterr().err.startswith(f"error: invalid floorplan: {message}")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["route", "dump-graph"])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute import floorplan as floorplan_module
-from msroute.errors import InvalidNetError, MsRouteError, ParseError
+from msroute.errors import InvalidNetError, MsRouteError, ParseError, ValidationError
 from msroute.floorplan import (
     Block,
     Floorplan,
@@ -24,6 +24,9 @@ from msroute.floorplan import (
     validate_floorplan,
 )
 from msroute.cli import main
+from msroute.routegraph import RegionModel
+from msroute.router import RunConfig, route_floorplan
+from msroute.staircase import BalanceMode
 
 
 def make_fp(rects, nets=None, bbox=None):
@@ -43,6 +46,59 @@ def pinwheel(xa, xb, ya, yb, w, h):
     block [xa, xb] x [ya, yb] of the w x h rectangle, as (x, y, w, h) tuples."""
     corners = [(0, 0, xb, ya), (xb, 0, w, yb), (xa, yb, w, h), (0, ya, xa, h), (xa, ya, xb, yb)]
     return [(x1, y1, x2 - x1, y2 - y1) for x1, y1, x2, y2 in corners]
+
+
+def nested_pinwheels(n, seed, pinwheel_share=0.5):
+    """A non-slicing mosaic of n blocks, as (x, y, w, h) tuples.  Starting
+    from a square, a rectangle is replaced by a five-block pinwheel of either
+    winding (with chance `pinwheel_share`, while it fits in n) or split in
+    two.  Every new wall coordinate keeps clear of those in use, so no four
+    blocks meet at a point."""
+    rng = random.Random(seed)
+    side = 100.0
+    rects = [(0.0, 0.0, side, side)]  # (x1, y1, x2, y2)
+    used = ({0.0, side}, {0.0, side})  # the wall x and y coordinates in use
+
+    def fresh(axis, lo, hi):
+        """A coordinate in the middle half of (lo, hi) clear of those in use, or None."""
+        for _ in range(50):
+            c = lo + (hi - lo) * rng.uniform(0.25, 0.75)
+            if all(abs(c - u) > 1e-3 * side for u in used[axis]):
+                used[axis].add(c)
+                return c
+        return None
+
+    while len(rects) < n:
+        i = rng.choices(range(len(rects)), weights=[(x2 - x1) * (y2 - y1) for x1, y1, x2, y2 in rects])[0]
+        x1, y1, x2, y2 = rects[i]
+        if len(rects) + 4 <= n and rng.random() < pinwheel_share:
+            xm, ym = (x1 + x2) / 2, (y1 + y2) / 2
+            xa, xb, ya, yb = fresh(0, x1, xm), fresh(0, xm, x2), fresh(1, y1, ym), fresh(1, ym, y2)
+            if None in (xa, xb, ya, yb):
+                continue
+            if rng.random() < 0.5:  # as `pinwheel` winds, or mirrored
+                new = [(x1, y1, xb, ya), (xb, y1, x2, yb), (xa, yb, x2, y2), (x1, ya, xa, y2)]
+            else:
+                new = [(xa, y1, x2, ya), (x1, y1, xa, yb), (x1, yb, xb, y2), (xb, ya, x2, y2)]
+            new.append((xa, ya, xb, yb))
+        else:
+            axis = rng.randrange(2)
+            c = fresh(axis, (x1, y1)[axis], (x2, y2)[axis])
+            if c is None:
+                continue
+            new = [(x1, y1, c, y2), (c, y1, x2, y2)] if axis == 0 else [(x1, y1, x2, c), (x1, c, x2, y2)]
+        rects[i:i + 1] = new
+    return [(x1, y1, x2 - x1, y2 - y1) for x1, y1, x2, y2 in rects]
+
+
+def with_nets(fp, k, seed):
+    """fp's blocks with k two- or three-pin nets whose pins sit at block centres."""
+    rng = random.Random(seed)
+    n = len(fp.blocks)
+    nets = [Net(i, f"n{i}", [Pin(bid, 0.0, 0.0, *fp.blocks[bid].center)
+                             for bid in rng.sample(range(n), min(n, rng.randint(2, 3)))])
+            for i in range(k if n >= 2 else 0)]
+    return Floorplan(origin=fp.origin, width=fp.width, height=fp.height, blocks=fp.blocks, nets=nets)
 
 
 def jittered(fp, jitter, seed):
@@ -151,6 +207,15 @@ def test_parse_blocks_takes_the_corners_in_any_order():
 
 # ---------------------------------------------------------------------------
 # parse_pl
+
+def test_a_block_named_ucla_is_parsed_and_only_the_header_line_skipped():
+    blocks = parse_blocks("UCLA blocks 1.0\n"
+                          "UCLA hardrectilinear 4 (0,0) (0,10) (4,10) (4,0)\n"
+                          "B hardrectilinear 4 (0,0) (0,10) (6,10) (6,0)\n")
+    assert [(b.name, b.width) for b in blocks] == [("UCLA", 4.0), ("B", 6.0)]
+    parse_pl("UCLA pl 1.0\nUCLA 0 0\nB 4 0\n", blocks)
+    assert [(b.x, b.y) for b in blocks] == [(0.0, 0.0), (4.0, 0.0)]
+
 
 def test_parse_pl_places_block():
     blocks = parse_blocks("bk1 hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)")
@@ -446,9 +511,11 @@ def _mutated_texts(draw):
 @given(texts=_mutated_texts())
 def test_mutated_files_parse_and_validate_or_raise_a_package_error(texts):
     try:
-        parse_floorplan(*texts).require_valid()
+        fp = parse_floorplan(*texts)
+        fp.require_valid()
     except MsRouteError:
-        pass
+        return
+    RegionModel.build(fp)  # a floorplan that validates builds
 
 
 def test_corner_counts_and_instance_hash_are_computed_once_per_floorplan(monkeypatch):
@@ -533,6 +600,32 @@ def test_validate_violations_carry_coordinates():
     report = validate_floorplan(fp)
     crossing = [v for v in report.violations if v.kind == "crossing"]
     assert crossing and (crossing[0].x, crossing[0].y) == (1.0, 1.0)
+
+
+@st.composite
+def _near_tol_jitter(draw):
+    """Generated mosaics whose blocks move by up to 0.5 to 1 tol: the misfits
+    snapping may or may not merge."""
+    fp = generate_random_floorplan(draw(st.integers(2, 15)), 0, 2, seed=draw(st.integers(0, 10_000)))
+    return jittered(fp, fp.tol * draw(st.sampled_from([0.5, 0.75, 1.0])), draw(st.integers(0, 100)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fp=st.one_of(floorplans(), _near_tol_jitter()))
+# near-tol misfits that validation once passed and the region build then
+# stopped on: a 1.5 tol wall gap, a sliver on the border, a sliver in a wall
+@example(fp=make_fp([(0, 0, 40, 100), (40.000212, 0, 60, 100)]))
+@example(fp=make_fp([(0, 0, 1e-9, 10), (1e-9, 0, 9.999999999, 10)]))
+@example(fp=make_fp([(0, 0, 1, 10), (1, 0, 1, 10), (1, 3, 1e-9, 1)]))
+def test_a_floorplan_that_validates_builds_and_routes(fp):
+    fp = with_nets(fp, 2 * len(fp.blocks), seed=len(fp.blocks))
+    try:
+        fp.require_valid()
+    except ValidationError:
+        return
+    for balance in BalanceMode:
+        RegionModel.build(fp, balance)
+    route_floorplan(fp, RunConfig.from_name("FCN", layers=2))
 
 
 def test_pinwheel_is_a_valid_mosaic():

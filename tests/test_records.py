@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from msroute.adjacency import BagEdge, Orientation, Span, TJunction, all_junctions
+from msroute.adjacency import BagEdge, Orientation, Span
 from msroute.floorplan import Block, Net, Pin, generate_random_floorplan, load_floorplan, save_floorplan
 from msroute.metrics import summarize, write_report
 from msroute.routegraph import PinAttachment, RegionModel, SegmentUsage, build_gsrg, junction_graph_csv
@@ -64,7 +64,7 @@ def test_pipeline_leaves_no_msroute_object_to_the_cycle_collector(tmp_path):
     assert not leaked, Counter(type(obj).__qualname__ for obj in leaked)
 
 
-SLOTTED = [Span, BagEdge, TJunction, Block, Pin, Net, SegmentUsage, PinAttachment,
+SLOTTED = [Span, BagEdge, Block, Pin, Net, SegmentUsage, PinAttachment,
            RoutePath, NetResult, MsCut, Segment]
 
 
@@ -79,7 +79,6 @@ def instances():
     return {
         Span: region.tree.cuts[0].cut_edges[0].span,
         BagEdge: region.tree.cuts[0].cut_edges[0],
-        TJunction: all_junctions(fp)[0],
         Block: fp.blocks[0],
         Pin: fp.nets[0].pins[0],
         Net: fp.nets[0],

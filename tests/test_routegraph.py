@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msroute.adjacency import Axis, TJunction, all_junctions
+from msroute.adjacency import Axis, all_junctions
 from msroute.errors import InternalError, PinHostError
 from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute.routegraph import (
@@ -39,7 +39,7 @@ def hand_state(segments, profile, junctions=None, search=SearchDir.FWD):
     and route_floorplan use; junctions default to one per referenced id."""
     if junctions is None:
         n = 1 + max(max(seg.j1, seg.j2) for seg in segments)
-        junctions = [TJunction(float(i), 0.0) for i in range(n)]
+        junctions = [(float(i), 0.0) for i in range(n)]
     region = RegionModel(fp=None, balance=BalanceMode.NUMBER, tree=None,
                          graph=build_junction_graph(segments, junctions))
     return RoutingState.prepare(region, RunConfig(search, profile))
@@ -374,8 +374,8 @@ def test_indexed_host_matches_the_scan(n, seed, all_walls, data):
     nudge = st.sampled_from(_NUDGES)
     points = []
     for _ in range(12):
-        j = draw(st.sampled_from(junctions))
-        points.append((j.x + draw(nudge), j.y))
+        jx, jy = draw(st.sampled_from(junctions))
+        points.append((jx + draw(nudge), jy))
         seg = draw(st.sampled_from(usable))
         along = seg.lo + draw(st.floats(0, 1)) * seg.length
         points.append((seg.fixed, along) if seg.axis is Axis.V else (along, seg.fixed))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msroute.adjacency import Axis, TJunction, all_junctions
+from msroute.adjacency import Axis, all_junctions
 from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute import router
 from msroute.metrics import summarize
@@ -182,7 +182,7 @@ def test_decompose_breaks_length_ties_toward_the_smaller_pair(points, pairs):
 def _random_gsrg(rng, n_junctions, profile):
     """Random connected junction graph with random usage, plus 2 pins; returns
     the GSRG and the run holding the usage."""
-    junctions = [TJunction(x=float(i), y=0.0) for i in range(n_junctions)]
+    junctions = [(float(i), 0.0) for i in range(n_junctions)]
     segments = []
 
     def add_seg(a, b):
@@ -258,7 +258,7 @@ def test_dijkstra_matches_path_enumeration():
 
 def test_dijkstra_single_edge():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(0.0, 0.0), TJunction(10.0, 0.0)]
+    junctions = [(0.0, 0.0), (10.0, 0.0)]
     seg = Segment(id=0, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1, r=1)
     state = hand_state([seg], profile, junctions)
     # off-wall escape distances so the traversal is strictly cheapest
@@ -274,7 +274,7 @@ def test_dijkstra_single_edge():
 
 def test_dijkstra_unreachable_sink():
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(float(i), 0.0) for i in range(4)]
+    junctions = [(float(i), 0.0) for i in range(4)]
     segs = []
     for sid, (a, b) in enumerate([(0, 1), (2, 3)]):  # two disconnected edges
         segs.append(Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=5.0, j1=a, j2=b, r=1))
@@ -348,7 +348,7 @@ def _grid_gsrg(rng, cols, rows, layers):
     ids = list(range(cols * rows))
     rng.shuffle(ids)
     at = {(c, r): ids[r * cols + c] for c in range(cols) for r in range(rows)}
-    junctions = [TJunction(float(xs[c]), float(ys[r])) for _, c, r in sorted((j, c, r) for (c, r), j in at.items())]
+    junctions = [(float(xs[c]), float(ys[r])) for _, c, r in sorted((j, c, r) for (c, r), j in at.items())]
     segments = []
     for (c, r), j in sorted(at.items()):
         for dc, dr in ((1, 0), (0, 1)):
@@ -387,8 +387,8 @@ def test_astar_zero_length_segments_keep_dijkstra_predecessors():
     Junction 0 ties junction 2's distance only after 2 was reached from 1, so
     it must not become 2's predecessor: 2 -> 0 -> 2 would be a loop."""
     profile = CapacityProfile(ProfileKind.UNIFORM, 1, LayerModel.UNRESERVED)
-    junctions = [TJunction(5.0, 0.0), TJunction(5.0, 0.0), TJunction(5.0, 0.0),
-                 TJunction(6.0, 0.0), TJunction(0.0, 0.0)]
+    junctions = [(5.0, 0.0), (5.0, 0.0), (5.0, 0.0),
+                 (6.0, 0.0), (0.0, 0.0)]
     segs = [Segment(id=sid, region_id=0, axis=Axis.H, fixed=0.0, lo=lo, hi=hi, j1=a, j2=b, r=1)
             for sid, (a, b, lo, hi) in enumerate([(4, 1, 0.0, 5.0), (1, 2, 5.0, 5.0), (2, 0, 5.0, 5.0),
                                                  (2, 3, 5.0, 6.0)])]
@@ -444,8 +444,8 @@ def _ring_fixture():
     on layer 3 and pays vias; the top route stays on layer 1.
     """
     profile = CapacityProfile(ProfileKind.UNIFORM, 8, LayerModel.RESERVED_HV)
-    junctions = [TJunction(0.0, 0.0), TJunction(0.0, 10.0),
-                 TJunction(10.0, 10.0), TJunction(10.0, 0.0)]
+    junctions = [(0.0, 0.0), (0.0, 10.0),
+                 (10.0, 10.0), (10.0, 0.0)]
     left = Segment(id=0, region_id=0, axis=Axis.V, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=1)
     right = Segment(id=1, region_id=0, axis=Axis.V, fixed=10.0, lo=0.0, hi=10.0, j1=3, j2=2)
     bottom = Segment(id=2, region_id=0, axis=Axis.H, fixed=0.0, lo=0.0, hi=10.0, j1=0, j2=3)

@@ -26,7 +26,10 @@ from msroute.staircase import (
     tree_text,
 )
 
-from test_floorplan import make_fp, make_net, pinwheel
+from msroute.routegraph import RegionModel
+from msroute.router import RoutingState, RunConfig, route_all
+
+from test_floorplan import make_fp, make_net, nested_pinwheels, pinwheel, with_nets
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +298,7 @@ def test_segment_endpoints_are_junctions():
     pinwheels = [make_fp(pinwheel(1, 2, 1, 2, 3, 3)), make_fp(pinwheel(2, 5, 1, 4, 7, 6))]
     for fp in generated + pinwheels:
         _, junctions, segments = _prepared(fp)
-        pos = [(j.x, j.y) for j in junctions]
+        pos = junctions
         # extract_segments sorts its pieces as plain tuples, so none may tie on its sort key
         assert len({(s.axis, s.fixed, s.lo) for s in segments}) == len(segments)
         for s in segments:
@@ -313,8 +316,8 @@ def test_junction_incident_segments_degree():
     fp = generate_random_floorplan(10, 0, 2, seed=6)
     _, junctions, segments = _prepared(fp)
     degree = Counter(jid for s in segments for jid in (s.j1, s.j2))
-    for jid, j in enumerate(junctions):
-        assert degree[jid] == (2 if j.on_boundary else 3)
+    for jid in range(len(junctions)):
+        assert degree[jid] == (2 if jid >= len(junctions) - 4 else 3)  # the last four are the corners
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,15 +332,34 @@ def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance
     assert len(tree.cuts) == n - 1
     assert len(tjunctions) == 2 * n - 2
     bx1, by1, bx2, by2 = fp.snapped_rects()[4]
-    b = sum(1 for j in tjunctions if j.x in (bx1, bx2) or j.y in (by1, by2))
+    b = sum(1 for x, y in tjunctions if x in (bx1, bx2) or y in (by1, by2))
     for orientation in Orientation:
         assert len(build_bag(fp, orientation).edges) == 3 * (n - 1) - b
     assert len(segments) == 3 * n + 1
     degree = Counter(jid for s in segments for jid in (s.j1, s.j2))
-    assert [degree[jid] for jid in range(len(junctions))] == [2 if j.on_boundary else 3 for j in junctions]
+    assert [degree[jid] for jid in range(len(junctions))] == [3] * (len(junctions) - 4) + [2] * 4
     cut_walls = Counter(frozenset((e.src, e.dst)) for cut in tree.cuts for e in cut.cut_edges)
     assert all(count == 1 for count in cut_walls.values())
     assert set(cut_walls) == {frozenset((e.src, e.dst)) for e in tree.bags[Orientation.MIS].edges}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(5, 40), seed=st.integers(0, 10_000), share=st.sampled_from([0.5, 1.0]))
+def test_region_invariants_and_routes_on_nested_pinwheels(n, seed, share):
+    fp = with_nets(make_fp(nested_pinwheels(n, seed, share)), 2 * n, seed)
+    tjunctions = enumerate_tjunctions(fp)
+    assert len(tjunctions) == 2 * n - 2
+    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    b = sum(1 for x, y in tjunctions if x in (bx1, bx2) or y in (by1, by2))
+    for orientation in Orientation:
+        assert len(build_bag(fp, orientation).edges) == 3 * (n - 1) - b
+    for balance in BalanceMode:
+        region = RegionModel.build(fp, balance)
+        assert len(region.tree.cuts) == n - 1
+        assert len(region.graph.segments) == 3 * n + 1
+        for name in ("FCN", "FCH", "BCL"):
+            run = route_all(RoutingState.prepare(region, RunConfig.from_name(name, layers=4)))
+            assert len(run.results) == len(fp.nets)
 
 
 # ---------------------------------------------------------------------------
