@@ -481,7 +481,10 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
     overlaps no later one by more than tol.  Every open rectangle thus
     reaches past the opening one's x1 + tol and starts no later, so their x
     overlap exceeds tol exactly when the opening one's own x2 - x1 does, and
-    only the y overlap is left to check.  Memory stays linear in n.
+    only the y overlap is left to check.  Float subtraction is monotone in
+    each operand, so min(y2) - max(y1) is the least of the four differences
+    y2 - y1 across the pair, and it exceeds tol exactly when all four do;
+    the opening one's own is checked once.  Memory stays linear in n.
     """
     closing: list[tuple[float, int]] = []   # (x2, id) of the open rectangles
     open_: dict[int, None] = {}             # open ids, in opening order
@@ -490,9 +493,10 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
         start = x1[b]
         while closing and closing[0][0] - start <= tol:
             del open_[heapq.heappop(closing)[1]]
-        if x2[b] - start > tol:
-            lo, hi = y1[b], y2[b]
-            found.extend((a, b) if a < b else (b, a) for a in open_ if min(y2[a], hi) - max(y1[a], lo) > tol)
+        lo, hi = y1[b], y2[b]
+        if x2[b] - start > tol and hi - lo > tol:
+            found.extend((a, b) if a < b else (b, a) for a in open_
+                         if y2[a] - lo > tol and hi - y1[a] > tol and y2[a] - y1[a] > tol)
         open_[b] = None
         heapq.heappush(closing, (x2[b], b))
     found.sort()

@@ -13,12 +13,15 @@ the bag's blocks, and a net with fewer than 2 of them is never cut.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
 tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
-net's pins are counted per block once, at the root.  Each child gets only
-its own nets (those with at least 2 pins on its blocks, with only those
-blocks' counts) and its own MIS and MDS edges, so a node's work scales with
-its size, not with the whole instance.  Every adjacency wall is consumed by
-exactly one cut (the tree node separating its two blocks), so the cut walls
-plus the floorplan border cover all routing channels.
+net's pins are counted per block once, at the root.  Once a node's cut is
+final it splits the node's nets and its MIS and MDS edges between its two
+sides, in one pass over each list: a net wholly on one side goes there as it
+is, a cut net goes to each side holding at least 2 of its pins with only
+that side's counts, and an edge goes to the side holding both its ends.
+So a node's work scales with its size, not with the whole instance.  Every
+adjacency wall is consumed by exactly one cut (the tree node separating its
+two blocks), so the cut walls plus the floorplan border cover all routing
+channels.
 """
 
 from __future__ import annotations
@@ -90,33 +93,24 @@ class Segment:
 # on each of them, their sum).  Two tuples take less memory than a dict.
 PinCounts = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
+# A bag edge as a cut sees it: (its staircase key, its index in its bag's edges).
+Item = tuple[tuple[float, float, float, float], int]
+# What a cut hands one of its sides: its items per orientation, and its nets.
+Side = tuple[dict[Orientation, list[Item]], list[PinCounts]]
 
-def _count_pins(nets: list[Net]) -> list[PinCounts]:
-    """Each net's pins per block, counted once."""
+
+def _count_pins(nets: list[Net], blocks: range | set[int]) -> list[PinCounts]:
+    """Each net's pins per block of `blocks`, counted once; the nets with
+    fewer than 2 pins there are left out (net order kept)."""
     counted = []
     for net in nets:
         counts: dict[int, int] = {}
         for p in net.pins:
-            counts[p.block_id] = counts.get(p.block_id, 0) + 1
-        counted.append((net.id, tuple(counts), tuple(counts.values()), len(net.pins)))
+            if (b := p.block_id) in blocks:
+                counts[b] = counts.get(b, 0) + 1
+        if (total := sum(counts.values())) >= 2:
+            counted.append((net.id, tuple(counts), tuple(counts.values()), total))
     return counted
-
-
-def _counts_within(nets: list[PinCounts], blocks: set[int]) -> list[PinCounts]:
-    """The nets with at least 2 pins on `blocks`, each with only those
-    blocks' counts (net order kept)."""
-    kept = []
-    for entry in nets:
-        net_id, on, counts, total = entry
-        if blocks.issuperset(on):  # all its pins are here: share the entry
-            if total >= 2:
-                kept.append(entry)
-            continue
-        own = [(b, c) for b, c in zip(on, counts) if b in blocks]
-        total = sum(c for _, c in own)
-        if total >= 2:
-            kept.append((net_id, *zip(*own), total))
-    return kept
 
 
 def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, float, float]:
@@ -131,8 +125,9 @@ def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, 
     return (x1, -y2, x2, -y1)
 
 
-def _staircase_keys(bag: Bag) -> list[tuple[float, float, float, float]]:
-    return [_staircase_key(e.span, bag.orientation) for e in bag.edges]
+def _items(bag: Bag) -> list[Item]:
+    """The bag's edges as items, in bag order."""
+    return [(_staircase_key(e.span, bag.orientation), idx) for idx, e in enumerate(bag.edges)]
 
 
 def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
@@ -141,20 +136,28 @@ def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
     return all(a[2] <= b[0] and a[3] <= b[1] for a, b in zip(ordered, ordered[1:]))
 
 
-def _stays_monotone(chain: list, removed: list, added: list) -> bool:
-    """Whether `chain`, a monotone staircase as a sorted list of (key, edge
-    index) items, stays monotone once the `removed` items leave it and the
-    `added` ones join it.
+def _absorb(chain: list[Item], removed: list[Item], added: list[Item]) -> bool:
+    """Whether `chain`, a monotone staircase as a sorted list of items, stays
+    monotone once the `removed` items (all in it) leave it and the `added`
+    ones join it; if so, make that change.
 
     Only the window between the kept walls either side of the change is
-    checked: every pair outside it was a neighbour pair of `chain` already.
+    checked and rewritten: every pair outside it was a neighbour pair of
+    `chain` already, and every added item sorts inside it.
     """
-    spots = [bisect.bisect_left(chain, item) for item in removed + added]
-    if not spots:
+    change = removed + added
+    if not change:
         return True
-    lo, hi = max(min(spots) - 1, 0), max(spots) + 1
-    window = sorted([item for item in chain[lo:hi + 1] if item not in removed] + added)
-    return all(a[0][2] <= b[0][0] and a[0][3] <= b[0][1] for a, b in zip(window, window[1:]))
+    # bisect_left is monotone in the item, so these are the least and the
+    # greatest of the change's spots
+    lo = max(bisect.bisect_left(chain, min(change)) - 1, 0)
+    hi = bisect.bisect_left(chain, max(change)) + 2
+    window = sorted([item for item in chain[lo:hi] if item not in removed] + added)
+    for a, b in zip(window, window[1:]):
+        if a[0][2] > b[0][0] or a[0][3] > b[0][1]:
+            return False
+    chain[lo:hi] = window
+    return True
 
 
 def bipartition(
@@ -170,118 +173,136 @@ def bipartition(
     cut a monotone staircase; NUMBER stops at half the blocks, AREA at half
     the area (giving the last block back when that is nearer the half).
     """
-    return _cut(bag, _counts_within(_count_pins(nets), set(bag.nodes)), balance, areas, _staircase_keys(bag))
+    o, blocks = bag.orientation, sorted(bag.nodes)
+    return _cut(o, blocks, {o: _items(bag)}, {o: bag}, _count_pins(nets, set(blocks)), balance, areas)[0]
 
 
-def _cut(
-    bag: Bag,
-    nets: list[PinCounts],
-    balance: BalanceMode,
-    areas: dict[int, float] | None,
-    keys: list[tuple[float, float, float, float]],
-) -> MsCut:
-    """bipartition over nets already counted and cut down to the bag's blocks;
-    `keys` are the edges' staircase keys, in bag.edges order."""
-    nodes = sorted(bag.nodes)
+def _cut(orientation: Orientation, nodes: list[int], items: dict[Orientation, list[Item]],
+         bags: dict[Orientation, Bag], nets: list[PinCounts], balance: BalanceMode,
+         areas: dict[int, float] | None) -> tuple[MsCut, Side, Side]:
+    """bipartition of the sorted blocks `nodes`, given per orientation the
+    items of the bag edges within them (in bag order, each naming its edge in
+    `bags`) and the nets counted on them (`_count_pins`).
+
+    Returns the cut, then what it hands its left and its right side: an edge
+    goes to the side holding both its ends, a net to each side holding at
+    least 2 of its pins, cut down to that side's blocks only when it is a
+    cut net.
+    """
     n_sub = len(nodes)
     if n_sub < 2:
         raise ValueError("bipartition needs at least 2 blocks")
     if balance is BalanceMode.AREA and areas is None:
         raise ValueError("AREA balance requires block areas")
 
-    succ: dict[int, list[int]] = {v: [] for v in nodes}
-    indeg: dict[int, int] = {v: 0 for v in nodes}
-    # per block, its in- and out-edges as (staircase key, edge index) items
-    in_items: dict[int, list] = {v: [] for v in nodes}
-    out_items: dict[int, list] = {v: [] for v in nodes}
-    for idx, e in enumerate(bag.edges):
-        succ[e.src].append(e.dst)
-        indeg[e.dst] += 1
-        in_items[e.dst].append((keys[idx], idx))
-        out_items[e.src].append((keys[idx], idx))
+    # per block, its in- and out-edges as items, and how many in-edges of an
+    # unabsorbed block are left
+    bag_edges = bags[orientation].edges
+    in_items: dict[int, list[Item]] = {v: [] for v in nodes}
+    out_items: dict[int, list[Item]] = {v: [] for v in nodes}
+    for item in items[orientation]:
+        e = bag_edges[item[1]]
+        in_items[e.dst].append(item)
+        out_items[e.src].append(item)
+    indeg = {v: len(in_items[v]) for v in nodes}
 
-    # per net: its pin count on the bag's blocks and how many of those pins
-    # the absorbed side holds; per block, the (net index, pin count) of each
-    # net with pins on it
+    # per net: its pin count on the blocks and how many of those pins the
+    # absorbed side holds; per block, the pin count on it of each net with
+    # pins there, by net index
     total = [n_pins for _, _, _, n_pins in nets]
-    pins_on: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
+    pins_on: dict[int, dict[int, int]] = {v: {} for v in nodes}
     for i, (_, on, counts, _) in enumerate(nets):
         for bid, count in zip(on, counts):
-            pins_on[bid].append((i, count))
+            pins_on[bid][i] = count
     in_a = [0] * len(total)
 
     def cut_change(v: int) -> int:
         """The change in the cut-net count when block v joins the absorbed side."""
         change = 0
-        for i, count in pins_on[v]:
-            change += (in_a[i] + count < total[i]) - (0 < in_a[i] < total[i])
+        for i, count in pins_on[v].items():
+            held, n_pins = in_a[i], total[i]
+            change += (held + count < n_pins) - (0 < held < n_pins)
         return change
 
-    sources = {v for v in nodes if indeg[v] == 0}
+    sources = {v for v in nodes if not indeg[v]}
     absorbed: list[int] = []
     a_area = 0.0
     total_area = sequential_sum(areas[v] for v in nodes) if areas else 0.0
-    chain: list = []  # the current cut as sorted (key, edge index) items, a monotone staircase
+    chain: list[Item] = []  # the current cut, sorted, a monotone staircase
 
     # NUMBER stops at half the blocks, AREA at half the area; both leave one block
     while len(absorbed) < n_sub - 1 and (
             len(absorbed) < n_sub // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
         # in staircase-shaped sub-regions not every source keeps the cut a
         # single monotone chain: absorb the least (cut change, id) source that
-        # does.  v is a source, so its in-edges leave the cut and its out-edges join it
-        best = next((v for v in sorted(sources, key=lambda v: (cut_change(v), v))
-                     if _stays_monotone(chain, in_items[v], out_items[v])), None)
-        if best is None:
+        # does.  A source's in-edges leave the cut and its out-edges join it
+        ranked = [v for _, v in sorted([(cut_change(v), v) for v in sources])] if len(sources) > 1 else sources
+        for best in ranked:
+            if _absorb(chain, in_items[best], out_items[best]):
+                break
+        else:
             raise InternalError("no source keeps the cut a monotone staircase")
         sources.remove(best)
-        for i, count in pins_on[best]:
-            in_a[i] += count
         absorbed.append(best)
-        for item in in_items[best]:
-            del chain[bisect.bisect_left(chain, item)]
-        for item in out_items[best]:
-            bisect.insort(chain, item)
+        for i, count in pins_on[best].items():
+            in_a[i] += count
+        for _, idx in out_items[best]:
+            w = bag_edges[idx].dst
+            indeg[w] -= 1
+            if not indeg[w]:
+                sources.add(w)
         if areas:
             a_area += areas[best]
-        for w in succ[best]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                sources.add(w)
 
     if balance is BalanceMode.AREA and len(absorbed) > 1:
         last = absorbed[-1]
-        with_last = abs(total_area - 2.0 * a_area)
-        without = abs(total_area - 2.0 * (a_area - areas[last]))
-        if without < with_last:
-            for i, count in pins_on[last]:
+        # give the last block back when the area without it is nearer the half
+        if abs(total_area - 2.0 * (a_area - areas[last])) < abs(total_area - 2.0 * a_area):
+            for i, count in pins_on[last].items():
                 in_a[i] -= count
             absorbed.pop()
             a_area -= areas[last]
 
     left = set(absorbed)
-    cut_items = []  # (staircase key, edge index) of the cut's edges
-    for idx, e in enumerate(bag.edges):
-        src_in, dst_in = e.src in left, e.dst in left
-        if src_in and not dst_in:
-            cut_items.append((keys[idx], idx))
-        elif dst_in and not src_in:
-            raise InternalError("cut is not predecessor-closed; not a staircase")
+    split = {o: _split(o_items, bags[o].edges, left, o is orientation) for o, o_items in items.items()}
+    cut_items = split[orientation][2]
     if not _is_monotone_keys([key for key, _ in cut_items]):
         raise InternalError("bipartition produced a non-monotone cut")
 
-    return MsCut(
-        orientation=bag.orientation,
-        left_set=tuple(sorted(absorbed)),
-        right_set=tuple(v for v in nodes if v not in left),
-        cut_edges=[bag.edges[idx] for _, idx in sorted(cut_items)],
-        cut_nets=[nets[i][0] for i, held in enumerate(in_a) if 0 < held < total[i]],
-    )
+    left_nets, right_nets, cut_nets = [], [], []
+    for entry, held, n_pins in zip(nets, in_a, total):
+        if held == n_pins:
+            left_nets.append(entry)
+        elif not held:
+            right_nets.append(entry)
+        else:
+            net_id, on, counts, _ = entry
+            cut_nets.append(net_id)
+            for side_nets, pins, on_left in ((left_nets, held, True), (right_nets, n_pins - held, False)):
+                if pins >= 2:
+                    own = [(b, c) for b, c in zip(on, counts) if (b in left) is on_left]
+                    side_nets.append((net_id, *zip(*own), pins))
+
+    cut = MsCut(orientation=orientation, left_set=tuple(sorted(absorbed)),
+                right_set=tuple(v for v in nodes if v not in left),
+                cut_edges=[bag_edges[idx] for _, idx in sorted(cut_items)], cut_nets=cut_nets)
+    return cut, ({o: s[0] for o, s in split.items()}, left_nets), ({o: s[1] for o, s in split.items()}, right_nets)
 
 
-def _induce(bag: Bag, keys: list, subset: set[int]) -> tuple[Bag, list]:
-    """The bag's edges within subset, with their staircase keys."""
-    kept = [k for k, e in enumerate(bag.edges) if e.src in subset and e.dst in subset]
-    return Bag(bag.orientation, sorted(subset), [bag.edges[k] for k in kept]), [keys[k] for k in kept]
+def _split(items: list[Item], edges: list[BagEdge], left: set[int], directed: bool) -> tuple[list[Item], ...]:
+    """The items whose edges lie within `left`, within the rest, and cross
+    from `left` to the rest (order kept).  For the cut's own orientation
+    (`directed`) no edge may cross back; the others' crossing edges are dropped."""
+    inside, outside, crossing = [], [], []
+    for item in items:
+        e = edges[item[1]]
+        if e.src in left:
+            (inside if e.dst in left else crossing).append(item)
+        elif e.dst not in left:
+            outside.append(item)
+        elif directed:
+            raise InternalError("cut is not predecessor-closed; not a staircase")
+    return inside, outside, crossing
 
 
 def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> MscTree:
@@ -290,23 +311,20 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
     full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
-    # (blocks, the parent's nets and (bag, keys) per orientation, depth); a
-    # node pushes its right side before its left, so cuts come out in preorder
-    stack = [(tuple(range(len(fp.blocks))), _count_pins(fp.nets),
-              {o: (bag, _staircase_keys(bag)) for o, bag in full.items()}, 0)]
+    # (blocks, their items and nets, depth); each cut hands its sides their
+    # items and nets, and pushes its right side before its left, so cuts come
+    # out in preorder
+    blocks = range(len(fp.blocks))
+    stack = [(tuple(blocks), {o: _items(bag) for o, bag in full.items()}, _count_pins(fp.nets, blocks), 0)]
     while stack:
-        block_ids, nets, bags, depth = stack.pop()
+        block_ids, items, nets, depth = stack.pop()
         if len(block_ids) == 1:
             continue
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
-        blocks = set(block_ids)
-        nets = _counts_within(nets, blocks)
-        bags = {o: _induce(bag, keys, blocks) for o, (bag, keys) in bags.items()}
-        bag, keys = bags[orientation]
-        cut = _cut(bag, nets, balance, areas, keys)
+        cut, left, right = _cut(orientation, block_ids, items, full, nets, balance, areas)
         cuts.append(cut)
-        stack.append((cut.right_set, nets, bags, depth + 1))
-        stack.append((cut.left_set, nets, bags, depth + 1))
+        stack.append((cut.right_set, *right, depth + 1))
+        stack.append((cut.left_set, *left, depth + 1))
     return MscTree(cuts, full)
 
 

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, enumerate_tjunctions
 from msroute.floorplan import Net, Pin, generate_random_floorplan
+from msroute import staircase
 from msroute.staircase import (
     BalanceMode,
     Segment,
+    _absorb,
+    _count_pins,
     _is_monotone_keys,
+    _items,
     _staircase_key,
-    _stays_monotone,
     assign_capacities,
     bipartition,
     build_msc_tree,
@@ -509,19 +512,57 @@ def test_boundary_capacity_zero_without_pins():
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 40), nets_per_block=st.integers(0, 6), seed=st.integers(0, 10_000),
-       balance=st.sampled_from(list(BalanceMode)))
-def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, seed, balance):
-    fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
-    tree = build_msc_tree(fp, balance)
+       share=st.sampled_from([None, 0.5, 1.0]))
+def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, seed, share):
+    if share is None:
+        fp = generate_random_floorplan(n, n * nets_per_block, 6, seed=seed)
+    else:  # non-guillotine regions
+        fp = with_nets(make_fp(nested_pinwheels(n, seed, share)), n * nets_per_block, seed)
     full = {o: build_bag(fp, o) for o in Orientation}
     areas = {b.id: b.area for b in fp.blocks}
-    for cut in tree.cuts:
-        blocks = set(cut.left_set) | set(cut.right_set)
-        edges = [e for e in full[cut.orientation].edges if e.src in blocks and e.dst in blocks]
-        ref = bipartition(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
-        assert ref.left_set == cut.left_set
-        assert ref.cut_edges == cut.cut_edges
-        assert ref.cut_nets == cut.cut_nets
+    for balance in BalanceMode:
+        for cut in build_msc_tree(fp, balance).cuts:
+            blocks = set(cut.left_set) | set(cut.right_set)
+            edges = [e for e in full[cut.orientation].edges if e.src in blocks and e.dst in blocks]
+            ref = bipartition(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
+            assert ref.left_set == cut.left_set
+            assert ref.right_set == cut.right_set
+            assert ref.cut_edges == cut.cut_edges
+            assert ref.cut_nets == cut.cut_nets
+
+
+@settings(max_examples=30, deadline=None)
+@given(fp=st.one_of(
+    st.builds(lambda n, k, seed: generate_random_floorplan(n, n * k, 6, seed=seed),
+              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000)),
+    st.builds(lambda n, k, seed, share: with_nets(make_fp(nested_pinwheels(n, seed, share)), n * k, seed),
+              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000), st.sampled_from([0.5, 1.0]))),
+    balance=st.sampled_from(list(BalanceMode)))
+def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
+    """A side's nets are the nets with at least 2 pins on its blocks, counted
+    on them only, and its items per orientation are the full bag's items
+    within it, in bag order."""
+    full_items = {o: _items(build_bag(fp, o)) for o in Orientation}
+    cut = staircase._cut
+    calls = []
+
+    def recording_cut(orientation, nodes, items, bags, nets, balance, areas):
+        made, left, right = cut(orientation, nodes, items, bags, nets, balance, areas)
+        calls.append((made.left_set, left))
+        calls.append((made.right_set, right))
+        return made, left, right
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(staircase, "_cut", recording_cut)
+        tree = build_msc_tree(fp, balance)
+    assert len(calls) == 2 * len(tree.cuts)
+    for blocks, (items, nets) in calls:
+        inside = set(blocks)
+        assert nets == _count_pins(fp.nets, inside)
+        for o in Orientation:
+            edges = tree.bags[o].edges
+            assert items[o] == [(key, idx) for key, idx in full_items[o]
+                                if edges[idx].src in inside and edges[idx].dst in inside]
 
 
 def _eager_cut(bag, nets, balance, areas):
@@ -614,8 +655,11 @@ def _chain_change(draw):
 @given(change=_chain_change())
 def test_local_staircase_check_equals_the_full_rescan(change):
     chain, removed, added = change
-    new_cut = [key for key, i in chain if (key, i) not in removed] + [key for key, _ in added]
-    assert _stays_monotone(chain, removed, added) == _is_monotone_keys(new_cut)
+    new_chain = sorted([item for item in chain if item not in removed] + added)
+    after = list(chain)
+    stays = _is_monotone_keys([key for key, _ in new_chain])
+    assert _absorb(after, removed, added) == stays
+    assert after == (new_chain if stays else chain)
 
 
 # sha256 of tree_text + segments_csv, recorded before the tree build stopped
