@@ -35,8 +35,10 @@ tree = msr.build_msc_tree(fp)
 print(f"{len(tree.cuts)} cuts = n-1 = {len(fp.blocks) - 1}")
 print(tree_text(tree)[:600], "...")
 
-section("A single balanced cut")
-cut = msr.bipartition(msr.build_bag(fp, msr.Orientation.MIS), fp.nets)
+section("The root cut: one balanced monotone staircase")
+# build_msc_tree makes each cut with one staircase.bipartition call; the
+# first in preorder splits the whole floorplan
+cut = tree.cuts[0]
 print(f"left {list(cut.left_set)} vs right {list(cut.right_set)}, "
       f"{len(cut.cut_edges)} cut walls, {len(cut.cut_nets)} cut nets")
 print("its walls in staircase order (x and y never step back under MIS):")

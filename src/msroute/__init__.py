@@ -36,7 +36,6 @@ from .router import PRESETS, RoutingState, RunConfig, decompose_net, order_nets,
 from .staircase import (
     BalanceMode,
     assign_capacities,
-    bipartition,
     build_msc_tree,
     extract_segments,
     segments_csv,

@@ -110,28 +110,20 @@ def _cmd_sweep(args) -> int:
     if not names:
         raise ParseError(f"--configs {args.configs!r} names no configuration")
     configs = [_make_config(args, name) for name in names]  # an unknown name fails before any routing
+    if len({config.name for config in configs}) < len(configs):
+        raise ParseError(f"--configs {args.configs!r} names a configuration twice")
     fp = _resolve_instance(args)
     out = _out_dir(args)
     region = RegionModel.build(fp, balance=_BALANCES[args.balance])
-    rows = []
+    totals = ("routed_pct", "wirelength", "vias", "runtime_seconds")  # the report totals it lists
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("config", *totals, "wace4_max"))
     for config in configs:
         report = summarize(route_all(RoutingState.prepare(region, config)))
         write_report(report, out, config.name, args.report)
         _print_summary(report)
-        rows.append({
-            "config": config.name,
-            "routed_pct": report.totals["routed_pct"],
-            "wirelength": report.totals["wirelength"],
-            "vias": report.totals["vias"],
-            "runtime_seconds": report.totals["runtime_seconds"],
-            "wace4_max": report.congestion["wace4_max"],
-        })
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["config", "routed_pct", "wirelength", "vias", "runtime_seconds", "wace4_max"],
-        lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+        writer.writerow((config.name, *(report.totals[key] for key in totals), report.congestion["wace4_max"]))
     sweep_path = out / "sweep_summary.csv"
     sweep_path.write_text(buf.getvalue())
     print(f"wrote {sweep_path}")

@@ -5,7 +5,9 @@ read from `region.fp.nets`) and the balance mode: the MSC tree and the
 junction graph, whose `segments` (with their base capacity r) are the
 region's only segment list and whose `jx`/`jy` are the only junction
 coordinates.  Build it once with `RegionModel.build`; every run
-configuration routes over the same region, and no run writes to it.
+configuration routes over the same region.  A run fills only memos of
+region facts (the junction graph's pin hosts and their index), which are
+the same whichever run fills them.
 
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions; `JunctionGraph.usable` lists those segment
@@ -28,8 +30,9 @@ is the first layer at or above its current layer with spare capacity
 (every segment starts on layer 1, and a layer of capacity 0 is never
 spare), and `charge` lands a net there, so usage never exceeds capacity;
 the router undoes a charge by taking the unit off the landed layer and
-restoring `curr_layer`.  A run keeps one `SegmentUsage` per segment in its
-`router.RoutingState`.
+restoring `curr_layer`.  A segment's price is its `free_share`, 1 - p with
+p the usage share of its effective layer.  A run keeps one `SegmentUsage`
+per segment in its `router.RoutingState`.
 """
 
 from __future__ import annotations
@@ -121,6 +124,15 @@ def effective_layer(usage: SegmentUsage) -> int | None:
     return None
 
 
+def free_share(usage: SegmentUsage) -> float | None:
+    """1 - p, with p the usage share of the segment's effective layer; None
+    when no layer has room."""
+    layer = effective_layer(usage)
+    if layer is None:
+        return None
+    return 1.0 - usage.u[layer - 1] / usage.cap[layer - 1]
+
+
 def charge(usage: SegmentUsage) -> int:
     """Account one routed net on the segment; returns the layer it landed on."""
     layer = effective_layer(usage)
@@ -182,7 +194,7 @@ class JunctionGraph:
             d = _point_interval_dist(wall, x, y)
             seen.append((d, wall))
             if d <= reach:
-                cut = _cut(sorted(dist for dist, _ in seen))
+                cut = _last_near_tie(sorted(dist for dist, _ in seen))
                 reach = cut + 1e-9 * (1.0 + cut)
         best_d = math.inf
         for d, wall in sorted((item for item in seen if item[0] <= cut), key=lambda item: item[1].id):
@@ -205,7 +217,7 @@ def _outward(fixed: list[float], walls: list[Segment], p: float):
             right += 1
 
 
-def _cut(dists: list[float]) -> float:
+def _last_near_tie(dists: list[float]) -> float:
     """The largest of the sorted distances reached from the first in steps
     of at most 1e-9 (relative)."""
     cut = dists[0]
@@ -284,12 +296,14 @@ def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
     return Gsrg(pins=pins)
 
 
-def pin_edge_weights(att: PinAttachment, penalty: list[float]) -> tuple[float, float]:
-    """Weights of the two pin-junction edges under the host's usage penalty."""
-    host_penalty = penalty[att.host_seg]
-    if host_penalty == UNUSABLE:
+def pin_edge_weights(att: PinAttachment, usage: list[SegmentUsage]) -> tuple[float, float]:
+    """Weights of the two pin-junction edges: their lengths priced at
+    1 / (1 - p) of the host, read from its usage."""
+    free = free_share(usage[att.host_seg])
+    if free is None:
         return UNUSABLE, UNUSABLE
-    return att.d1 * host_penalty, att.d2 * host_penalty
+    penalty = 1.0 / free
+    return att.d1 * penalty, att.d2 * penalty
 
 
 def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage] | None, layers: int) -> str:
@@ -310,8 +324,8 @@ def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage] | None, laye
 
 @dataclass(frozen=True)
 class RegionModel:
-    """Everything the runs over one (floorplan, balance) read and none writes;
-    its segments are `graph.segments`."""
+    """Everything the runs over one (floorplan, balance) read; they fill only
+    the junction graph's host memos.  Its segments are `graph.segments`."""
 
     fp: Floorplan
     balance: BalanceMode

@@ -1,13 +1,13 @@
 """Congestion-aware routing over the junction graph of a region model.
 
 A run is a `RoutingState`: one `SegmentUsage` per segment of a
-`RegionModel` it only reads, under one `RunConfig` (a search direction and
-a `CapacityProfile`).  A segment's edge weight is length / (1 - p), with p
-its usage share at its effective layer, and UNUSABLE when no layer has
-room.  The state caches every weight and pin penalty; usage changes only
-through `RoutingState.charge` and the rollback of a failed net, which
-refresh exactly the segments they touch.  Several states can share one
-region.
+`RegionModel` whose facts it only reads, under one `RunConfig` (a search
+direction and a `CapacityProfile`).  A segment's edge weight is
+length / (1 - p), with 1 - p its `free_share`, and UNUSABLE when no layer
+has room; a pin edge is priced at 1 / (1 - p) of its host.  The state
+caches every weight; usage changes only through `RoutingState.charge` and
+the rollback of a failed net, which refresh exactly the segments they
+touch.  Several states can share one region.
 
 Nets route one at a time in non-decreasing (HPWL, degree) order.  A
 multi-terminal net is first decomposed into t-1 two-terminal pairs by a
@@ -48,7 +48,7 @@ from .routegraph import (
     build_gsrg,
     capacity_row,
     charge,
-    effective_layer,
+    free_share,
     pin_edge_weights,
 )
 from .staircase import BalanceMode, Segment
@@ -128,7 +128,6 @@ class RoutingState:
     config: RunConfig
     usage: list[SegmentUsage]
     weight: list[float]           # length / (1 - p) at the effective layer
-    penalty: list[float]          # 1 / (1 - p), priced onto pin edges
 
     @classmethod
     def prepare(cls, region: RegionModel, config: RunConfig) -> "RoutingState":
@@ -140,22 +139,15 @@ class RoutingState:
             if cap is None:
                 cap = rows[seg.r, seg.axis] = capacity_row(config.profile, seg.r, seg.axis)
             usage.append(SegmentUsage(seg.id, cap, [0] * len(cap)))
-        state = cls(region=region, config=config, usage=usage,
-                    weight=[UNUSABLE] * n, penalty=[UNUSABLE] * n)
+        state = cls(region=region, config=config, usage=usage, weight=[UNUSABLE] * n)
         for sid in range(n):
             state.refresh(sid)
         return state
 
     def refresh(self, sid: int) -> None:
-        """Recompute the segment's weight and penalty from its usage."""
-        usage = self.usage[sid]
-        layer = effective_layer(usage)
-        if layer is None:
-            self.weight[sid] = self.penalty[sid] = UNUSABLE
-            return
-        free = 1.0 - usage.u[layer - 1] / usage.cap[layer - 1]
-        self.weight[sid] = self.region.graph.segments[sid].length / free
-        self.penalty[sid] = 1.0 / free
+        """Recompute the segment's weight from its usage."""
+        free = free_share(self.usage[sid])
+        self.weight[sid] = UNUSABLE if free is None else self.region.graph.segments[sid].length / free
 
     def charge(self, sid: int) -> int:
         """routegraph.charge on the segment, then refresh its weight; returns the layer."""
@@ -238,8 +230,8 @@ def dijkstra_ssp(gsrg: Gsrg, state: RoutingState, source_pin: int, sink_pin: int
     weight = state.weight
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
     src_seg, dst_seg = segs[src.host_seg], segs[dst.host_seg]
-    sw1, sw2 = pin_edge_weights(src, state.penalty)
-    dw1, dw2 = pin_edge_weights(dst, state.penalty)
+    sw1, sw2 = pin_edge_weights(src, state.usage)
+    dw1, dw2 = pin_edge_weights(dst, state.usage)
     if dw1 == UNUSABLE:  # the host's two weights are both finite or both UNUSABLE
         return None
     # a segment's two junctions differ, so the sink has two finish junctions

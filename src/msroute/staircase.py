@@ -6,22 +6,22 @@ BAG sources grows the upper-left (MIS) or lower-left (MDS) side while its wall
 boundary stays a monotone staircase.  At each step the bipartitioner orders
 the sources by the change they would make to the cut-net count, then by
 block id, absorbs the first one that keeps the cut a monotone staircase, and
-stops at the balance point.  The count sees only the pins on
-the bag's blocks, and a net with fewer than 2 of them is never cut.
+stops at the balance point.  The count sees only the pins on the blocks
+being cut, and a net with fewer than 2 of them is never cut.
 `assign_capacities` sizes the segments from every net's full pin box
 (`floorplan.net_box`), not from the cut nets, in one sweep per axis.
 
 Recursing with alternating orientations yields the MSC tree: a full binary
-tree with the blocks as leaves and exactly n-1 cuts as internal nodes.  Each
-net's pins are counted per block once, at the root.  Once a node's cut is
-final it splits the node's nets and its MIS and MDS edges between its two
-sides, in one pass over each list: a net wholly on one side goes there as it
-is, a cut net goes to each side holding at least 2 of its pins with only
-that side's counts, and an edge goes to the side holding both its ends.
-So a node's work scales with its size, not with the whole instance.  Every
-adjacency wall is consumed by exactly one cut (the tree node separating its
-two blocks), so the cut walls plus the floorplan border cover all routing
-channels.
+tree with the blocks as leaves and exactly n-1 cuts as internal nodes, each
+made by one `bipartition` call.  Each net's pins are counted per block once,
+at the root.  Once a node's cut is final it splits the node's nets and its
+MIS and MDS edges between its two sides, in one pass over each list: a net
+wholly on one side goes there as it is, a cut net goes to each side holding
+at least 2 of its pins with only that side's counts, and an edge goes to the
+side holding both its ends.  So a node's work scales with its size, not with
+the whole instance.  Every adjacency wall is consumed by exactly one cut
+(the tree node separating its two blocks), so the cut walls plus the
+floorplan border cover all routing channels.
 """
 
 from __future__ import annotations
@@ -160,29 +160,18 @@ def _absorb(chain: list[Item], removed: list[Item], added: list[Item]) -> bool:
     return True
 
 
-def bipartition(
-    bag: Bag,
-    nets: list[Net],
-    balance: BalanceMode = BalanceMode.NUMBER,
-    areas: dict[int, float] | None = None,
-) -> MsCut:
-    """Split the bag's blocks by a balanced monotone staircase cut.
+def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Orientation, list[Item]],
+                bags: dict[Orientation, Bag], nets: list[PinCounts], balance: BalanceMode,
+                areas: dict[int, float]) -> tuple[MsCut, Side, Side]:
+    """Split the sorted blocks `nodes` (at least 2) by a balanced monotone
+    staircase cut, given per orientation the items of the bag edges within
+    them (in bag order, each naming its edge in `bags`) and the nets counted
+    on them (`_count_pins`).
 
-    Returns an MsCut whose left_set is the absorbed (upper/lower-left) side.
-    Each step absorbs the least (cut change, block id) source that keeps the
-    cut a monotone staircase; NUMBER stops at half the blocks, AREA at half
-    the area (giving the last block back when that is nearer the half).
-    """
-    o, blocks = bag.orientation, sorted(bag.nodes)
-    return _cut(o, blocks, {o: _items(bag)}, {o: bag}, _count_pins(nets, set(blocks)), balance, areas)[0]
-
-
-def _cut(orientation: Orientation, nodes: list[int], items: dict[Orientation, list[Item]],
-         bags: dict[Orientation, Bag], nets: list[PinCounts], balance: BalanceMode,
-         areas: dict[int, float] | None) -> tuple[MsCut, Side, Side]:
-    """bipartition of the sorted blocks `nodes`, given per orientation the
-    items of the bag edges within them (in bag order, each naming its edge in
-    `bags`) and the nets counted on them (`_count_pins`).
+    The cut's left_set is the absorbed (upper/lower-left) side.  Each step
+    absorbs the least (cut change, block id) source that keeps the cut a
+    monotone staircase; NUMBER stops at half the blocks, AREA at half the
+    area (giving the last block back when that is nearer the half).
 
     Returns the cut, then what it hands its left and its right side: an edge
     goes to the side holding both its ends, a net to each side holding at
@@ -190,11 +179,6 @@ def _cut(orientation: Orientation, nodes: list[int], items: dict[Orientation, li
     cut net.
     """
     n_sub = len(nodes)
-    if n_sub < 2:
-        raise ValueError("bipartition needs at least 2 blocks")
-    if balance is BalanceMode.AREA and areas is None:
-        raise ValueError("AREA balance requires block areas")
-
     # per block, its in- and out-edges as items, and how many in-edges of an
     # unabsorbed block are left
     bag_edges = bags[orientation].edges
@@ -227,7 +211,7 @@ def _cut(orientation: Orientation, nodes: list[int], items: dict[Orientation, li
     sources = {v for v in nodes if not indeg[v]}
     absorbed: list[int] = []
     a_area = 0.0
-    total_area = sequential_sum(areas[v] for v in nodes) if areas else 0.0
+    total_area = sequential_sum(areas[v] for v in nodes)
     chain: list[Item] = []  # the current cut, sorted, a monotone staircase
 
     # NUMBER stops at half the blocks, AREA at half the area; both leave one block
@@ -251,8 +235,7 @@ def _cut(orientation: Orientation, nodes: list[int], items: dict[Orientation, li
             indeg[w] -= 1
             if not indeg[w]:
                 sources.add(w)
-        if areas:
-            a_area += areas[best]
+        a_area += areas[best]
 
     if balance is BalanceMode.AREA and len(absorbed) > 1:
         last = absorbed[-1]
@@ -321,7 +304,7 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         if len(block_ids) == 1:
             continue
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
-        cut, left, right = _cut(orientation, block_ids, items, full, nets, balance, areas)
+        cut, left, right = bipartition(orientation, block_ids, items, full, nets, balance, areas)
         cuts.append(cut)
         stack.append((cut.right_set, *right, depth + 1))
         stack.append((cut.left_set, *left, depth + 1))

@@ -280,6 +280,17 @@ def test_sweep_configs_naming_nothing_exits_one_and_writes_nothing(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("configs", ["FCN,fcn", "FCN,FCN", "BCH,FCN,bch"])
+def test_sweep_configs_naming_one_twice_exits_one_and_writes_nothing(tmp_path, capsys, configs):
+    """A name repeated in any case is refused before the output directory
+    is made, and so before any routing."""
+    out = tmp_path / "out"
+    code = main(["sweep", "--n", "6", "--k", "10", "--configs", configs, "--out", str(out)])
+    assert code == 1
+    assert "names a configuration twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["route", "sweep", "dump-graph"])
 @pytest.mark.parametrize("layers", ["0", "-2"])
 def test_fewer_than_one_layer_exits_one(tmp_path, capsys, command, layers):

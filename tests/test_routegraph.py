@@ -303,7 +303,7 @@ def test_gsrg_two_pin_net_has_two_attachments():
     net = _net_on(fp, [(1.0, 1.0), (3.0, 1.0)])
     gsrg = build_gsrg(state.region.graph, net)
     assert len(gsrg.pins) == 2
-    weights = [w for att in gsrg.pins for w in pin_edge_weights(att, state.penalty)]
+    weights = [w for att in gsrg.pins for w in pin_edge_weights(att, state.usage)]
     assert len(weights) == 4 and all(w < UNUSABLE for w in weights)
 
 
@@ -323,7 +323,7 @@ def test_gsrg_pin_on_junction_gets_near_zero_edge():
     state = _prepared(fp)
     net = _net_on(fp, [(2.0, 0.0), (2.0, 2.0)])  # exactly on the wall's junctions
     gsrg = build_gsrg(state.region.graph, net)
-    w1, w2 = pin_edge_weights(gsrg.pins[0], state.penalty)
+    w1, w2 = pin_edge_weights(gsrg.pins[0], state.usage)
     assert min(w1, w2) == pytest.approx(0.0)
     assert max(w1, w2) == pytest.approx(2.0)
 

@@ -27,6 +27,7 @@ from msroute.routegraph import (
     build_junction_graph,
     capacity_at,
     effective_layer,
+    free_share,
     layer_permitted,
     pin_edge_weights,
 )
@@ -215,8 +216,8 @@ def brute_force_shortest(gsrg, state):
     jg = state.region.graph
     src, dst = gsrg.pins
     src_seg, dst_seg = jg.segments[src.host_seg], jg.segments[dst.host_seg]
-    sw = pin_edge_weights(src, state.penalty)
-    dw = pin_edge_weights(dst, state.penalty)
+    sw = pin_edge_weights(src, state.usage)
+    dw = pin_edge_weights(dst, state.usage)
     sink_w = {}
     for j, w in ((dst_seg.j1, dw[0]), (dst_seg.j2, dw[1])):
         if w != float("inf"):
@@ -296,8 +297,8 @@ def plain_dijkstra(gsrg, state, source_pin, sink_pin):
     jg = state.region.graph
     src, dst = gsrg.pins[source_pin], gsrg.pins[sink_pin]
     src_seg, dst_seg = jg.segments[src.host_seg], jg.segments[dst.host_seg]
-    sw = pin_edge_weights(src, state.penalty)
-    dw = pin_edge_weights(dst, state.penalty)
+    sw = pin_edge_weights(src, state.usage)
+    dw = pin_edge_weights(dst, state.usage)
     sink_w = {}
     for j, w in ((dst_seg.j1, dw[0]), (dst_seg.j2, dw[1])):
         if w != UNUSABLE:
@@ -549,8 +550,8 @@ def _t_mosaic_state(layers=1, bc_capacity=1):
 
 
 def _usage_snapshot(state):
-    """Every segment's usage, current layer, weight and penalty, copied."""
-    return [(list(usage.u), usage.curr_layer, state.weight[sid], state.penalty[sid])
+    """Every segment's usage, current layer and weight, copied."""
+    return [(list(usage.u), usage.curr_layer, state.weight[sid])
             for sid, usage in enumerate(state.usage)]
 
 
@@ -611,7 +612,7 @@ def test_net_fails_when_its_pin_host_saturates():
     wall = segments[host.host_seg]
     assert (wall.axis, wall.fixed) == (Axis.V, 2.0)
     state.charge(wall.id)
-    assert pin_edge_weights(host, state.penalty) == (UNUSABLE, UNUSABLE)
+    assert pin_edge_weights(host, state.usage) == (UNUSABLE, UNUSABLE)
     bottom = next(s for s in segments if s.axis is Axis.H and s.fixed == 0.0 and s.hi <= 2.0)
     assert state.weight[bottom.id] < UNUSABLE
     result = route_net(state, net)
@@ -798,11 +799,11 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
                     if layer_permitted(profile, seg.axis, l) and usage.u[l - 1] < capacity_at(profile, seg.r, l)]
             assert effective_layer(usage) == (free[0] if free else None)
             if not free:
-                assert state.weight[sid] == state.penalty[sid] == UNUSABLE
+                assert state.weight[sid] == UNUSABLE and free_share(usage) is None
                 continue
             share = 1.0 - usage.u[free[0] - 1] / capacity_at(profile, seg.r, free[0])
             assert state.weight[sid] == seg.length / share
-            assert state.penalty[sid] == 1.0 / share
+            assert free_share(usage) == share
     for (x, y), host in jg.hosts.items():
         assert host is host_segment(jg, x, y)
 

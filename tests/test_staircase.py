@@ -121,9 +121,18 @@ def _oracle_enumerate_cuts(fp, orientation):
 # ---------------------------------------------------------------------------
 # bipartition
 
+def _fresh_cut(bag, nets, balance=BalanceMode.NUMBER, areas=None):
+    """Test oracle: `bipartition` of all the bag's blocks, its inputs built
+    afresh from the bag and the nets (`_items`, `_count_pins`), not handed
+    down a tree; NUMBER reads no areas."""
+    o, blocks = bag.orientation, tuple(sorted(bag.nodes))
+    areas = areas or dict.fromkeys(blocks, 0.0)
+    return bipartition(o, blocks, {o: _items(bag)}, {o: bag}, _count_pins(nets, set(blocks)), balance, areas)[0]
+
+
 def test_two_blocks_cut_is_the_shared_wall():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    cut = bipartition(build_bag(fp, Orientation.MIS), [])
+    cut = _fresh_cut(build_bag(fp, Orientation.MIS), [])
     assert cut.left_set == (0,) and cut.right_set == (1,)
     assert len(cut.cut_edges) == 1
     span = cut.cut_edges[0].span
@@ -132,7 +141,7 @@ def test_two_blocks_cut_is_the_shared_wall():
 
 def test_four_block_number_balance():
     fp = make_fp([(0, 0, 1, 2), (1, 0, 2, 1), (1, 1, 2, 1), (3, 0, 1, 2)])
-    cut = bipartition(build_bag(fp, Orientation.MIS), [], BalanceMode.NUMBER)
+    cut = _fresh_cut(build_bag(fp, Orientation.MIS), [], BalanceMode.NUMBER)
     assert len(cut.left_set) == 2 and len(cut.right_set) == 2
 
 
@@ -144,7 +153,7 @@ def test_bipartition_matches_exhaustive_oracle():
             valid = _oracle_enumerate_cuts(fp, orientation)
             balanced = [c for c in valid if abs(len(c) - (n - len(c))) <= 1]
             assert balanced, "oracle found no balanced monotone cut"
-            cut = bipartition(bag, fp.nets, BalanceMode.NUMBER)
+            cut = _fresh_cut(bag, fp.nets, BalanceMode.NUMBER)
             assert set(cut.left_set) in valid
             assert abs(len(cut.left_set) - len(cut.right_set)) <= 1
 
@@ -153,7 +162,7 @@ def test_bipartition_cut_nets_use_pin_presence():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
     crossing = Net(0, "x", [Pin(0, 0, 0, 0.5, 0.5), Pin(1, 0, 0, 1.5, 0.5)])
     local = Net(1, "l", [Pin(0, 0, 0, 0.2, 0.2), Pin(0, 0, 0, 0.8, 0.8)])
-    cut = bipartition(build_bag(fp, Orientation.MIS), [crossing, local])
+    cut = _fresh_cut(build_bag(fp, Orientation.MIS), [crossing, local])
     assert cut.cut_nets == [0]
 
 
@@ -162,7 +171,7 @@ def test_area_balance_bound():
         fp = generate_random_floorplan(12, 0, 2, seed=seed)
         bag = build_bag(fp, Orientation.MIS)
         areas = {b.id: b.area for b in fp.blocks}
-        cut = bipartition(bag, [], BalanceMode.AREA, areas)
+        cut = _fresh_cut(bag, [], BalanceMode.AREA, areas)
         left_area = sum(areas[b] for b in cut.left_set)
         right_area = sum(areas[b] for b in cut.right_set)
         assert abs(left_area - right_area) <= max(areas.values()) + 1e-6
@@ -524,26 +533,56 @@ def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, see
         for cut in build_msc_tree(fp, balance).cuts:
             blocks = set(cut.left_set) | set(cut.right_set)
             edges = [e for e in full[cut.orientation].edges if e.src in blocks and e.dst in blocks]
-            ref = bipartition(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
+            ref = _fresh_cut(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
             assert ref.left_set == cut.left_set
             assert ref.right_set == cut.right_set
             assert ref.cut_edges == cut.cut_edges
             assert ref.cut_nets == cut.cut_nets
 
 
-@settings(max_examples=30, deadline=None)
-@given(fp=st.one_of(
+# generated mosaics and nested (non-guillotine) pinwheels, with nets
+_mosaics = st.one_of(
     st.builds(lambda n, k, seed: generate_random_floorplan(n, n * k, 6, seed=seed),
               st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000)),
     st.builds(lambda n, k, seed, share: with_nets(make_fp(nested_pinwheels(n, seed, share)), n * k, seed),
-              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000), st.sampled_from([0.5, 1.0]))),
-    balance=st.sampled_from(list(BalanceMode)))
+              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000), st.sampled_from([0.5, 1.0])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fp=_mosaics, balance=st.sampled_from(list(BalanceMode)))
+def test_the_tree_calls_bipartition_once_per_cut_in_preorder(fp, balance):
+    """build_msc_tree makes each of its n-1 cuts with one `bipartition`
+    call, each on the next node of a preorder walk, left side first."""
+    cut = staircase.bipartition
+    calls = []
+
+    def counting_cut(orientation, nodes, *rest):
+        made = cut(orientation, nodes, *rest)
+        calls.append((nodes, made[0]))
+        return made
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(staircase, "bipartition", counting_cut)
+        tree = build_msc_tree(fp, balance)
+    assert len(calls) == len(fp.blocks) - 1
+    stack = [tuple(range(len(fp.blocks)))]
+    for nodes, made in calls:
+        while len(stack[-1]) == 1:
+            stack.pop()
+        assert nodes == stack.pop()
+        stack += [made.right_set, made.left_set]
+    assert all(len(blocks) == 1 for blocks in stack)
+    assert [made for _, made in calls] == tree.cuts
+
+
+@settings(max_examples=30, deadline=None)
+@given(fp=_mosaics, balance=st.sampled_from(list(BalanceMode)))
 def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
     """A side's nets are the nets with at least 2 pins on its blocks, counted
     on them only, and its items per orientation are the full bag's items
     within it, in bag order."""
     full_items = {o: _items(build_bag(fp, o)) for o in Orientation}
-    cut = staircase._cut
+    cut = staircase.bipartition
     calls = []
 
     def recording_cut(orientation, nodes, items, bags, nets, balance, areas):
@@ -553,7 +592,7 @@ def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
         return made, left, right
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(staircase, "_cut", recording_cut)
+        patch.setattr(staircase, "bipartition", recording_cut)
         tree = build_msc_tree(fp, balance)
     assert len(calls) == 2 * len(tree.cuts)
     for blocks, (items, nets) in calls:
@@ -581,7 +620,7 @@ def _eager_cut(bag, nets, balance, areas):
         return _is_monotone_keys(cut)
 
     absorbed, a_area = [], 0.0
-    total_area = sum(areas[v] for v in sorted(nodes))  # in the order _cut sums them
+    total_area = sum(areas[v] for v in sorted(nodes))  # in the order bipartition sums them
     while len(absorbed) < len(nodes) - 1 and (
             len(absorbed) < len(nodes) // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
         left = set(absorbed)
