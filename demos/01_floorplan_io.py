@@ -41,7 +41,7 @@ print("first .pl line     :", pl_text.splitlines()[0])
 print("first .nets lines  :", " / ".join(nets_text.splitlines()[3:5]))
 again = msr.parse_floorplan(blocks_text, pl_text, nets_text)
 print("byte-stable:", msr.serialize_floorplan(again) == (blocks_text, pl_text, nets_text))
-print("instance hash:", msr.instance_hash(fp))
+print("instance hash:", fp.instance_hash)
 
 section("Net statistics")
 degrees = [net.degree for net in fp.nets]

@@ -10,7 +10,7 @@ import msroute as msr
 
 fp = msr.generate_random_floorplan(n=40, k=220, max_degree=4, seed=1)
 print(f"instance: {len(fp.blocks)} blocks, {len(fp.nets)} nets, "
-      f"hash {msr.instance_hash(fp)}")
+      f"hash {fp.instance_hash}")
 # the MSC tree, segments and capacities do not depend on the configuration
 region = msr.RegionModel.build(fp)
 print(f"region model: {len(region.graph.segments)} segments, built once for all six runs\n")

@@ -14,7 +14,6 @@ from .floorplan import (
     Floorplan,
     compute_hpwl,
     generate_random_floorplan,
-    instance_hash,
     load_floorplan,
     parse_floorplan,
     save_floorplan,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .floorplan import Floorplan, corner_counts
+from .floorplan import Floorplan
 
 
 class Orientation(str, Enum):
@@ -66,6 +66,14 @@ class Bag:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+    def mirrored(self) -> Bag:
+        """The other orientation over the same walls: each H edge reversed,
+        each V edge shared."""
+        edges = [e if e.span.axis is Axis.V else BagEdge(e.dst, e.src, e.span) for e in self.edges]
+        edges.sort(key=lambda e: (e.src, e.dst))
+        other = Orientation.MDS if self.orientation is Orientation.MIS else Orientation.MIS
+        return Bag(other, list(self.nodes), edges)
+
 
 def _touching_pairs(near: list[float], far: list[float], lo: list[float], hi: list[float]) -> list[tuple[int, int]]:
     """Every (i, j) with near[i] == far[j] whose [lo, hi] intervals share a
@@ -107,29 +115,22 @@ def _shared_spans(axis: Axis, pairs, fixed: list[float], lo: list[float], hi: li
 
 
 def _adjacent_pairs(fp: Floorplan):
-    """All left-of and above/below adjacent pairs with their shared spans.
-
-    Computed once per floorplan: both BAG orientations read the same walls.
-    """
-    if fp._walls is None:
-        x1, y1, x2, y2, _ = fp.snapped_rects()
-        horiz = _shared_spans(Axis.V, _touching_pairs(x2, x1, y1, y2), x2, y1, y2)  # i left of j
-        vert = _shared_spans(Axis.H, _touching_pairs(y1, y2, x1, x2), y1, x1, x2)   # i above j
-        fp._walls = (horiz, vert)
-    return fp._walls
+    """All left-of and above/below adjacent pairs with their shared spans."""
+    x1, y1, x2, y2, _ = fp.snapped
+    horiz = _shared_spans(Axis.V, _touching_pairs(x2, x1, y1, y2), x2, y1, y2)  # i left of j
+    vert = _shared_spans(Axis.H, _touching_pairs(y1, y2, x1, x2), y1, x1, x2)   # i above j
+    return horiz, vert
 
 
 def build_bag(fp: Floorplan, orientation: Orientation) -> Bag:
-    """Build the directed block adjacency graph for one staircase orientation."""
+    """Build the directed block adjacency graph for one staircase
+    orientation; the MDS one is the MIS one mirrored."""
     fp.require_valid()
     horiz, vert = _adjacent_pairs(fp)
-    edges = [BagEdge(i, j, span) for i, j, span in horiz]
-    if orientation is Orientation.MIS:
-        edges += [BagEdge(i, j, span) for i, j, span in vert]
-    else:
-        edges += [BagEdge(j, i, span) for i, j, span in vert]
+    edges = [BagEdge(i, j, span) for i, j, span in horiz + vert]
     edges.sort(key=lambda e: (e.src, e.dst))
-    return Bag(orientation, list(range(len(fp.blocks))), edges)
+    bag = Bag(Orientation.MIS, list(range(len(fp.blocks))), edges)
+    return bag if orientation is Orientation.MIS else bag.mirrored()
 
 
 def enumerate_tjunctions(fp: Floorplan) -> list[tuple[float, float]]:
@@ -141,12 +142,12 @@ def enumerate_tjunctions(fp: Floorplan) -> list[tuple[float, float]]:
     all_junctions.
     """
     fp.require_valid()
-    return [point for point, count in sorted(corner_counts(fp).items()) if count == 2]
+    return [point for point, count in sorted(fp.corners.items()) if count == 2]
 
 
 def all_junctions(fp: Floorplan) -> list[tuple[float, float]]:
     """Interior T-junctions followed by the four degree-2 junctions at the
     floorplan corners, each its (x, y) point; a junction's id is its index
     here, so the last four are the corners."""
-    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    bx1, by1, bx2, by2 = fp.snapped[4]
     return enumerate_tjunctions(fp) + sorted([(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)])

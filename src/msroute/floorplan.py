@@ -21,7 +21,8 @@ import random
 import re
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import InvalidNetError, ParseError, ValidationError
@@ -94,8 +95,11 @@ class Violation:
 
 @dataclass
 class ValidationReport:
-    passed: bool
     violations: list[Violation]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def kinds(self) -> set[str]:
         return {v.kind for v in self.violations}
@@ -105,9 +109,9 @@ class ValidationReport:
 class Floorplan:
     """Rectangle dissection into blocks plus the netlist over them.
 
-    Not changed once in use: the facts derived from it (validation, snapped
-    geometry, corner counts, wall pairs, instance hash) are computed once and
-    cached on it.
+    Not changed once in use: the facts derived from it (`validation`,
+    `snapped`, `corners`, `instance_hash`) are cached properties, each
+    computed on first read and kept on it.
     """
 
     origin: tuple[float, float]
@@ -115,13 +119,6 @@ class Floorplan:
     height: float
     blocks: list[Block]
     nets: list[Net]
-
-    def __post_init__(self):
-        self._validation: ValidationReport | None = None
-        self._snapped = None
-        self._corners: Counter[tuple[float, float]] | None = None
-        self._hash: str | None = None
-        self._walls = None  # adjacency's wall pairs, found on first use
 
     @property
     def diagonal(self) -> float:
@@ -131,31 +128,47 @@ class Floorplan:
     def tol(self) -> float:
         return TOL_FRACTION * self.diagonal
 
-    def require_valid(self) -> ValidationReport:
-        """Validate once and cache; raise if the floorplan is not a clean mosaic."""
-        if self._validation is None:
-            self._validation = validate_floorplan(self)
-        if not self._validation.passed:
-            msgs = "; ".join(v.message for v in self._validation.violations[:5])
-            raise ValidationError(f"invalid floorplan: {msgs}", self._validation.violations)
-        return self._validation
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The `validate_floorplan` report, passed or not."""
+        return validate_floorplan(self)
 
-    def snapped_rects(self):
+    def require_valid(self) -> ValidationReport:
+        """The validation report; raise if the floorplan is not a clean mosaic."""
+        report = self.validation
+        if not report.passed:
+            msgs = "; ".join(v.message for v in report.violations[:5])
+            raise ValidationError(f"invalid floorplan: {msgs}", report.violations)
+        return report
+
+    @cached_property
+    def snapped(self):
         """Block rectangles (x1, y1, x2, y2 lists) with near-equal wall
         coordinates snapped to a shared value, plus the snapped bounding box.
 
         Downstream geometry (adjacency, junctions, segments) compares these
         snapped floats exactly, which keeps wall/junction matching tolerance-free.
         """
-        if self._snapped is None:
-            n = len(self.blocks)
-            (ox, oy), blocks = self.origin, self.blocks
-            xs = _cluster_snap([b.x for b in blocks] + [b.x2 for b in blocks] + [ox, ox + self.width],
-                               self.tol)
-            ys = _cluster_snap([b.y for b in blocks] + [b.y2 for b in blocks] + [oy, oy + self.height],
-                               self.tol)
-            self._snapped = (xs[:n], ys[:n], xs[n:2 * n], ys[n:2 * n], (xs[2 * n], ys[2 * n], xs[-1], ys[-1]))
-        return self._snapped
+        n = len(self.blocks)
+        (ox, oy), blocks = self.origin, self.blocks
+        xs = _cluster_snap([b.x for b in blocks] + [b.x2 for b in blocks] + [ox, ox + self.width], self.tol)
+        ys = _cluster_snap([b.y for b in blocks] + [b.y2 for b in blocks] + [oy, oy + self.height], self.tol)
+        return xs[:n], ys[:n], xs[n:2 * n], ys[n:2 * n], (xs[2 * n], ys[2 * n], xs[-1], ys[-1])
+
+    @cached_property
+    def corners(self) -> Counter[tuple[float, float]]:
+        """How many block corners sit at each snapped point."""
+        return Counter(corner for x1, y1, x2, y2 in zip(*self.snapped[:4])
+                       for corner in ((x1, y1), (x1, y2), (x2, y1), (x2, y2)))
+
+    @cached_property
+    def instance_hash(self) -> str:
+        """The first 16 hex digits of the sha256 of the three serialized
+        files, one after another.  hashlib, and with it OpenSSL, loads on the
+        first read."""
+        # OpenSSL costs about 3.5 MB of resident memory; only summarize (route, sweep) and the demos hash
+        import hashlib
+        return hashlib.sha256("".join(serialize_floorplan(self)).encode()).hexdigest()[:16]
 
 
 def pairwise_sum(values: list[float]) -> float:
@@ -426,20 +439,6 @@ def save_floorplan(fp: Floorplan, out_dir, stem: str) -> list[Path]:
     return paths
 
 
-def instance_hash(fp: Floorplan) -> str:
-    """The first 16 hex digits of the sha256 of the three serialized files,
-    computed once per floorplan.  hashlib, and with it OpenSSL, loads on the
-    first call."""
-    if fp._hash is None:
-        # OpenSSL costs about 3.5 MB of resident memory; only summarize (route, sweep) and the demos hash
-        import hashlib
-        digest = hashlib.sha256()
-        for text in serialize_floorplan(fp):
-            digest.update(text.encode())
-        fp._hash = digest.hexdigest()[:16]
-    return fp._hash
-
-
 # ---------------------------------------------------------------------------
 # validation and metrics
 
@@ -456,19 +455,6 @@ def compute_hpwl(net: Net) -> float:
         raise InvalidNetError(f"net {net.name!r} has {net.degree} pin(s); need >= 2")
     x1, y1, x2, y2 = net_box(net)
     return (x2 - x1) + (y2 - y1)
-
-
-def corner_counts(fp: Floorplan) -> Counter[tuple[float, float]]:
-    """How many block corners sit at each snapped point, counted once per
-    floorplan."""
-    if fp._corners is None:
-        x1, y1, x2, y2, _ = fp.snapped_rects()
-        fp._corners = Counter(
-            corner
-            for i in range(len(fp.blocks))
-            for corner in ((x1[i], y1[i]), (x1[i], y2[i]), (x2[i], y1[i]), (x2[i], y2[i]))
-        )
-    return fp._corners
 
 
 def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
@@ -517,7 +503,7 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
     tol = fp.tol
     blocks = fp.blocks
     if not blocks:
-        return ValidationReport(True, [])
+        return ValidationReport([])
 
     x1 = [b.x for b in blocks]
     y1 = [b.y for b in blocks]
@@ -542,12 +528,12 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
             "coverage", f"block area {area:.6f} != bounding area {w * h:.6f}", ox, oy))
 
     # the snapped tiling every later stage reads
-    sx1, sy1, sx2, sy2, (bx1, by1, bx2, by2) = fp.snapped_rects()
+    sx1, sy1, sx2, sy2, (bx1, by1, bx2, by2) = fp.snapped
     for i, b in enumerate(blocks):
         if not (sx1[i] < sx2[i] and sy1[i] < sy2[i]):
             violations.append(Violation("coverage", f"block {b.name} is thinner than the tolerance", b.x, b.y))
     outer = {(bx1, by1), (bx1, by2), (bx2, by1), (bx2, by2)}
-    counts = corner_counts(fp)
+    counts = fp.corners
     for cx, cy in sorted(counts.keys() | outer):
         count, want = counts[cx, cy], 1 if (cx, cy) in outer else 2  # a missing corner counts 0
         if count >= 4:
@@ -556,7 +542,7 @@ def validate_floorplan(fp: Floorplan) -> ValidationReport:
             violations.append(Violation(
                 "coverage", f"{count} block corners at ({cx:.6f}, {cy:.6f}), not {want}", cx, cy))
 
-    return ValidationReport(passed=not violations, violations=violations)
+    return ValidationReport(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MetricError
-from .floorplan import compute_hpwl, instance_hash, mean, sequential_sum
+from .floorplan import compute_hpwl, mean, sequential_sum
 from .router import RouteRun, RoutingState
 
 
@@ -166,7 +166,7 @@ def summarize(run: RouteRun) -> RouteReport:
 
     return RouteReport(
         instance={
-            "hash": instance_hash(fp),
+            "hash": fp.instance_hash,
             "blocks": len(fp.blocks),
             "nets": n_nets,
         },

@@ -43,6 +43,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 
 from .adjacency import Axis, all_junctions
@@ -163,26 +164,29 @@ class JunctionGraph:
     jy: list[float]
     kappa: float                             # min(1, length / L1 of its junctions), shrunk
     hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
-    host_index: dict[Axis, tuple[list[float], list[Segment]]] | None = None  # usable walls by fixed
+
+    @cached_property
+    def host_index(self) -> dict[Axis, tuple[list[float], list[Segment]]]:
+        """Per axis, the usable walls sorted by their fixed coordinate, with
+        those coordinates; built at the first host lookup."""
+        index = {axis: ([], []) for axis in Axis}
+        for s in sorted(map(self.segments.__getitem__, self.usable), key=lambda s: s.fixed):
+            index[s.axis][0].append(s.fixed)
+            index[s.axis][1].append(s)
+        return index
 
     def host(self, x: float, y: float) -> Segment:
         """Nearest usable segment by Euclidean point-to-wall distance, memoised
         per pin coordinate.  Walking the segments in id order, one replaces the
         best so far when nearer by more than 1e-12.  The walk visits only those
         up to a cut that no other comes within 1e-9 (relative) of, so it ends
-        where the full walk would.  Each axis keeps its usable walls sorted by
-        their fixed coordinate, and the walls are met outward from the pin,
-        smallest perpendicular gap first; a wall is no nearer than its gap, so
-        the walls stop once the gap passes the cut's 1e-9 reach."""
+        where the full walk would.  The walls of each axis (`host_index`)
+        are met outward from the pin, smallest perpendicular gap first; a
+        wall is no nearer than its gap, so the walls stop once the gap passes
+        the cut's 1e-9 reach."""
         seg = self.hosts.get((x, y))
         if seg is not None:
             return seg
-        if self.host_index is None:
-            self.host_index = {}
-            for axis in Axis:
-                walls = sorted((s for s in map(self.segments.__getitem__, self.usable) if s.axis is axis),
-                               key=lambda s: s.fixed)
-                self.host_index[axis] = ([s.fixed for s in walls], walls)
         if not self.usable:
             raise PinHostError("no usable segment to host the pin")
         seen: list[tuple[float, Segment]] = []  # (distance, wall) of the walls met

@@ -291,7 +291,8 @@ def _split(items: list[Item], edges: list[BagEdge], left: set[int], directed: bo
 def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> MscTree:
     """Recursively bipartition the floorplan over its nets; root is MIS, levels alternate."""
     fp.require_valid()
-    full = {o: build_bag(fp, o) for o in Orientation}
+    mis = build_bag(fp, Orientation.MIS)
+    full = {Orientation.MIS: mis, Orientation.MDS: mis.mirrored()}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
     # (blocks, their items and nets, depth); each cut hands its sides their
@@ -333,7 +334,7 @@ def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
         line.sort()
 
     walls = [(e.span, region) for region, cut in enumerate(tree.cuts) for e in cut.cut_edges]
-    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    bx1, by1, bx2, by2 = fp.snapped[4]
     borders = (Span(Axis.H, by1, bx1, bx2), Span(Axis.H, by2, bx1, bx2),
                Span(Axis.V, bx1, by1, by2), Span(Axis.V, bx2, by1, by2))
     walls += [(span, -(side + 1)) for side, span in enumerate(borders)]

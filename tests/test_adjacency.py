@@ -19,14 +19,15 @@ from msroute.adjacency import (
 )
 from msroute.errors import ValidationError
 from msroute.floorplan import generate_random_floorplan
+from msroute.staircase import build_msc_tree
 
-from test_floorplan import floorplans, make_fp, pinwheel
+from test_floorplan import floorplans, make_fp, mosaics, pinwheel
 
 
 def dense_adjacency(fp):
     """Test oracle: the n x n wall comparison that the sweep replaced.  All
     left-of and above/below adjacent pairs with their shared spans."""
-    x1, y1, x2, y2 = map(np.array, fp.snapped_rects()[:4])
+    x1, y1, x2, y2 = map(np.array, fp.snapped[:4])
     horiz = []  # (i, j, span): i left of j
     vert = []   # (i, j, span): i above j
     eq_x = x2[:, None] == x1[None, :]
@@ -91,17 +92,31 @@ def test_pinwheel_bag():
 
 
 def test_sweep_runs_once_per_floorplan(monkeypatch):
+    """One tree build sweeps the walls once, one `_touching_pairs` call per
+    wall axis, and its MDS BAG is the MIS one mirrored."""
     import msroute.adjacency as adjacency
 
-    fp = generate_random_floorplan(30, 0, 2, seed=4)
+    fp = generate_random_floorplan(30, 60, 2, seed=4)
     calls = []
     sweep = adjacency._touching_pairs
     monkeypatch.setattr(adjacency, "_touching_pairs", lambda *a: calls.append(1) or sweep(*a))
-    mis, mds = build_bag(fp, Orientation.MIS), build_bag(fp, Orientation.MDS)
-    build_bag(fp, Orientation.MIS)
+    tree = build_msc_tree(fp)
     assert len(calls) == 2  # one sweep per wall axis
-    assert [e.span for e in mis.edges if e.span.axis is Axis.V] == \
-        [e.span for e in mds.edges if e.span.axis is Axis.V]
+    v_edges = [[e for e in tree.bags[o].edges if e.span.axis is Axis.V] for o in Orientation]
+    assert len(v_edges[0]) == len(v_edges[1]) > 0
+    assert all(a is b for a, b in zip(*v_edges))  # the MDS BAG shares the MIS one's V edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp=mosaics)
+def test_mirrored_mds_bag_equals_the_directly_oriented_one(fp):
+    horiz, vert = _adjacent_pairs(fp)
+    oracle = sorted([BagEdge(i, j, span) for i, j, span in horiz] + [BagEdge(j, i, span) for i, j, span in vert],
+                    key=lambda e: (e.src, e.dst))
+    mis, mds = build_bag(fp, Orientation.MIS), build_bag(fp, Orientation.MDS)
+    assert mds.orientation is Orientation.MDS and mds.edges == oracle
+    assert mds.as_dot() == Bag(Orientation.MDS, list(range(len(fp.blocks))), oracle).as_dot()
+    assert mds.mirrored().as_dot() == mis.as_dot() and mds.mirrored().edges == mis.edges
 
 
 def test_region_geometry_memory_is_not_quadratic():

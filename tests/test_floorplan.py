@@ -1,6 +1,7 @@
 """Parsing, validation, synthesis and serialization of floorplan instances."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def with_nets(fp, k, seed):
                              for bid in rng.sample(range(n), min(n, rng.randint(2, 3)))])
             for i in range(k if n >= 2 else 0)]
     return Floorplan(origin=fp.origin, width=fp.width, height=fp.height, blocks=fp.blocks, nets=nets)
+
+
+# generated mosaics and nested (non-guillotine) pinwheels, with nets
+mosaics = st.one_of(
+    st.builds(lambda n, k, seed: generate_random_floorplan(n, n * k, 6, seed=seed),
+              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000)),
+    st.builds(lambda n, k, seed, share: with_nets(make_fp(nested_pinwheels(n, seed, share)), n * k, seed),
+              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000), st.sampled_from([0.5, 1.0])))
 
 
 def jittered(fp, jitter, seed):
@@ -519,15 +528,21 @@ def test_mutated_files_parse_and_validate_or_raise_a_package_error(texts):
 
 
 def test_corner_counts_and_instance_hash_are_computed_once_per_floorplan(monkeypatch):
+    """Each derived fact is computed once: one region build validates once
+    and snaps once per axis, and the corners and the hash are cached too."""
     fp = generate_random_floorplan(12, 30, seed=2)
-    corners = floorplan_module.corner_counts(fp)
-    assert validate_floorplan(fp).passed
-    assert floorplan_module.corner_counts(fp) is corners
-    calls = []
-    serialize = floorplan_module.serialize_floorplan
-    monkeypatch.setattr(floorplan_module, "serialize_floorplan", lambda fp: calls.append(fp) or serialize(fp))
-    digest = floorplan_module.instance_hash(fp)
-    assert floorplan_module.instance_hash(fp) == digest and len(calls) == 1
+    calls = Counter()
+    for name in ("validate_floorplan", "_cluster_snap", "serialize_floorplan"):
+        real = getattr(floorplan_module, name)
+        monkeypatch.setattr(floorplan_module, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    RegionModel.build(fp)
+    assert calls == {"validate_floorplan": 1, "_cluster_snap": 2}  # one snap per axis
+    corners = fp.corners
+    assert validate_floorplan(fp).passed  # the module's own function, unpatched
+    assert fp.corners is corners
+    digest = fp.instance_hash
+    assert fp.instance_hash == digest
+    assert calls == {"validate_floorplan": 1, "_cluster_snap": 2, "serialize_floorplan": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from msroute.staircase import (
 from msroute.routegraph import RegionModel
 from msroute.router import RoutingState, RunConfig, route_all
 
-from test_floorplan import make_fp, make_net, nested_pinwheels, pinwheel, with_nets
+from test_floorplan import make_fp, make_net, mosaics, nested_pinwheels, pinwheel, with_nets
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance
     segments = extract_segments(tree, fp, junctions)
     assert len(tree.cuts) == n - 1
     assert len(tjunctions) == 2 * n - 2
-    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    bx1, by1, bx2, by2 = fp.snapped[4]
     b = sum(1 for x, y in tjunctions if x in (bx1, bx2) or y in (by1, by2))
     for orientation in Orientation:
         assert len(build_bag(fp, orientation).edges) == 3 * (n - 1) - b
@@ -361,7 +361,7 @@ def test_region_invariants_and_routes_on_nested_pinwheels(n, seed, share):
     fp = with_nets(make_fp(nested_pinwheels(n, seed, share)), 2 * n, seed)
     tjunctions = enumerate_tjunctions(fp)
     assert len(tjunctions) == 2 * n - 2
-    bx1, by1, bx2, by2 = fp.snapped_rects()[4]
+    bx1, by1, bx2, by2 = fp.snapped[4]
     b = sum(1 for x, y in tjunctions if x in (bx1, bx2) or y in (by1, by2))
     for orientation in Orientation:
         assert len(build_bag(fp, orientation).edges) == 3 * (n - 1) - b
@@ -540,16 +540,8 @@ def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, see
             assert ref.cut_nets == cut.cut_nets
 
 
-# generated mosaics and nested (non-guillotine) pinwheels, with nets
-_mosaics = st.one_of(
-    st.builds(lambda n, k, seed: generate_random_floorplan(n, n * k, 6, seed=seed),
-              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000)),
-    st.builds(lambda n, k, seed, share: with_nets(make_fp(nested_pinwheels(n, seed, share)), n * k, seed),
-              st.integers(2, 40), st.integers(0, 6), st.integers(0, 10_000), st.sampled_from([0.5, 1.0])))
-
-
 @settings(max_examples=30, deadline=None)
-@given(fp=_mosaics, balance=st.sampled_from(list(BalanceMode)))
+@given(fp=mosaics, balance=st.sampled_from(list(BalanceMode)))
 def test_the_tree_calls_bipartition_once_per_cut_in_preorder(fp, balance):
     """build_msc_tree makes each of its n-1 cuts with one `bipartition`
     call, each on the next node of a preorder walk, left side first."""
@@ -576,7 +568,7 @@ def test_the_tree_calls_bipartition_once_per_cut_in_preorder(fp, balance):
 
 
 @settings(max_examples=30, deadline=None)
-@given(fp=_mosaics, balance=st.sampled_from(list(BalanceMode)))
+@given(fp=mosaics, balance=st.sampled_from(list(BalanceMode)))
 def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
     """A side's nets are the nets with at least 2 pins on its blocks, counted
     on them only, and its items per orientation are the full bag's items
