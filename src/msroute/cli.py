@@ -1,8 +1,9 @@
 """Command line interface: route, gen, sweep, dump-graph.
 
 Exit codes: 0 on success (routing failures are reported in the output, not
-the exit code), 1 on bad input (parse or validation failure, or a path the
-file system refuses), 2 when an internal invariant trips.
+the exit code), 1 on bad input (a usage error, a parse or validation
+failure, or a path the file system refuses), 2 when an internal invariant
+trips.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    names = sorted(PRESETS) if args.all_configs or args.configs is None else [
+    names = sorted(PRESETS) if args.configs is None else [
         s.strip() for s in args.configs.split(",") if s.strip()
     ]
     if not names:
@@ -180,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run several configurations on one instance", allow_abbrev=False)
     _add_instance_args(p_sweep)
     _add_config_args(p_sweep)
-    p_sweep.add_argument("--all-configs", action="store_true",
-                         help="run FCN, FCH, FCL, BCN, BCH, BCL")
-    p_sweep.add_argument("--configs", help="comma-separated configuration names")
+    which = p_sweep.add_mutually_exclusive_group()
+    which.add_argument("--all-configs", action="store_true",
+                       help="run FCN, FCH, FCL, BCN, BCH, BCL (the default)")
+    which.add_argument("--configs", help="comma-separated configuration names")
     p_sweep.add_argument("--out", default=".")
     p_sweep.add_argument("--report", choices=["json", "csv", "both"], default="both")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -212,6 +214,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 on a usage error (bad input)
+        return 1 if exc.code else 0
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

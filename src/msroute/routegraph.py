@@ -25,14 +25,14 @@ Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
 run reads both once per distinct (r, axis) into a `capacity_row` (0 on
 layers the axis may not use), which every segment with that (r, axis)
-shares.  The layer rule reads only that row: a segment's effective layer
-is the first layer at or above its current layer with spare capacity
-(every segment starts on layer 1, and a layer of capacity 0 is never
-spare), and `charge` lands a net there, so usage never exceeds capacity;
-the router undoes a charge by taking the unit off the landed layer and
-restoring `curr_layer`.  A segment's price is its `free_share`, 1 - p with
-p the usage share of its effective layer.  A run keeps one `SegmentUsage`
-per segment in its `router.RoutingState`.
+shares.  The layer rule reads only that row and the segment's usage row
+`u`, which is its whole run state: a segment's effective layer is the
+lowest layer with spare capacity (a layer of capacity 0 is never spare),
+and `charge` lands a net there, so usage never exceeds capacity and every
+layer below the last charge's is full.  The router undoes a charge by
+taking the unit off the landed layer.  A segment's price is its
+`free_share`, 1 - p with p the usage share of its effective layer.  A run
+keeps one `SegmentUsage` per segment in its `router.RoutingState`.
 """
 
 from __future__ import annotations
@@ -106,7 +106,12 @@ class SegmentUsage:
     sid: int
     cap: tuple[int, ...]  # the shared `capacity_row` of the segment's (r, axis)
     u: list[int]          # usage per layer
-    curr_layer: int = 1   # layer of the last charge; never decreases
+
+    @property
+    def curr_layer(self) -> int:
+        """The layer of the last charge not rolled back: the highest layer
+        in use, or 1 when none is."""
+        return next((layer for layer in range(len(self.u), 0, -1) if self.u[layer - 1]), 1)
 
 
 def capacity_row(profile: CapacityProfile, r: int, axis: Axis) -> tuple[int, ...]:
@@ -117,9 +122,12 @@ def capacity_row(profile: CapacityProfile, r: int, axis: Axis) -> tuple[int, ...
 
 
 def effective_layer(usage: SegmentUsage) -> int | None:
-    """First layer at or above curr_layer with spare capacity."""
+    """The lowest layer with spare capacity, or None when every layer is
+    full.  Every layer below the last charge's is full (a charge skips only
+    full layers, and a unit leaves only when its net rolls back), so this is
+    also the first spare layer at or above `curr_layer`."""
     u, cap = usage.u, usage.cap
-    for layer in range(usage.curr_layer, len(cap) + 1):
+    for layer in range(1, len(cap) + 1):
         if u[layer - 1] < cap[layer - 1]:
             return layer
     return None
@@ -139,7 +147,6 @@ def charge(usage: SegmentUsage) -> int:
     layer = effective_layer(usage)
     if layer is None:
         raise InternalError(f"charging unusable segment {usage.sid}")
-    usage.curr_layer = layer
     usage.u[layer - 1] += 1
     if usage.u[layer - 1] > usage.cap[layer - 1]:
         raise InternalError(f"segment {usage.sid} over capacity on layer {layer}")

@@ -15,9 +15,10 @@ minimum spanning tree over pairwise pin HPWL, shortest pair first; each pair
 routes by A* on the net's GSRG under the live congestion weights, charging
 segment usage after every successful pair: once per net on each segment of
 the path and on the host segments of the pair's two pins.  The net's journal
-records each charge's landed layer and the segment's layer before it.  If
-any pair is unroutable the whole net fails and the journal takes back every
-charge of its earlier pairs.  A net's `NetResult` is its one record: status,
+records each charge's landed layer.  If any pair is unroutable the whole net
+fails and the journal takes back every charge of its earlier pairs, one unit
+off each landed layer; a segment's layer derives from its usage, so nothing
+else needs restoring.  A net's `NetResult` is its one record: status,
 pair paths, merged segments, Steiner points, wirelength and vias.
 
 The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
@@ -33,6 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -340,12 +342,8 @@ def identify_steiner_points(paths: list[RoutePath], segments: list[Segment]) -> 
     wirelength = sequential_sum(segments[sid].length for sid in seg_ids)
     wirelength += sequential_sum(d for _, _, d in pin_edges)
 
-    incident: dict[int, set] = {}
-    for sid in seg_ids:
-        seg = segments[sid]
-        incident.setdefault(seg.j1, set()).add(sid)
-        incident.setdefault(seg.j2, set()).add(sid)
-    steiner = sorted(j for j, edges in incident.items() if len(edges) >= 3)
+    ends = Counter(j for sid in seg_ids for j in (segments[sid].j1, segments[sid].j2))
+    steiner = sorted(j for j, count in ends.items() if count >= 3)
 
     return NetResult(
         status="ROUTED",
@@ -358,29 +356,25 @@ def identify_steiner_points(paths: list[RoutePath], segments: list[Segment]) -> 
 
 
 def _charge_path(state: RoutingState, gsrg: Gsrg, path: RoutePath,
-                 journal: dict[int, tuple[int, int]]) -> None:
+                 journal: dict[int, int]) -> None:
     """Charge one unit of usage for the net on every new segment of the path
     and on the host segments of its two pins.
 
-    `journal` maps each segment the net charged to (landed layer, curr_layer
-    before the charge): a net pays a shared segment once.
+    `journal` maps each segment the net charged to its landed layer: a net
+    pays a shared segment once.
     """
     hosts = [gsrg.pins[path.source_pin].host_seg, gsrg.pins[path.sink_pin].host_seg]
     for sid in path.segments + hosts:
         if sid not in journal:
-            before = state.usage[sid].curr_layer
-            journal[sid] = (state.charge(sid), before)
-    path.layers = [journal[sid][0] for sid in path.segments]
+            journal[sid] = state.charge(sid)
+    path.layers = [journal[sid] for sid in path.segments]
     path.vias = count_vias(path)
 
 
-def _rollback(state: RoutingState, journal: dict[int, tuple[int, int]]) -> None:
-    """Take back each charge of the journal: one unit off its landed layer,
-    and the segment's curr_layer from before."""
-    for sid, (layer, before) in journal.items():
-        usage = state.usage[sid]
-        usage.u[layer - 1] -= 1
-        usage.curr_layer = before
+def _rollback(state: RoutingState, journal: dict[int, int]) -> None:
+    """Take back each charge of the journal: one unit off its landed layer."""
+    for sid, layer in journal.items():
+        state.usage[sid].u[layer - 1] -= 1
         state.refresh(sid)
 
 
@@ -391,7 +385,7 @@ def route_net(state: RoutingState, net: Net) -> NetResult:
     except PinHostError as exc:
         return NetResult(status="FAILED", reason=str(exc))
 
-    journal: dict[int, tuple[int, int]] = {}
+    journal: dict[int, int] = {}
     paths: list[RoutePath] = []
     for i, j in decompose_net(net):
         a, b = net.pins[i], net.pins[j]

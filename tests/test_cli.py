@@ -265,9 +265,15 @@ def test_sweep_unknown_config_exits_one_and_writes_nothing(tmp_path, capsys):
 def test_sweep_has_no_config_option(tmp_path, capsys):
     # sweep runs --configs or every preset, so a --config would go unread
     out = tmp_path / "out"
-    with pytest.raises(SystemExit):
-        main(["sweep", "--config", "FCH", "--n", "12", "--k", "30", "--layers", "2", "--out", str(out)])
-    assert "--config FCH" in capsys.readouterr().err
+    assert main(["sweep", "--config", "FCH", "--n", "12", "--k", "30", "--layers", "2", "--out", str(out)]) == 1
+    assert "msroute: error: unrecognized arguments: --config FCH" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_all_configs_with_configs_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--all-configs", "--configs", "FCN", "--n", "6", "--k", "10", "--out", str(out)]) == 1
+    assert "argument --configs: not allowed with argument --all-configs" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -384,8 +390,7 @@ def test_usage_error_restores_the_collector_state(enabled):
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        with pytest.raises(SystemExit):
-            main(["dump-graph", "--layers", "many"])
+        assert main(["dump-graph", "--layers", "many"]) == 1
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -420,6 +425,23 @@ def test_command_imports_no_numpy(tmp_path, command, hashes):
     assert done.stdout.split()[-3:] == ["0", "False", str(hashes)]
 
 
-def test_gen_requires_counts():
-    with pytest.raises(SystemExit):
-        main(["gen", "--n", "5"])
+def test_gen_requires_counts(capsys):
+    assert main(["gen", "--n", "5"]) == 1
+    assert "msroute gen: error: the following arguments are required: --k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["route", "--config", "XYZ"], "argument --config: invalid choice: 'XYZ'"),
+    (["dump-graph", "--layers", "abc"], "argument --layers: invalid int value: 'abc'"),
+    ([], "the following arguments are required: command"),
+], ids=["unknown-config", "layers-not-a-number", "no-command"])
+def test_usage_error_exits_one(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: msroute") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["msroute", "sweep"])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: msroute")

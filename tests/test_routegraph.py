@@ -21,6 +21,7 @@ from msroute.routegraph import (
     capacity_at,
     capacity_row,
     effective_layer,
+    layer_permitted,
     pin_edge_weights,
 )
 from msroute import router
@@ -226,6 +227,39 @@ def test_prepare_builds_one_capacity_row_per_r_and_axis(monkeypatch):
     assert state.usage[0].cap == (3, 0, 1, 0)
     assert state.usage[0].cap is state.usage[2].cap  # equal (r, axis) share one row
     assert state.usage[1].cap is state.usage[4].cap
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(ProfileKind)), layers=st.integers(1, 6),
+       layer_model=st.sampled_from(list(LayerModel)),
+       walls=st.lists(st.tuples(st.sampled_from(list(Axis)), st.integers(0, 3)), min_size=4, max_size=4),
+       nets=st.lists(st.tuples(st.sets(st.integers(0, 3), min_size=1), st.booleans()), max_size=25))
+def test_layer_is_derived_from_usage_through_charges_and_rollbacks(kind, layers, layer_model, walls, nets):
+    """Nets charge a set of segments each (once per segment) and some roll
+    back whole.  Read from the profile itself, every permitted layer below a
+    segment's effective layer stays full, and `curr_layer` is the layer of
+    its last charge that was not rolled back."""
+    profile = CapacityProfile(kind, layers, layer_model)
+    state = hand_state([make_seg(i, axis, r=r, j1=i, j2=i + 1) for i, (axis, r) in enumerate(walls)], profile)
+    landed = [[] for _ in walls]  # per segment, the layers of its standing charges
+    for sids, fails in nets:
+        before = [list(usage.u) for usage in state.usage], list(state.weight)
+        journal = {}
+        for sid in sorted(sids):
+            if effective_layer(state.usage[sid]) is not None:
+                journal[sid] = state.charge(sid)
+                landed[sid].append(journal[sid])
+        if fails:
+            router._rollback(state, journal)
+            for sid in journal:
+                landed[sid].pop()
+            assert ([list(usage.u) for usage in state.usage], state.weight) == before
+        for (axis, r), usage, stack in zip(walls, state.usage, landed):
+            layer = effective_layer(usage)
+            below = range(1, layers + 1 if layer is None else layer)
+            assert all(usage.u[l - 1] == capacity_at(profile, r, l)
+                       for l in below if layer_permitted(profile, axis, l))
+            assert usage.curr_layer == (stack[-1] if stack else 1)
 
 
 # ---------------------------------------------------------------------------

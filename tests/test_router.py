@@ -795,7 +795,7 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
         for sid in jg.usable:
             seg, usage = region.graph.segments[sid], state.usage[sid]
             # the layer rule from the profile itself, not from the capacity rows
-            free = [l for l in range(usage.curr_layer, layers + 1)
+            free = [l for l in range(1, layers + 1)
                     if layer_permitted(profile, seg.axis, l) and usage.u[l - 1] < capacity_at(profile, seg.r, l)]
             assert effective_layer(usage) == (free[0] if free else None)
             if not free:
