@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import MetricError
-from .floorplan import compute_hpwl, mean, sequential_sum
+from .floorplan import mean, sequential_sum
 from .router import RouteRun, RoutingState
 
 
@@ -115,8 +115,7 @@ def summarize(run: RouteRun) -> RouteReport:
     routed = 0
     routed_hpwl = 0.0
     detours: list[float] = []
-    for result, net in zip(run.results, fp.nets):
-        hpwl = compute_hpwl(net)
+    for result, net, hpwl in zip(run.results, fp.nets, run.hpwl):
         if result.status == "ROUTED":
             routed += 1
             total_wl += result.wirelength

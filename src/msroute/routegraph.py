@@ -6,8 +6,8 @@ junction graph, whose `segments` (with their base capacity r) are the
 region's only segment list and whose `jx`/`jy` are the only junction
 coordinates.  Build it once with `RegionModel.build`; every run
 configuration routes over the same region.  A run fills only memos of
-region facts (the junction graph's pin hosts and their index), which are
-the same whichever run fills them.
+region facts (the junction graph's pin attachments and its host index),
+which are the same whichever run fills them.
 
 The junction graph has one undirected edge per usable segment (r > 0)
 between its endpoint junctions; `JunctionGraph.usable` lists those segment
@@ -17,9 +17,10 @@ GSRG: the junction graph plus one node per pin, attached by two
 pin-junction edges to the endpoints of the pin's host segment, the nearest
 usable one.  A `PinAttachment` holds the host's id and the two edges'
 lengths; the search reads the endpoints from the host.  The graph indexes
-the usable segments at the first host lookup and memoises each pin
-coordinate's host.  It also keeps the junction coordinates and kappa, the
-scale of the router's A* bound.
+the usable segments at the first host lookup and memoises each pin site's
+whole attachment, which depends only on the site's (x, y): a net's GSRG
+costs one dict lookup per pin whose site an earlier net met.  It also keeps
+the junction coordinates and kappa, the scale of the router's A* bound.
 
 Capacity profiles scale r across the metal layers (`capacity_at`) and the
 layer model says which layers a wire axis may use (`layer_permitted`).  A
@@ -170,7 +171,7 @@ class JunctionGraph:
     jx: list[float]                          # junction coordinates, for the A* bound
     jy: list[float]
     kappa: float                             # min(1, length / L1 of its junctions), shrunk
-    hosts: dict[tuple[float, float], Segment] = field(default_factory=dict)  # pin (x, y) -> host
+    attachments: dict[tuple[float, float], PinAttachment] = field(default_factory=dict)  # pin site -> its attachment
 
     @cached_property
     def host_index(self) -> dict[Axis, tuple[list[float], list[Segment]]]:
@@ -182,18 +183,24 @@ class JunctionGraph:
             index[s.axis][1].append(s)
         return index
 
+    def attach(self, x: float, y: float) -> PinAttachment:
+        """The pin site's attachment to its host, memoised per site."""
+        att = self.attachments.get((x, y))
+        if att is None:
+            seg = self.host(x, y)
+            att = self.attachments[x, y] = PinAttachment(seg.id, abs(x - self.jx[seg.j1]) + abs(y - self.jy[seg.j1]),
+                                                         abs(x - self.jx[seg.j2]) + abs(y - self.jy[seg.j2]))
+        return att
+
     def host(self, x: float, y: float) -> Segment:
-        """Nearest usable segment by Euclidean point-to-wall distance, memoised
-        per pin coordinate.  Walking the segments in id order, one replaces the
-        best so far when nearer by more than 1e-12.  The walk visits only those
-        up to a cut that no other comes within 1e-9 (relative) of, so it ends
-        where the full walk would.  The walls of each axis (`host_index`)
-        are met outward from the pin, smallest perpendicular gap first; a
-        wall is no nearer than its gap, so the walls stop once the gap passes
-        the cut's 1e-9 reach."""
-        seg = self.hosts.get((x, y))
-        if seg is not None:
-            return seg
+        """Nearest usable segment by Euclidean point-to-wall distance.
+        Walking the segments in id order, one replaces the best so far when
+        nearer by more than 1e-12.  The walk visits only those up to a cut
+        that no other comes within 1e-9 (relative) of, so it ends where the
+        full walk would.  The walls of each axis (`host_index`) are met
+        outward from the pin, smallest perpendicular gap first; a wall is no
+        nearer than its gap, so the walls stop once the gap passes the cut's
+        1e-9 reach."""
         if not self.usable:
             raise PinHostError("no usable segment to host the pin")
         seen: list[tuple[float, Segment]] = []  # (distance, wall) of the walls met
@@ -211,7 +218,6 @@ class JunctionGraph:
         for d, wall in sorted((item for item in seen if item[0] <= cut), key=lambda item: item[1].id):
             if d < best_d - 1e-12:
                 seg, best_d = wall, d
-        self.hosts[(x, y)] = seg
         return seg
 
 
@@ -264,8 +270,11 @@ def build_junction_graph(segments: list[Segment], junctions: list[tuple[float, f
                          jx=jx, jy=jy, kappa=kappa * (1.0 - KAPPA_MARGIN))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PinAttachment:
+    """A pin site's host segment and its two pin-junction edge lengths;
+    shared by every net with a pin at the site."""
+
     host_seg: int
     d1: float  # Manhattan pin -> the host segment's j1
     d2: float  # and -> its j2
@@ -295,16 +304,9 @@ def _point_interval_dist(seg: Segment, x: float, y: float) -> float:
 
 
 def build_gsrg(jg: JunctionGraph, net: Net) -> Gsrg:
-    """Attach each pin of the net to its host segment's endpoint junctions."""
-    pins: list[PinAttachment] = []
-    for pin in net.pins:
-        host = jg.host(pin.x, pin.y)
-        pins.append(PinAttachment(
-            host_seg=host.id,
-            d1=abs(pin.x - jg.jx[host.j1]) + abs(pin.y - jg.jy[host.j1]),
-            d2=abs(pin.x - jg.jx[host.j2]) + abs(pin.y - jg.jy[host.j2]),
-        ))
-    return Gsrg(pins=pins)
+    """Attach each pin of the net to its host segment's endpoint junctions:
+    one lookup in the graph's attachment memo per pin site met before."""
+    return Gsrg(pins=[jg.attach(pin.x, pin.y) for pin in net.pins])
 
 
 def pin_edge_weights(att: PinAttachment, usage: list[SegmentUsage]) -> tuple[float, float]:
@@ -336,7 +338,8 @@ def junction_graph_csv(jg: JunctionGraph, usage: list[SegmentUsage] | None, laye
 @dataclass(frozen=True)
 class RegionModel:
     """Everything the runs over one (floorplan, balance) read; they fill only
-    the junction graph's host memos.  Its segments are `graph.segments`."""
+    the junction graph's attachment memo and host index.  Its segments are
+    `graph.segments`."""
 
     fp: Floorplan
     balance: BalanceMode

@@ -9,17 +9,20 @@ caches every weight; usage changes only through `RoutingState.charge` and
 the rollback of a failed net, which refresh exactly the segments they
 touch.  Several states can share one region.
 
-Nets route one at a time in non-decreasing (HPWL, degree) order.  A
-multi-terminal net is first decomposed into t-1 two-terminal pairs by a
-minimum spanning tree over pairwise pin HPWL, shortest pair first; each pair
-routes by A* on the net's GSRG under the live congestion weights, charging
-segment usage after every successful pair: once per net on each segment of
-the path and on the host segments of the pair's two pins.  The net's journal
-records each charge's landed layer.  If any pair is unroutable the whole net
-fails and the journal takes back every charge of its earlier pairs, one unit
-off each landed layer; a segment's layer derives from its usage, so nothing
-else needs restoring.  A net's `NetResult` is its one record: status,
-pair paths, merged segments, Steiner points, wirelength and vias.
+Nets route one at a time in non-decreasing (HPWL, degree) order; a run
+computes each net's HPWL once and keeps it (`RouteRun.hpwl`) for the
+report.  A multi-terminal net is first decomposed into t-1 two-terminal
+pairs by a minimum spanning tree over pairwise pin HPWL, shortest pair
+first (a two-pin net is its one pair); each pair routes by A* on the net's
+GSRG under the live congestion weights, charging segment usage after every
+successful pair: once per net on each segment of the path and on the host
+segments of the pair's two pins.  The net's journal records each charge's
+landed layer.  If any pair is unroutable the whole net fails and the
+journal takes back every charge of its earlier pairs, one unit off each
+landed layer; a segment's layer derives from its usage, so nothing else
+needs restoring.  A net's `NetResult` is its one record: status, pair
+paths, merged segments, Steiner points, wirelength and vias.  A net of one
+path is that path: no segment is shared and no junction is a Steiner point.
 
 The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
 
@@ -162,15 +165,18 @@ class RoutingState:
 class RouteRun:
     state: RoutingState
     results: list[NetResult]      # net id order
+    hpwl: list[float]             # each net's HPWL, net id order
     runtime: float
 
 
 # ---------------------------------------------------------------------------
 # ordering and decomposition
 
-def order_nets(nets: list[Net]) -> list[Net]:
-    """Routing priority: non-decreasing HPWL, then degree, then net id."""
-    return sorted(nets, key=lambda n: (compute_hpwl(n), n.degree, n.id))
+def order_nets(nets: list[Net], hpwl: list[float]) -> list[Net]:
+    """Routing priority: non-decreasing HPWL (`hpwl[i]` is `nets[i]`'s),
+    then degree, then net id."""
+    order = sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree, nets[i].id))
+    return [nets[i] for i in order]
 
 
 def identify_source(pin_a: Pin, pin_b: Pin, search: SearchDir) -> tuple[Pin, Pin]:
@@ -194,8 +200,10 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
 
     Returns t-1 (lo, hi) pin-index pairs in routing order: by Manhattan
     length, then pin ids.  Equal-weight candidates break ties toward the
-    smaller pair.
+    smaller pair.  A two-pin net is its one pair.
     """
+    if net.degree == 2:
+        return [(0, 1)]
     pins = net.pins
     # the least (length, lo, hi) pair joining each outside pin to the tree
     best = {j: (_manhattan(pins[0], pins[j]), 0, j) for j in range(1, net.degree)}
@@ -332,8 +340,16 @@ def identify_steiner_points(paths: list[RoutePath], segments: list[Segment]) -> 
 
     Shared segments and shared pin escapes count once toward wirelength.
     Steiner points are the non-terminal branch points: junctions where three
-    or more distinct routed segments meet.
+    or more distinct routed segments meet.  One path is simple (its
+    junctions are distinct), so it shares nothing and has no Steiner point;
+    its wirelength adds the same values in the same order as the merge.
     """
+    if len(paths) == 1:
+        (path,) = paths
+        seg_ids = sorted(path.segments)
+        wirelength = sequential_sum(segments[sid].length for sid in seg_ids)
+        return NetResult(status="ROUTED", paths=paths, segments=seg_ids,
+                         wirelength=wirelength + (path.entry_dist + path.exit_dist), vias=path.vias)
     seg_ids = sorted({sid for p in paths for sid in p.segments})
     pin_edges = set()
     for p in paths:
@@ -363,11 +379,14 @@ def _charge_path(state: RoutingState, gsrg: Gsrg, path: RoutePath,
     `journal` maps each segment the net charged to its landed layer: a net
     pays a shared segment once.
     """
-    hosts = [gsrg.pins[path.source_pin].host_seg, gsrg.pins[path.sink_pin].host_seg]
-    for sid in path.segments + hosts:
+    layers = path.layers = []
+    for sid in path.segments:
         if sid not in journal:
             journal[sid] = state.charge(sid)
-    path.layers = [journal[sid] for sid in path.segments]
+        layers.append(journal[sid])
+    for sid in (gsrg.pins[path.source_pin].host_seg, gsrg.pins[path.sink_pin].host_seg):
+        if sid not in journal:
+            journal[sid] = state.charge(sid)
     path.vias = count_vias(path)
 
 
@@ -405,12 +424,13 @@ def route_all(state: RoutingState) -> RouteRun:
     """Route every net in priority order; failures are recorded, not raised."""
     nets = state.region.fp.nets
     t0 = time.perf_counter()
+    hpwl = [compute_hpwl(net) for net in nets]
     by_id: dict[int, NetResult] = {}
-    for net in order_nets(nets):
+    for net in order_nets(nets, hpwl):
         by_id[net.id] = route_net(state, net)
     runtime = time.perf_counter() - t0
     results = [by_id[net.id] for net in nets]
-    return RouteRun(state=state, results=results, runtime=runtime)
+    return RouteRun(state=state, results=results, hpwl=hpwl, runtime=runtime)
 
 
 def route_floorplan(fp: Floorplan, config: RunConfig, balance: BalanceMode = BalanceMode.NUMBER) -> RouteRun:

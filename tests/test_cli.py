@@ -344,6 +344,9 @@ def test_unrouted_dump_computes_no_hpwl(tmp_path, monkeypatch):
     assert calls == []
     assert main(["dump-graph", *args, "--route-first", "--out", str(tmp_path / "routed")]) == 0
     assert len(calls) == 90
+    # a routed run keeps its HPWL list for the report: still once per net
+    assert main(["route", *args, "--out", str(tmp_path / "report")]) == 0
+    assert len(calls) == 180
 
 
 @pytest.mark.parametrize("layers", [2, 8])

@@ -5,14 +5,17 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, all_junctions
-from msroute.floorplan import Net, Pin, generate_random_floorplan
+from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan, sequential_sum
 from msroute import router
 from msroute.metrics import summarize
 from msroute.routegraph import (
@@ -33,6 +36,7 @@ from msroute.routegraph import (
 )
 from msroute.router import (
     PRESETS,
+    NetResult,
     RoutePath,
     RoutingState,
     RunConfig,
@@ -49,7 +53,7 @@ from msroute.router import (
 )
 from msroute.staircase import BalanceMode, Segment, build_msc_tree, extract_segments, segments_csv, tree_text
 
-from test_floorplan import make_fp
+from test_floorplan import make_fp, mosaics
 from test_routegraph import hand_state, host_segment
 
 
@@ -61,6 +65,11 @@ def _net(points, net_id=0, name=None):
     return Net(id=net_id, name=name or f"n{net_id}", pins=[_pin(x, y) for x, y in points])
 
 
+def _ordered(nets):
+    """The nets in routing order, keyed on the HPWL of their pins."""
+    return order_nets(nets, [compute_hpwl(net) for net in nets])
+
+
 # ---------------------------------------------------------------------------
 # ordering and source selection
 
@@ -68,23 +77,23 @@ def test_order_nets_hpwl_then_degree():
     nets = [_net([(0, 0), (5, 5), (2, 2)], 0),       # hpwl 10, degree 3
             _net([(0, 0), (5, 5)], 1),               # hpwl 10, degree 2
             _net([(0, 0), (12, 8)], 2)]              # hpwl 20, degree 2
-    assert [n.id for n in order_nets(nets)] == [1, 0, 2]
+    assert [n.id for n in _ordered(nets)] == [1, 0, 2]
 
 
 def test_order_nets_reads_each_nets_hpwl_from_its_pins():
     nets = [Net(0, "far", [_pin(0, 0), _pin(12, 8)]),     # hpwl 20
             Net(1, "near", [_pin(0, 0), _pin(1, 1)]),     # hpwl 2
             Net(2, "mid", [_pin(0, 0), _pin(5, 5)])]      # hpwl 10
-    assert [n.id for n in order_nets(nets)] == [1, 2, 0]
+    assert [n.id for n in _ordered(nets)] == [1, 2, 0]
 
 
 def test_order_nets_equal_keys_keep_id_order():
     nets = [_net([(0, 0), (3, 3)], i) for i in (2, 0, 1)]
-    assert [n.id for n in order_nets(nets)] == [0, 1, 2]
+    assert [n.id for n in _ordered(nets)] == [0, 1, 2]
 
 
 def test_order_nets_empty():
-    assert order_nets([]) == []
+    assert order_nets([], []) == []
 
 
 def test_identify_source_examples():
@@ -170,6 +179,7 @@ def test_decompose_deterministic():
 
 
 @pytest.mark.parametrize("points, pairs", [
+    ([(3, 0), (0, 0)], [(0, 1)]),
     ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 3)]),
     ([(1, 1), (0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (0, 2), (0, 3), (0, 4)]),
 ])
@@ -515,6 +525,38 @@ def test_identify_steiner_points_pure_chain_has_none():
     assert result.wirelength == pytest.approx(2.0)
 
 
+def _merged(paths, segments):
+    """Reference: the general merge of a net's pair paths into its routed
+    tree, the only one `identify_steiner_points` had before a one-path net
+    took its own way."""
+    seg_ids = sorted({sid for p in paths for sid in p.segments})
+    pin_edges = set()
+    for p in paths:
+        pin_edges.add((p.source_pin, p.junctions[0], p.entry_dist))
+        pin_edges.add((p.sink_pin, p.junctions[-1], p.exit_dist))
+    wirelength = sequential_sum(segments[sid].length for sid in seg_ids)
+    wirelength += sequential_sum(d for _, _, d in pin_edges)
+    ends = Counter(j for sid in seg_ids for j in (segments[sid].j1, segments[sid].j2))
+    return NetResult(status="ROUTED", paths=paths, segments=seg_ids,
+                     steiner_points=sorted(j for j, count in ends.items() if count >= 3),
+                     wirelength=wirelength, vias=sum(p.vias for p in paths))
+
+
+@settings(max_examples=30, deadline=None)
+@given(fp=mosaics, name=st.sampled_from(sorted(PRESETS)), layers=st.integers(1, 4))
+def test_a_one_path_net_equals_the_general_merge(fp, name, layers):
+    run = route_floorplan(fp, RunConfig.from_name(name, layers=layers))
+    segments = run.state.region.graph.segments
+    for result in run.results:
+        if len(result.paths) != 1:
+            continue
+        merged = _merged(result.paths, segments)
+        for f in fields(NetResult):
+            got, want = getattr(result, f.name), getattr(merged, f.name)
+            assert type(got) is type(want) and got == want, f.name
+        assert result.wirelength.hex() == merged.wirelength.hex()
+
+
 # ---------------------------------------------------------------------------
 # rollback on partial multi-terminal failure
 
@@ -560,7 +602,7 @@ def _failed_nets_leave_no_trace(fp, config):
     segment exactly as it found it; returns the number of failed nets."""
     state = RoutingState.prepare(RegionModel.build(fp), config)
     failed = 0
-    for net in order_nets(fp.nets):
+    for net in _ordered(fp.nets):
         before = _usage_snapshot(state)
         if route_net(state, net).status == "FAILED":
             failed += 1
@@ -776,7 +818,48 @@ def test_reports_byte_identical_to_golden(name):
 
 
 # ---------------------------------------------------------------------------
-# the cached weights and pin hosts stay equal to the live rule
+# the search's work at paper scale
+
+#: routed nets, heap pops, searches and path junctions of one paper-scale route
+_SEARCH_WORK = Path(__file__).resolve().parent / "data" / "search_work.txt"
+
+
+def test_search_work_at_paper_scale_equals_the_committed_counts(monkeypatch):
+    """Pops, searches and path junctions repeat exactly for one instance; a
+    change to them is a change to the search, not to the work around it."""
+    counts = Counter()
+
+    def heappop(heap):
+        counts["pops"] += 1
+        return heapq.heappop(heap)
+
+    search = router.dijkstra_ssp
+
+    def counted_search(*args):
+        counts["searches"] += 1
+        path = search(*args)
+        counts["path_junctions"] += 0 if path is None else len(path.junctions)
+        return path
+
+    monkeypatch.setattr(router, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    monkeypatch.setattr(router, "dijkstra_ssp", counted_search)
+    run = route_floorplan(generate_random_floorplan(300, 1632, 6, seed=1000), RunConfig.from_name("FCN", layers=8))
+    routed = sum(result.status == "ROUTED" for result in run.results)
+    line = (f"n=300 k=1632 seed=1000 FCN M=8 RESERVED_HV: routed={routed} pops={counts['pops']} "
+            f"searches={counts['searches']} path_junctions={counts['path_junctions']}")
+    committed = [ln for ln in _SEARCH_WORK.read_text().splitlines() if not ln.startswith("#")]
+    assert committed == [line]
+
+
+# ---------------------------------------------------------------------------
+# the cached weights and pin attachments stay equal to the live rule
+
+def _scanned_attachment(jg, x, y):
+    """The site's attachment from the full-scan host and the junction coordinates."""
+    host = host_segment(jg, x, y)
+    return PinAttachment(host.id, abs(x - jg.jx[host.j1]) + abs(y - jg.jy[host.j1]),
+                         abs(x - jg.jx[host.j2]) + abs(y - jg.jy[host.j2]))
+
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 30), nets_per_block=st.integers(1, 8), seed=st.integers(0, 10_000),
@@ -790,7 +873,7 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     for seg in region.graph.segments:
         assert state.usage[seg.id].cap == tuple(capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
                                                 else 0 for l in range(1, layers + 1))
-    for net in order_nets(region.fp.nets):
+    for net in _ordered(region.fp.nets):
         route_net(state, net)
         for sid in jg.usable:
             seg, usage = region.graph.segments[sid], state.usage[sid]
@@ -804,8 +887,8 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
             share = 1.0 - usage.u[free[0] - 1] / capacity_at(profile, seg.r, free[0])
             assert state.weight[sid] == seg.length / share
             assert free_share(usage) == share
-    for (x, y), host in jg.hosts.items():
-        assert host is host_segment(jg, x, y)
+    for (x, y), att in jg.attachments.items():
+        assert att == _scanned_attachment(jg, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +904,8 @@ def test_runs_leave_the_region_unchanged(n, nets_per_block, seed, layers, first,
     before = tree_text(region.tree), segments_csv(region.graph.segments)
     route_all(RoutingState.prepare(region, RunConfig.from_name(first, layers=layers)))
     assert (tree_text(region.tree), segments_csv(region.graph.segments)) == before
-    for (x, y), host in region.graph.hosts.items():
-        assert host is host_segment(region.graph, x, y)
+    for (x, y), att in region.graph.attachments.items():
+        assert att == _scanned_attachment(region.graph, x, y)
     config = RunConfig.from_name(second, layers=layers)
     reused = summarize(route_all(RoutingState.prepare(region, config)))
     fresh = summarize(route_floorplan(fp, config, balance=balance))
