@@ -14,11 +14,10 @@ fp = msr.generate_random_floorplan(n=20, k=80, max_degree=5, seed=11)
 config = msr.RunConfig.from_name("FCN", layers=8)  # forward search, uniform capacity
 
 section("Net ordering")
-hpwl = [msr.compute_hpwl(n) for n in fp.nets]  # a routed run keeps these as run.hpwl
-ordered = msr.order_nets(fp.nets, hpwl)
+ordered = msr.order_nets(fp.nets)
 print("nets route in non-decreasing (HPWL, degree) order;")
-print("first three:", [(n.name, round(hpwl[n.id], 1), n.degree) for n in ordered[:3]])
-print("last one:   ", [(n.name, round(hpwl[n.id], 1), n.degree) for n in ordered[-1:]])
+print("first three:", [(n.name, round(msr.compute_hpwl(n), 1), n.degree) for n in ordered[:3]])
+print("last one:   ", [(n.name, round(msr.compute_hpwl(n), 1), n.degree) for n in ordered[-1:]])
 
 section("Multi-terminal decomposition")
 big = max(fp.nets, key=lambda n: n.degree)

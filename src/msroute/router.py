@@ -13,11 +13,10 @@ Nets route one at a time in non-decreasing (HPWL, degree) order; a run
 computes each net's HPWL once and keeps it (`RouteRun.hpwl`) for the
 report.  A multi-terminal net is first decomposed into t-1 two-terminal
 pairs by a minimum spanning tree over pairwise pin HPWL, shortest pair
-first (a two-pin net is its one pair); each pair routes by A* on the net's
-GSRG under the live congestion weights, charging segment usage after every
-successful pair: once per net on each segment of the path and on the host
-segments of the pair's two pins.  The net's journal records each charge's
-landed layer.  If any pair is unroutable the whole net fails and the
+first; each pair routes by A* on the net's GSRG under the live congestion
+weights, charging segment usage after every successful pair: once per net
+on each segment of the path and on the host segments of the pair's two
+pins.  The net's journal records each charge's landed layer.  If any pair is unroutable the whole net fails and the
 journal takes back every charge of its earlier pairs, one unit off each
 landed layer; a segment's layer derives from its usage, so nothing else
 needs restoring.  A net's `NetResult` is its one record: status, pair
@@ -172,9 +171,13 @@ class RouteRun:
 # ---------------------------------------------------------------------------
 # ordering and decomposition
 
-def order_nets(nets: list[Net], hpwl: list[float]) -> list[Net]:
-    """Routing priority: non-decreasing HPWL (`hpwl[i]` is `nets[i]`'s),
-    then degree, then net id."""
+def order_nets(nets: list[Net]) -> list[Net]:
+    """Routing priority: non-decreasing HPWL, then degree, then net id."""
+    return _by_priority(nets, [compute_hpwl(n) for n in nets])
+
+
+def _by_priority(nets: list[Net], hpwl: list[float]) -> list[Net]:
+    """`order_nets` with each net's HPWL given, `hpwl[i]` being `nets[i]`'s."""
     order = sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree, nets[i].id))
     return [nets[i] for i in order]
 
@@ -200,10 +203,8 @@ def decompose_net(net: Net) -> list[tuple[int, int]]:
 
     Returns t-1 (lo, hi) pin-index pairs in routing order: by Manhattan
     length, then pin ids.  Equal-weight candidates break ties toward the
-    smaller pair.  A two-pin net is its one pair.
+    smaller pair.
     """
-    if net.degree == 2:
-        return [(0, 1)]
     pins = net.pins
     # the least (length, lo, hi) pair joining each outside pin to the tree
     best = {j: (_manhattan(pins[0], pins[j]), 0, j) for j in range(1, net.degree)}
@@ -426,7 +427,7 @@ def route_all(state: RoutingState) -> RouteRun:
     t0 = time.perf_counter()
     hpwl = [compute_hpwl(net) for net in nets]
     by_id: dict[int, NetResult] = {}
-    for net in order_nets(nets, hpwl):
+    for net in _by_priority(nets, hpwl):
         by_id[net.id] = route_net(state, net)
     runtime = time.perf_counter() - t0
     results = [by_id[net.id] for net in nets]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, all_junctions
-from msroute.floorplan import Net, Pin, compute_hpwl, generate_random_floorplan, sequential_sum
+from msroute.floorplan import Net, Pin, generate_random_floorplan, sequential_sum
 from msroute import router
 from msroute.metrics import summarize
 from msroute.routegraph import (
@@ -65,11 +65,6 @@ def _net(points, net_id=0, name=None):
     return Net(id=net_id, name=name or f"n{net_id}", pins=[_pin(x, y) for x, y in points])
 
 
-def _ordered(nets):
-    """The nets in routing order, keyed on the HPWL of their pins."""
-    return order_nets(nets, [compute_hpwl(net) for net in nets])
-
-
 # ---------------------------------------------------------------------------
 # ordering and source selection
 
@@ -77,23 +72,23 @@ def test_order_nets_hpwl_then_degree():
     nets = [_net([(0, 0), (5, 5), (2, 2)], 0),       # hpwl 10, degree 3
             _net([(0, 0), (5, 5)], 1),               # hpwl 10, degree 2
             _net([(0, 0), (12, 8)], 2)]              # hpwl 20, degree 2
-    assert [n.id for n in _ordered(nets)] == [1, 0, 2]
+    assert [n.id for n in order_nets(nets)] == [1, 0, 2]
 
 
 def test_order_nets_reads_each_nets_hpwl_from_its_pins():
     nets = [Net(0, "far", [_pin(0, 0), _pin(12, 8)]),     # hpwl 20
             Net(1, "near", [_pin(0, 0), _pin(1, 1)]),     # hpwl 2
             Net(2, "mid", [_pin(0, 0), _pin(5, 5)])]      # hpwl 10
-    assert [n.id for n in _ordered(nets)] == [1, 2, 0]
+    assert [n.id for n in order_nets(nets)] == [1, 2, 0]
 
 
 def test_order_nets_equal_keys_keep_id_order():
     nets = [_net([(0, 0), (3, 3)], i) for i in (2, 0, 1)]
-    assert [n.id for n in _ordered(nets)] == [0, 1, 2]
+    assert [n.id for n in order_nets(nets)] == [0, 1, 2]
 
 
 def test_order_nets_empty():
-    assert order_nets([], []) == []
+    assert order_nets([]) == []
 
 
 def test_identify_source_examples():
@@ -602,7 +597,7 @@ def _failed_nets_leave_no_trace(fp, config):
     segment exactly as it found it; returns the number of failed nets."""
     state = RoutingState.prepare(RegionModel.build(fp), config)
     failed = 0
-    for net in _ordered(fp.nets):
+    for net in order_nets(fp.nets):
         before = _usage_snapshot(state)
         if route_net(state, net).status == "FAILED":
             failed += 1
@@ -873,7 +868,7 @@ def test_weight_and_host_caches_match_live_rule(n, nets_per_block, seed, layers,
     for seg in region.graph.segments:
         assert state.usage[seg.id].cap == tuple(capacity_at(profile, seg.r, l) if layer_permitted(profile, seg.axis, l)
                                                 else 0 for l in range(1, layers + 1))
-    for net in _ordered(region.fp.nets):
+    for net in order_nets(region.fp.nets):
         route_net(state, net)
         for sid in jg.usable:
             seg, usage = region.graph.segments[sid], state.usage[sid]
