@@ -174,7 +174,6 @@ def test_decompose_deterministic():
 
 
 @pytest.mark.parametrize("points, pairs", [
-    ([(3, 0), (0, 0)], [(0, 1)]),
     ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 3)]),
     ([(1, 1), (0, 0), (2, 2), (0, 2), (2, 0)], [(0, 1), (0, 2), (0, 3), (0, 4)]),
 ])

@@ -17,7 +17,10 @@ lower unless BENCHMARK.json in the parent checkout says "higher".  The last
 line is the whole summary as JSON.
 
 Only the benchmark runs; nothing in either checkout changes apart from the
-results perfbench writes under its own .perfbench/ directory.
+results perfbench writes under its own .perfbench/ directory.  Make the two
+checkouts the same way, say `git archive` of each commit into a fresh
+directory: one that already holds compiled bytecode or other leftovers can
+read faster even on a workload that runs none of the changed code.
 """
 
 from __future__ import annotations
