@@ -16,12 +16,13 @@ pairs by a minimum spanning tree over pairwise pin HPWL, shortest pair
 first; each pair routes by A* on the net's GSRG under the live congestion
 weights, charging segment usage after every successful pair: once per net
 on each segment of the path and on the host segments of the pair's two
-pins.  The net's journal records each charge's landed layer.  If any pair is unroutable the whole net fails and the
-journal takes back every charge of its earlier pairs, one unit off each
-landed layer; a segment's layer derives from its usage, so nothing else
-needs restoring.  A net's `NetResult` is its one record: status, pair
-paths, merged segments, Steiner points, wirelength and vias.  A net of one
-path is that path: no segment is shared and no junction is a Steiner point.
+pins.  The net's journal records each charge's landed layer.  If any pair
+is unroutable the whole net fails and the journal takes back every charge
+of its earlier pairs, one unit off each landed layer; a segment's layer
+derives from its usage, so nothing else needs restoring.  A net's
+`NetResult` is its one record: status, pair paths, merged segments, Steiner
+points, wirelength and vias.  A net of one path is that path: no segment is
+shared and no junction is a Steiner point.
 
 The search returns exactly the path Dijkstra would (see `dijkstra_ssp`).
 
