@@ -36,7 +36,8 @@ print(f"wirelength {t['wirelength']:.1f} (= {t['wl_over_hpwl']:.3f} x total HPWL
 print(f"detour ratio: mean {t['detour_ratio_mean']:.3f}, max {t['detour_ratio_max']:.3f}")
 
 section("One routed multi-terminal net in detail")
-result = run.results[big.id]  # the net's one record: status, paths and their merged tree
+# results follow fp.nets; each is its net's one record: status, paths and their merged tree
+result = run.results[fp.nets.index(big)]
 print(f"{big.name}: {len(result.paths)} pair paths merged into a Steiner tree over "
       f"{len(result.segments)} segments")
 print(f"wirelength {result.wirelength:.1f} (shared segments counted once), "

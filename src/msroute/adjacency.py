@@ -48,6 +48,11 @@ class BagEdge:
     dst: int
     span: Span
 
+    def mirrored(self) -> BagEdge:
+        """The wall's edge in the other orientation: reversed across an H
+        wall, the same across a V one."""
+        return self if self.span.axis is Axis.V else BagEdge(self.dst, self.src, self.span)
+
 
 @dataclass
 class Bag:
@@ -69,7 +74,7 @@ class Bag:
     def mirrored(self) -> Bag:
         """The other orientation over the same walls: each H edge reversed,
         each V edge shared."""
-        edges = [e if e.span.axis is Axis.V else BagEdge(e.dst, e.src, e.span) for e in self.edges]
+        edges = [e.mirrored() for e in self.edges]
         edges.sort(key=lambda e: (e.src, e.dst))
         other = Orientation.MDS if self.orientation is Orientation.MIS else Orientation.MIS
         return Bag(other, list(self.nodes), edges)

@@ -53,6 +53,9 @@ from .floorplan import Floorplan, Net
 from .staircase import BalanceMode, MscTree, Segment, assign_capacities, build_msc_tree, extract_segments
 
 UNUSABLE = math.inf
+# the most metal layers a profile takes: well past any real stack, and each
+# segment's usage row is this long, so a larger M is bad input, not a run
+MAX_LAYERS = 64
 
 logger = logging.getLogger("msroute")
 
@@ -75,8 +78,8 @@ class CapacityProfile:
     layer_model: LayerModel = LayerModel.RESERVED_HV
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError(f"layers must be at least 1, got {self.layers}")
+        if not 1 <= self.layers <= MAX_LAYERS:
+            raise ValueError(f"layers must be in [1, {MAX_LAYERS}], got {self.layers}")
 
 
 def capacity_at(profile: CapacityProfile, r: int, layer: int) -> int:

@@ -164,8 +164,8 @@ class RoutingState:
 @dataclass
 class RouteRun:
     state: RoutingState
-    results: list[NetResult]      # net id order
-    hpwl: list[float]             # each net's HPWL, net id order
+    results: list[NetResult]      # in the order of the region's fp.nets
+    hpwl: list[float]             # each net's HPWL, in the same order
     runtime: float
 
 
@@ -174,13 +174,13 @@ class RouteRun:
 
 def order_nets(nets: list[Net]) -> list[Net]:
     """Routing priority: non-decreasing HPWL, then degree, then net id."""
-    return _by_priority(nets, [compute_hpwl(n) for n in nets])
+    return [nets[i] for i in _by_priority(nets, [compute_hpwl(n) for n in nets])]
 
 
-def _by_priority(nets: list[Net], hpwl: list[float]) -> list[Net]:
-    """`order_nets` with each net's HPWL given, `hpwl[i]` being `nets[i]`'s."""
-    order = sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree, nets[i].id))
-    return [nets[i] for i in order]
+def _by_priority(nets: list[Net], hpwl: list[float]) -> list[int]:
+    """The positions of `order_nets(nets)` in `nets`, with each net's HPWL
+    given, `hpwl[i]` being `nets[i]`'s."""
+    return sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree, nets[i].id))
 
 
 def identify_source(pin_a: Pin, pin_b: Pin, search: SearchDir) -> tuple[Pin, Pin]:
@@ -427,11 +427,10 @@ def route_all(state: RoutingState) -> RouteRun:
     nets = state.region.fp.nets
     t0 = time.perf_counter()
     hpwl = [compute_hpwl(net) for net in nets]
-    by_id: dict[int, NetResult] = {}
-    for net in _by_priority(nets, hpwl):
-        by_id[net.id] = route_net(state, net)
+    results: list[NetResult | None] = [None] * len(nets)
+    for i in _by_priority(nets, hpwl):
+        results[i] = route_net(state, nets[i])
     runtime = time.perf_counter() - t0
-    results = [by_id[net.id] for net in nets]
     return RouteRun(state=state, results=results, hpwl=hpwl, runtime=runtime)
 
 

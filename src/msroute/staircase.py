@@ -14,12 +14,14 @@ being cut, and a net with fewer than 2 of them is never cut.
 Recursing with alternating orientations yields the MSC tree: a full binary
 tree with the blocks as leaves and exactly n-1 cuts as internal nodes, each
 made by one `bipartition` call.  Each net's pins are counted per block once,
-at the root.  Once a node's cut is final it splits the node's nets and its
-MIS and MDS edges between its two sides, in one pass over each list: a net
-wholly on one side goes there as it is, a cut net goes to each side holding
-at least 2 of its pins with only that side's counts, and an edge goes to the
-side holding both its ends.  So a node's work scales with its size, not with
-the whole instance.  Every adjacency wall is consumed by exactly one cut
+at the root, and each node carries one list of walls, its MIS BAG edges; an
+MDS cut reads them mirrored.  The chain of walls a cut's steps grow is the
+cut.  Once a node's cut is final it splits the node's nets and its walls
+between its two sides, in one pass over each list: a net wholly on one side
+goes there as it is, a cut net goes to each side holding at least 2 of its
+pins with only that side's counts, and a wall goes to the side holding both
+its ends.  So a node's work scales with its size, not with the whole
+instance.  Every adjacency wall is consumed by exactly one cut
 (the tree node separating its two blocks), so the cut walls plus the
 floorplan border cover all routing channels.
 """
@@ -93,10 +95,10 @@ class Segment:
 # on each of them, their sum).  Two tuples take less memory than a dict.
 PinCounts = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
-# A bag edge as a cut sees it: (its staircase key, its index in its bag's edges).
+# A wall as a cut sees it: (its staircase key, its position in the node's walls).
 Item = tuple[tuple[float, float, float, float], int]
-# What a cut hands one of its sides: its items per orientation, and its nets.
-Side = tuple[dict[Orientation, list[Item]], list[PinCounts]]
+# What a cut hands one of its sides: its walls (MIS BAG edges, in bag order), and its nets.
+Side = tuple[list[BagEdge], list[PinCounts]]
 
 
 def _count_pins(nets: list[Net], blocks: range | set[int]) -> list[PinCounts]:
@@ -123,11 +125,6 @@ def _staircase_key(span: Span, orientation: Orientation) -> tuple[float, float, 
     if orientation is Orientation.MIS:
         return (x1, y1, x2, y2)
     return (x1, -y2, x2, -y1)
-
-
-def _items(bag: Bag) -> list[Item]:
-    """The bag's edges as items, in bag order."""
-    return [(_staircase_key(e.span, bag.orientation), idx) for idx, e in enumerate(bag.edges)]
 
 
 def _is_monotone_keys(keys: list[tuple[float, float, float, float]]) -> bool:
@@ -160,32 +157,31 @@ def _absorb(chain: list[Item], removed: list[Item], added: list[Item]) -> bool:
     return True
 
 
-def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Orientation, list[Item]],
-                bags: dict[Orientation, Bag], nets: list[PinCounts], balance: BalanceMode,
-                areas: dict[int, float]) -> tuple[MsCut, Side, Side]:
+def bipartition(orientation: Orientation, nodes: tuple[int, ...], walls: list[BagEdge],
+                nets: list[PinCounts], balance: BalanceMode, areas: dict[int, float]) -> tuple[MsCut, Side, Side]:
     """Split the sorted blocks `nodes` (at least 2) by a balanced monotone
-    staircase cut, given per orientation the items of the bag edges within
-    them (in bag order, each naming its edge in `bags`) and the nets counted
-    on them (`_count_pins`).
+    staircase cut, given the walls within them as MIS BAG edges (in bag
+    order) and the nets counted on them (`_count_pins`).  Under MDS each
+    wall's edge is read mirrored (`BagEdge.mirrored`).
 
     The cut's left_set is the absorbed (upper/lower-left) side.  Each step
     absorbs the least (cut change, block id) source that keeps the cut a
     monotone staircase; NUMBER stops at half the blocks, AREA at half the
-    area (giving the last block back when that is nearer the half).
+    area (giving the last block back when that is nearer the half).  The
+    chain of walls the steps grow is the cut.
 
-    Returns the cut, then what it hands its left and its right side: an edge
+    Returns the cut, then what it hands its left and its right side: a wall
     goes to the side holding both its ends, a net to each side holding at
     least 2 of its pins, cut down to that side's blocks only when it is a
     cut net.
     """
-    n_sub = len(nodes)
-    # per block, its in- and out-edges as items, and how many in-edges of an
-    # unabsorbed block are left
-    bag_edges = bags[orientation].edges
+    # per wall its edge under `orientation`; per block, its in- and out-walls
+    # as items, and how many in-walls of an unabsorbed block are left
+    edges = walls if orientation is Orientation.MIS else [e.mirrored() for e in walls]
     in_items: dict[int, list[Item]] = {v: [] for v in nodes}
     out_items: dict[int, list[Item]] = {v: [] for v in nodes}
-    for item in items[orientation]:
-        e = bag_edges[item[1]]
+    for i, e in enumerate(edges):
+        item = (_staircase_key(e.span, orientation), i)
         in_items[e.dst].append(item)
         out_items[e.src].append(item)
     indeg = {v: len(in_items[v]) for v in nodes}
@@ -215,11 +211,11 @@ def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Or
     chain: list[Item] = []  # the current cut, sorted, a monotone staircase
 
     # NUMBER stops at half the blocks, AREA at half the area; both leave one block
-    while len(absorbed) < n_sub - 1 and (
-            len(absorbed) < n_sub // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
+    while len(absorbed) < len(nodes) - 1 and (
+            len(absorbed) < len(nodes) // 2 if balance is BalanceMode.NUMBER else 2.0 * a_area < total_area):
         # in staircase-shaped sub-regions not every source keeps the cut a
         # single monotone chain: absorb the least (cut change, id) source that
-        # does.  A source's in-edges leave the cut and its out-edges join it
+        # does.  A source's in-walls leave the cut and its out-walls join it
         ranked = [v for _, v in sorted([(cut_change(v), v) for v in sources])] if len(sources) > 1 else sources
         for best in ranked:
             if _absorb(chain, in_items[best], out_items[best]):
@@ -230,8 +226,8 @@ def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Or
         absorbed.append(best)
         for i, count in pins_on[best].items():
             in_a[i] += count
-        for _, idx in out_items[best]:
-            w = bag_edges[idx].dst
+        for _, i in out_items[best]:
+            w = edges[i].dst
             indeg[w] -= 1
             if not indeg[w]:
                 sources.add(w)
@@ -239,18 +235,28 @@ def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Or
 
     if balance is BalanceMode.AREA and len(absorbed) > 1:
         last = absorbed[-1]
-        # give the last block back when the area without it is nearer the half
+        # give the last block back when the area without it is nearer the half,
+        # undoing its step on the chain
         if abs(total_area - 2.0 * (a_area - areas[last])) < abs(total_area - 2.0 * a_area):
+            _absorb(chain, out_items[last], in_items[last])
             for i, count in pins_on[last].items():
                 in_a[i] -= count
             absorbed.pop()
             a_area -= areas[last]
 
+    # one pass hands each side the walls within it; the rest cross the cut
     left = set(absorbed)
-    split = {o: _split(o_items, bags[o].edges, left, o is orientation) for o, o_items in items.items()}
-    cut_items = split[orientation][2]
-    if not _is_monotone_keys([key for key, _ in cut_items]):
-        raise InternalError("bipartition produced a non-monotone cut")
+    sides: tuple[list[BagEdge], list[BagEdge]] = ([], [])  # the walls within the left and the right side
+    crossing = []
+    for i, e in enumerate(edges):
+        if (e.src in left) is (e.dst in left):
+            sides[e.src not in left].append(walls[i])
+        elif e.src in left:
+            crossing.append(i)
+        else:
+            raise InternalError("cut is not predecessor-closed; not a staircase")
+    if sorted(i for _, i in chain) != crossing or not _is_monotone_keys([key for key, _ in chain]):
+        raise InternalError("bipartition's chain is not the monotone cut of its sides")
 
     left_nets, right_nets, cut_nets = [], [], []
     for entry, held, n_pins in zip(nets, in_a, total):
@@ -268,48 +274,31 @@ def bipartition(orientation: Orientation, nodes: tuple[int, ...], items: dict[Or
 
     cut = MsCut(orientation=orientation, left_set=tuple(sorted(absorbed)),
                 right_set=tuple(v for v in nodes if v not in left),
-                cut_edges=[bag_edges[idx] for _, idx in sorted(cut_items)], cut_nets=cut_nets)
-    return cut, ({o: s[0] for o, s in split.items()}, left_nets), ({o: s[1] for o, s in split.items()}, right_nets)
-
-
-def _split(items: list[Item], edges: list[BagEdge], left: set[int], directed: bool) -> tuple[list[Item], ...]:
-    """The items whose edges lie within `left`, within the rest, and cross
-    from `left` to the rest (order kept).  For the cut's own orientation
-    (`directed`) no edge may cross back; the others' crossing edges are dropped."""
-    inside, outside, crossing = [], [], []
-    for item in items:
-        e = edges[item[1]]
-        if e.src in left:
-            (inside if e.dst in left else crossing).append(item)
-        elif e.dst not in left:
-            outside.append(item)
-        elif directed:
-            raise InternalError("cut is not predecessor-closed; not a staircase")
-    return inside, outside, crossing
+                cut_edges=[edges[i] for _, i in chain], cut_nets=cut_nets)
+    return cut, (sides[0], left_nets), (sides[1], right_nets)
 
 
 def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> MscTree:
     """Recursively bipartition the floorplan over its nets; root is MIS, levels alternate."""
     fp.require_valid()
     mis = build_bag(fp, Orientation.MIS)
-    full = {Orientation.MIS: mis, Orientation.MDS: mis.mirrored()}
     areas = {b.id: b.area for b in fp.blocks}
     cuts: list[MsCut] = []
-    # (blocks, their items and nets, depth); each cut hands its sides their
-    # items and nets, and pushes its right side before its left, so cuts come
+    # (blocks, their walls and nets, depth); each cut hands its sides their
+    # walls and nets, and pushes its right side before its left, so cuts come
     # out in preorder
     blocks = range(len(fp.blocks))
-    stack = [(tuple(blocks), {o: _items(bag) for o, bag in full.items()}, _count_pins(fp.nets, blocks), 0)]
+    stack = [(tuple(blocks), mis.edges, _count_pins(fp.nets, blocks), 0)]
     while stack:
-        block_ids, items, nets, depth = stack.pop()
+        block_ids, walls, nets, depth = stack.pop()
         if len(block_ids) == 1:
             continue
         orientation = Orientation.MIS if depth % 2 == 0 else Orientation.MDS
-        cut, left, right = bipartition(orientation, block_ids, items, full, nets, balance, areas)
+        cut, left, right = bipartition(orientation, block_ids, walls, nets, balance, areas)
         cuts.append(cut)
         stack.append((cut.right_set, *right, depth + 1))
         stack.append((cut.left_set, *left, depth + 1))
-    return MscTree(cuts, full)
+    return MscTree(cuts, {Orientation.MIS: mis, Orientation.MDS: mis.mirrored()})
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,16 @@ def test_fewer_than_one_layer_exits_one(tmp_path, capsys, command, layers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["route", "dump-graph"])
+@pytest.mark.parametrize("layers", ["65", "40000"])
+def test_more_layers_than_the_bound_exits_one(tmp_path, capsys, command, layers):
+    out = tmp_path / "out"
+    code = main([command, "--n", "6", "--k", "10", "--layers", layers, "--out", str(out)])
+    assert code == 1
+    assert f"[1, 64], got {layers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_graph_artifacts(tmp_path):
     code = main(["dump-graph", "--n", "6", "--k", "8", "--seed", "1", "--out", str(tmp_path)])
     assert code == 0

@@ -10,6 +10,7 @@ from msroute.adjacency import Axis, all_junctions
 from msroute.errors import InternalError, PinHostError
 from msroute.floorplan import Net, Pin, generate_random_floorplan
 from msroute.routegraph import (
+    MAX_LAYERS,
     UNUSABLE,
     CapacityProfile,
     LayerModel,
@@ -56,6 +57,13 @@ def test_capacity_at_examples():
     assert capacity_at(CapacityProfile(ProfileKind.UNIFORM, 8), 8, 5) == 8
     assert capacity_at(CapacityProfile(ProfileKind.HYPERBOLIC, 8), 8, 4) == 2
     assert capacity_at(CapacityProfile(ProfileKind.LADDER, 8), 8, 3) == 4
+
+
+def test_capacity_profile_bounds_the_layer_count():
+    assert CapacityProfile(ProfileKind.UNIFORM, MAX_LAYERS).layers == MAX_LAYERS
+    for layers in (0, -2, MAX_LAYERS + 1, 40_000):
+        with pytest.raises(ValueError, match=f"got {layers}$"):
+            CapacityProfile(ProfileKind.UNIFORM, layers)
 
 
 def test_capacity_layer_one_equals_r():

@@ -688,6 +688,20 @@ def test_route_all_zero_nets():
     assert report.totals["wirelength"] == 0.0
 
 
+def test_route_all_keeps_one_result_per_net_when_ids_repeat():
+    """Results follow the nets' positions, not their ids: with every id 0 the
+    priority order is unchanged (equal keys keep list order), so each net
+    gets the result it gets with distinct ids."""
+    config = RunConfig.from_name("FCN", layers=2)
+    distinct = route_floorplan(generate_random_floorplan(10, 6, 3, seed=2), config)
+    fp = generate_random_floorplan(10, 6, 3, seed=2)
+    for net in fp.nets:
+        net.id = 0
+    repeated = route_floorplan(fp, config)
+    assert len({id(result) for result in repeated.results}) == len(fp.nets)
+    assert repeated.results == distinct.results
+
+
 def test_route_all_small_instance_full_routability():
     fp = generate_random_floorplan(10, 54, 4, seed=2)
     run = route_floorplan(fp, RunConfig.from_name("FCN"))

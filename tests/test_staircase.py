@@ -19,7 +19,6 @@ from msroute.staircase import (
     _absorb,
     _count_pins,
     _is_monotone_keys,
-    _items,
     _staircase_key,
     assign_capacities,
     bipartition,
@@ -123,11 +122,12 @@ def _oracle_enumerate_cuts(fp, orientation):
 
 def _fresh_cut(bag, nets, balance=BalanceMode.NUMBER, areas=None):
     """Test oracle: `bipartition` of all the bag's blocks, its inputs built
-    afresh from the bag and the nets (`_items`, `_count_pins`), not handed
-    down a tree; NUMBER reads no areas."""
+    afresh from the bag and the nets (its walls as MIS edges, `_count_pins`),
+    not handed down a tree; NUMBER reads no areas."""
     o, blocks = bag.orientation, tuple(sorted(bag.nodes))
     areas = areas or dict.fromkeys(blocks, 0.0)
-    return bipartition(o, blocks, {o: _items(bag)}, {o: bag}, _count_pins(nets, set(blocks)), balance, areas)[0]
+    walls = bag.edges if o is Orientation.MIS else bag.mirrored().edges
+    return bipartition(o, blocks, walls, _count_pins(nets, set(blocks)), balance, areas)[0]
 
 
 def test_two_blocks_cut_is_the_shared_wall():
@@ -571,14 +571,14 @@ def test_the_tree_calls_bipartition_once_per_cut_in_preorder(fp, balance):
 @given(fp=mosaics, balance=st.sampled_from(list(BalanceMode)))
 def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
     """A side's nets are the nets with at least 2 pins on its blocks, counted
-    on them only, and its items per orientation are the full bag's items
-    within it, in bag order."""
-    full_items = {o: _items(build_bag(fp, o)) for o in Orientation}
+    on them only, and its walls are the MIS BAG's edges within it, in bag
+    order, in one list."""
+    mis_edges = build_bag(fp, Orientation.MIS).edges
     cut = staircase.bipartition
     calls = []
 
-    def recording_cut(orientation, nodes, items, bags, nets, balance, areas):
-        made, left, right = cut(orientation, nodes, items, bags, nets, balance, areas)
+    def recording_cut(orientation, nodes, walls, nets, balance, areas):
+        made, left, right = cut(orientation, nodes, walls, nets, balance, areas)
         calls.append((made.left_set, left))
         calls.append((made.right_set, right))
         return made, left, right
@@ -587,13 +587,45 @@ def test_each_cut_hands_its_sides_exactly_their_own_nets_and_edges(fp, balance):
         patch.setattr(staircase, "bipartition", recording_cut)
         tree = build_msc_tree(fp, balance)
     assert len(calls) == 2 * len(tree.cuts)
-    for blocks, (items, nets) in calls:
+    for blocks, (walls, nets) in calls:
         inside = set(blocks)
         assert nets == _count_pins(fp.nets, inside)
-        for o in Orientation:
-            edges = tree.bags[o].edges
-            assert items[o] == [(key, idx) for key, idx in full_items[o]
-                                if edges[idx].src in inside and edges[idx].dst in inside]
+        assert walls == [e for e in mis_edges if e.src in inside and e.dst in inside]
+
+
+def _endpoints(e, orientation):
+    """Test oracle: where a wall starts along a staircase, and where it ends:
+    its lower-left and upper-right corners for MIS, and for MDS its upper-left
+    and lower-right ones with y negated, so that both run up in x and y."""
+    s = e.span
+    x1, y1, x2, y2 = (s.fixed, s.lo, s.fixed, s.hi) if s.axis is Axis.V else (s.lo, s.fixed, s.hi, s.fixed)
+    return ((x1, y1), (x2, y2)) if orientation is Orientation.MIS else ((x1, -y2), (x2, -y1))
+
+
+def test_each_cut_is_the_bag_edges_it_crosses_in_staircase_order():
+    """Every cut's walls are the cut orientation's BAG edges from its left to
+    its right side, in staircase order, each ending where the next starts or
+    before, and no BAG edge runs back.  The AREA builds give blocks back."""
+    instances = [generate_random_floorplan(n, 3 * n, 6, seed=seed) for n, seed in [(13, 23), (22, 1), (40, 7)]]
+    instances += [with_nets(make_fp(nested_pinwheels(n, seed, share)), 2 * n, seed)
+                  for n, seed, share in [(21, 3, 1.0), (33, 8, 0.5), (40, 11, 1.0)]]
+    given_back = 0
+    for fp in instances:
+        bags = {o: build_bag(fp, o) for o in Orientation}
+        areas = {b.id: b.area for b in fp.blocks}
+        for balance in BalanceMode:
+            for cut in build_msc_tree(fp, balance).cuts:
+                o, left, right = cut.orientation, set(cut.left_set), set(cut.right_set)
+                assert not [e for e in bags[o].edges if e.src in right and e.dst in left]
+                crossing = sorted((e for e in bags[o].edges if e.src in left and e.dst in right),
+                                  key=lambda e: _endpoints(e, o))
+                assert cut.cut_edges == crossing
+                for a, b in zip(crossing, crossing[1:]):
+                    (_, (ax, ay)), ((bx, by), _) = _endpoints(a, o), _endpoints(b, o)
+                    assert ax <= bx and ay <= by
+                left_area, node_area = sum(areas[v] for v in left), sum(areas[v] for v in left | right)
+                given_back += balance is BalanceMode.AREA and 2 * left_area < node_area and len(right) > 1
+    assert given_back
 
 
 def _eager_cut(bag, nets, balance, areas):

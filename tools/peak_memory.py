@@ -12,7 +12,8 @@ from `/proc/self/status`:
   takes over from its parent's peak, so it cannot read below this one.
 
 Run it from the root of a checkout (Linux only); each call runs the command
-once, so parent and change runs can be alternated call by call:
+once, so parent and change runs can be alternated call by call.  It exits 1,
+printing no measurement, when the command exits non-zero:
 
     python3 tools/peak_memory.py --n 1200 --seed 7
     python3 tools/peak_memory.py --n 300 -- route --config FCN --layers 8
@@ -60,8 +61,12 @@ def main() -> int:
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         return 1
-    print(json.dumps({"n": inst.n, "k": inst.k, "seed": args.seed,
-                      **json.loads(done.stdout.splitlines()[-1])}))
+    peak = json.loads(done.stdout.splitlines()[-1])
+    if peak["exit"] != 0:  # a failed command is not a measurement
+        sys.stderr.write(done.stderr)
+        sys.stderr.write(f"peak_memory: the msroute command exited {peak['exit']}\n")
+        return 1
+    print(json.dumps({"n": inst.n, "k": inst.k, "seed": args.seed, **peak}))
     return 0
 
 
