@@ -14,7 +14,8 @@ section("Generating a mosaic floorplan")
 # Guillotine slicing with jittered cut positions: the result always tiles the
 # bounding rectangle and never lets four blocks meet at a point.
 fp = msr.generate_random_floorplan(n=12, k=30, max_degree=4, seed=7)
-print(f"{len(fp.blocks)} blocks in a {fp.width:.0f} x {fp.height:.0f} rectangle, "
+_, _, width, height = fp.box  # the blocks' bounding box: x0, y0, width, height
+print(f"{len(fp.blocks)} blocks in a {width:.0f} x {height:.0f} rectangle, "
       f"{len(fp.nets)} nets")
 for b in fp.blocks[:4]:
     print(f"  {b.name}: ({b.x:.1f}, {b.y:.1f}) size {b.width:.1f} x {b.height:.1f}")
@@ -24,11 +25,11 @@ section("Validation")
 report = msr.validate_floorplan(fp)
 print(f"valid mosaic: {report.passed}")
 
-# A '+' crossing (four blocks meeting at one point) is rejected, not repaired:
+# A '+' crossing (four blocks meeting at one point) is rejected, not repaired.
+# A block is named by its position in the list, a pin's block_id too.
 bad = msr.Floorplan(
-    origin=(0, 0), width=2, height=2, nets=[],
-    blocks=[msr.Block(i, f"q{i}", x, y, 1, 1, placed=True)
-            for i, (x, y) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)])],
+    blocks=[msr.Block(f"q{i}", x, y, 1, 1) for i, (x, y) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)])],
+    nets=[],
 )
 bad_report = msr.validate_floorplan(bad)
 print(f"2x2 quadrants valid: {bad_report.passed} "

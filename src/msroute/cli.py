@@ -15,7 +15,6 @@ import io
 import sys
 from pathlib import Path
 
-from .adjacency import Orientation
 from .errors import InternalError, MsRouteError, ParseError
 from .floorplan import Floorplan, generate_random_floorplan, load_floorplan, save_floorplan
 from .metrics import summarize, write_report
@@ -140,8 +139,8 @@ def _cmd_dump_graph(args) -> int:
     if args.route_first:
         usage = route_all(RoutingState.prepare(region, config)).state.usage
     artifacts = {
-        "bag_mis.dot": region.tree.bags[Orientation.MIS].as_dot(),
-        "bag_mds.dot": region.tree.bags[Orientation.MDS].as_dot(),
+        "bag_mis.dot": region.tree.bag.as_dot(),
+        "bag_mds.dot": region.tree.bag.mirrored().as_dot(),
         "msc_tree.txt": tree_text(region.tree),
         "segments.csv": segments_csv(region.graph.segments),
         "junction_graph.csv": junction_graph_csv(region.graph, usage, config.profile.layers),

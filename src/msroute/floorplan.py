@@ -1,5 +1,9 @@
 """Floorplan and netlist model: parsing, validation, synthesis, serialization.
 
+A floorplan is its blocks and its nets.  A block or a net is named by its
+position in its list (a pin's block_id too), and the rectangle the blocks
+tile is their bounding box, `Floorplan.box`.
+
 File dialects (Bookshelf-style):
 
   .blocks  ``name hardrectilinear 4 (x1,y1) (x2,y2) (x3,y3) (x4,y4)``
@@ -33,15 +37,14 @@ TOL_FRACTION = 1e-6
 
 @dataclass(slots=True)
 class Block:
-    """Axis-aligned block with its lower-left corner at (x, y)."""
+    """Axis-aligned block with its lower-left corner at (x, y); its id is its
+    position in `Floorplan.blocks`."""
 
-    id: int
     name: str
     x: float
     y: float
     width: float
     height: float
-    placed: bool = False
 
     @property
     def x2(self) -> float:
@@ -63,7 +66,7 @@ class Block:
 @dataclass(slots=True)
 class Pin:
     """Net terminal; absolute position is block center + offset, clamped.
-    Its net is the `Net` that lists it."""
+    Its net is the `Net` that lists it, and block_id is its block's position."""
 
     block_id: int
     dx: float
@@ -74,9 +77,9 @@ class Pin:
 
 @dataclass(slots=True)
 class Net:
-    """A net; its box and HPWL come from its pins (`net_box`, `compute_hpwl`)."""
+    """A net; its id is its position in `Floorplan.nets`, and its box and
+    HPWL come from its pins (`net_box`, `compute_hpwl`)."""
 
-    id: int
     name: str
     pins: list[Pin]
 
@@ -87,7 +90,7 @@ class Net:
 
 @dataclass
 class Violation:
-    kind: str  # overlap | coverage (a gap, sliver or unmatched corner) | crossing | outside
+    kind: str  # overlap | coverage (a gap, sliver or unmatched corner) | crossing | pin
     message: str
     x: float
     y: float
@@ -107,26 +110,29 @@ class ValidationReport:
 
 @dataclass
 class Floorplan:
-    """Rectangle dissection into blocks plus the netlist over them.
+    """Rectangle dissection into blocks plus the netlist over them.  A block
+    or a net is named by its position in its list, and the rectangle is the
+    blocks' bounding box.
 
-    Not changed once in use: the facts derived from it (`validation`,
+    Not changed once in use: the facts derived from it (`box`, `validation`,
     `snapped`, `corners`, `instance_hash`) are cached properties, each
     computed on first read and kept on it.
     """
 
-    origin: tuple[float, float]
-    width: float
-    height: float
     blocks: list[Block]
     nets: list[Net]
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
+    @cached_property
+    def box(self) -> tuple[float, float, float, float]:
+        """The blocks' bounding box as (x0, y0, width, height)."""
+        x0 = min(b.x for b in self.blocks)
+        y0 = min(b.y for b in self.blocks)
+        return x0, y0, max(b.x2 for b in self.blocks) - x0, max(b.y2 for b in self.blocks) - y0
 
     @property
     def tol(self) -> float:
-        return TOL_FRACTION * self.diagonal
+        _, _, w, h = self.box
+        return TOL_FRACTION * math.hypot(w, h)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -149,10 +155,10 @@ class Floorplan:
         Downstream geometry (adjacency, junctions, segments) compares these
         snapped floats exactly, which keeps wall/junction matching tolerance-free.
         """
-        n = len(self.blocks)
-        (ox, oy), blocks = self.origin, self.blocks
-        xs = _cluster_snap([b.x for b in blocks] + [b.x2 for b in blocks] + [ox, ox + self.width], self.tol)
-        ys = _cluster_snap([b.y for b in blocks] + [b.y2 for b in blocks] + [oy, oy + self.height], self.tol)
+        n, blocks = len(self.blocks), self.blocks
+        ox, oy, w, h = self.box
+        xs = _cluster_snap([b.x for b in blocks] + [b.x2 for b in blocks] + [ox, ox + w], self.tol)
+        ys = _cluster_snap([b.y for b in blocks] + [b.y2 for b in blocks] + [oy, oy + h], self.tol)
         return xs[:n], ys[:n], xs[n:2 * n], ys[n:2 * n], (xs[2 * n], ys[2 * n], xs[-1], ys[-1])
 
     @cached_property
@@ -275,7 +281,7 @@ def parse_blocks(text: str) -> list[Block]:
         if set(zip(xs, ys)) != {(x1, y1), (x1, y2), (x2, y1), (x2, y2)}:
             raise ParseError(f"the points of block {name!r} are not the 4 corners of a rectangle", lineno)
         seen.add(name)
-        blocks.append(Block(id=len(blocks), name=name, x=0.0, y=0.0, width=w, height=h))
+        blocks.append(Block(name=name, x=0.0, y=0.0, width=w, height=h))
     return blocks
 
 
@@ -296,7 +302,6 @@ def parse_pl(text: str, blocks: list[Block]) -> list[Block]:
         block.x, block.y = _numbers(tokens[1:3], "coordinates", line, lineno)
         if not (math.isfinite(block.x2) and math.isfinite(block.y2)):
             raise ParseError(f"block {name!r} has its far corner beyond the float range in {line!r}", lineno)
-        block.placed = True
         placed.add(name)
     missing = [b.name for b in blocks if b.name not in placed]
     if missing:
@@ -307,15 +312,12 @@ def parse_pl(text: str, blocks: list[Block]) -> list[Block]:
 def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
     """Parse a .nets file; pin positions resolve to block center + offset.
 
-    Offsets are clamped into the owning block's rectangle. Blocks must be
-    placed (run parse_pl first).
+    Offsets are clamped into the owning block's rectangle, so the blocks
+    must be placed first (`parse_pl`).
     """
-    for b in blocks:
-        if not b.placed:
-            raise ParseError(f"block {b.name!r} is unplaced; parse the .pl file first")
-    # per block name: its id, centre and bounds
-    frames = {b.name: (b.id, b.x + b.width / 2.0, b.y + b.height / 2.0, b.x, b.y, b.x2, b.y2)
-              for b in blocks}
+    # per block name: its position, centre and bounds
+    frames = {b.name: (i, b.x + b.width / 2.0, b.y + b.height / 2.0, b.x, b.y, b.x2, b.y2)
+              for i, b in enumerate(blocks)}
     nets: list[Net] = []
     pins: list[Pin] = []
     degree = 0  # pins the open net declares; 0 while no net is open
@@ -360,7 +362,7 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
         pins.append(Pin(bid, dx, dy, x1 if x < x1 else x2 if x > x2 else x,
                         y1 if y < y1 else y2 if y > y2 else y))
         if len(pins) == degree:
-            nets.append(Net(id=len(nets), name=name, pins=pins))
+            nets.append(Net(name=name, pins=pins))
             degree = 0
     if degree:
         raise ParseError(f"net {name!r} declares {degree} pins but has {len(pins)}", header)
@@ -368,19 +370,16 @@ def parse_nets(text: str, blocks: list[Block]) -> list[Net]:
 
 
 def parse_floorplan(blocks_text: str, pl_text: str, nets_text: str) -> Floorplan:
-    """Parse the three-file dialect into a Floorplan (bbox derived from blocks)."""
+    """Parse the three-file dialect into a Floorplan."""
     blocks = parse_blocks(blocks_text)
     if not blocks:
         raise ParseError("the .blocks file declares no blocks")
     parse_pl(pl_text, blocks)
-    nets = parse_nets(nets_text, blocks)
-    x0 = min(b.x for b in blocks)
-    y0 = min(b.y for b in blocks)
-    w = max(b.x2 for b in blocks) - x0
-    h = max(b.y2 for b in blocks) - y0
+    fp = Floorplan(blocks, parse_nets(nets_text, blocks))
+    _, _, w, h = fp.box
     if not (math.isfinite(w) and math.isfinite(h)):
         raise ParseError(f"the blocks span {w} x {h}, beyond the float range")
-    return Floorplan(origin=(x0, y0), width=w, height=h, blocks=blocks, nets=nets)
+    return fp
 
 
 def load_floorplan(blocks_path, pl_path, nets_path) -> Floorplan:
@@ -416,11 +415,10 @@ def serialize_pl(fp: Floorplan) -> str:
 def serialize_nets(fp: Floorplan) -> str:
     total_pins = sum(n.degree for n in fp.nets)
     out = [f"NumNets : {len(fp.nets)}", f"NumPins : {total_pins}", ""]
-    by_id = {b.id: b for b in fp.blocks}
     for net in fp.nets:
         out.append(f"NetDegree : {net.degree} {net.name}")
         for pin in net.pins:
-            out.append(f"{by_id[pin.block_id].name} B : {_f(pin.dx)} {_f(pin.dy)}")
+            out.append(f"{fp.blocks[pin.block_id].name} B : {_f(pin.dx)} {_f(pin.dy)}")
     return "\n".join(out) + "\n"
 
 
@@ -490,30 +488,28 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
 
 
 def validate_floorplan(fp: Floorplan) -> ValidationReport:
-    """Check the mosaic properties: containment, non-overlap, full coverage,
-    and absence of four-block '+' crossings.  Violations are report entries,
-    not exceptions.
+    """Check the mosaic properties: every pin on one of the blocks,
+    non-overlap, full coverage of the blocks' bounding box, and absence of
+    four-block '+' crossings.  Violations are report entries, not exceptions.
 
     The one owner of the mosaic contract: besides the raw checks it checks
     the snapped rectangles every later stage reads, so a floorplan that
     passes builds.  Each block keeps a positive snapped width and height,
     each snapped point holding block corners holds two (a T-junction), and
     each corner of the snapped bounding rectangle holds one."""
-    violations: list[Violation] = []
-    tol = fp.tol
     blocks = fp.blocks
+    violations = [Violation("pin", f"net {net.name} has a pin on block {p.block_id}, not one of the "
+                                   f"{len(blocks)} blocks", p.x, p.y)
+                  for net in fp.nets for p in net.pins if not 0 <= p.block_id < len(blocks)]
     if not blocks:
-        return ValidationReport([])
+        return ValidationReport(violations)
+    tol = fp.tol
 
     x1 = [b.x for b in blocks]
     y1 = [b.y for b in blocks]
     x2 = [b.x2 for b in blocks]
     y2 = [b.y2 for b in blocks]
-    (ox, oy), w, h = fp.origin, fp.width, fp.height
-
-    for b in blocks:
-        if b.x < ox - tol or b.y < oy - tol or b.x2 > ox + w + tol or b.y2 > oy + h + tol:
-            violations.append(Violation("outside", f"block {b.name} exceeds the bounding rectangle", b.x, b.y))
+    ox, oy, w, h = fp.box
 
     for i, j in _overlapping_pairs(x1, y1, x2, y2, tol):
         bi, bj = blocks[i], blocks[j]
@@ -595,12 +591,12 @@ def generate_random_floorplan(n: int, k: int, max_degree: int = 6, seed: int = 0
 
     rects.sort(key=lambda r: (r[1], r[0]))
     blocks = [
-        Block(id=i, name=f"bk{i}", x=x1, y=y1, width=x2 - x1, height=y2 - y1, placed=True)
+        Block(name=f"bk{i}", x=x1, y=y1, width=x2 - x1, height=y2 - y1)
         for i, (x1, y1, x2, y2) in enumerate(rects)
     ]
 
     nets: list[Net] = []
-    for net_id in range(k):
+    for j in range(k):
         degree = 2
         while degree < max_degree and rng.random() < PIN_EXTEND_P:
             degree += 1
@@ -609,6 +605,6 @@ def generate_random_floorplan(n: int, k: int, max_degree: int = 6, seed: int = 0
         for bid in rng.sample(range(n), degree):
             cx, cy = blocks[bid].center
             pins.append(Pin(block_id=bid, dx=0.0, dy=0.0, x=cx, y=cy))
-        nets.append(Net(id=net_id, name=f"n{net_id}", pins=pins))
+        nets.append(Net(name=f"n{j}", pins=pins))
 
-    return Floorplan(origin=(0.0, 0.0), width=side, height=side, blocks=blocks, nets=nets)
+    return Floorplan(blocks, nets)

@@ -115,7 +115,7 @@ def summarize(run: RouteRun) -> RouteReport:
     routed = 0
     routed_hpwl = 0.0
     detours: list[float] = []
-    for result, net, hpwl in zip(run.results, fp.nets, run.hpwl):
+    for i, (result, net, hpwl) in enumerate(zip(run.results, fp.nets, run.hpwl)):
         if result.status == "ROUTED":
             routed += 1
             total_wl += result.wirelength
@@ -127,7 +127,7 @@ def summarize(run: RouteRun) -> RouteReport:
                 if manhattan > fp.tol:
                     detours.append(path.length / manhattan)
         nets_rows.append({
-            "id": net.id,
+            "id": i,
             "name": net.name,
             "status": result.status,
             "wirelength": result.wirelength,

@@ -173,14 +173,14 @@ class RouteRun:
 # ordering and decomposition
 
 def order_nets(nets: list[Net]) -> list[Net]:
-    """Routing priority: non-decreasing HPWL, then degree, then net id."""
+    """Routing priority: non-decreasing HPWL, then degree, then list order."""
     return [nets[i] for i in _by_priority(nets, [compute_hpwl(n) for n in nets])]
 
 
 def _by_priority(nets: list[Net], hpwl: list[float]) -> list[int]:
     """The positions of `order_nets(nets)` in `nets`, with each net's HPWL
     given, `hpwl[i]` being `nets[i]`'s."""
-    return sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree, nets[i].id))
+    return sorted(range(len(nets)), key=lambda i: (hpwl[i], nets[i].degree))
 
 
 def identify_source(pin_a: Pin, pin_b: Pin, search: SearchDir) -> tuple[Pin, Pin]:

@@ -61,7 +61,7 @@ class MscTree:
     right side by the cut after the left side's cuts."""
 
     cuts: list[MsCut]
-    bags: dict[Orientation, Bag]  # the full MIS and MDS BAGs it was cut from
+    bag: Bag  # the full MIS BAG it was cut from
 
 
 @dataclass(slots=True)
@@ -91,8 +91,8 @@ class Segment:
 # ---------------------------------------------------------------------------
 # bipartitioning
 
-# A net as a cut sees it: (net id, the blocks it has pins on, its pin count
-# on each of them, their sum).  Two tuples take less memory than a dict.
+# A net as a cut sees it: (its position in fp.nets, the blocks it has pins on,
+# its pin count on each of them, their sum).  Two tuples take less memory than a dict.
 PinCounts = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 # A wall as a cut sees it: (its staircase key, its position in the node's walls).
@@ -105,13 +105,13 @@ def _count_pins(nets: list[Net], blocks: range | set[int]) -> list[PinCounts]:
     """Each net's pins per block of `blocks`, counted once; the nets with
     fewer than 2 pins there are left out (net order kept)."""
     counted = []
-    for net in nets:
+    for i, net in enumerate(nets):
         counts: dict[int, int] = {}
         for p in net.pins:
             if (b := p.block_id) in blocks:
                 counts[b] = counts.get(b, 0) + 1
         if (total := sum(counts.values())) >= 2:
-            counted.append((net.id, tuple(counts), tuple(counts.values()), total))
+            counted.append((i, tuple(counts), tuple(counts.values()), total))
     return counted
 
 
@@ -158,7 +158,7 @@ def _absorb(chain: list[Item], removed: list[Item], added: list[Item]) -> bool:
 
 
 def bipartition(orientation: Orientation, nodes: tuple[int, ...], walls: list[BagEdge],
-                nets: list[PinCounts], balance: BalanceMode, areas: dict[int, float]) -> tuple[MsCut, Side, Side]:
+                nets: list[PinCounts], balance: BalanceMode, areas: list[float]) -> tuple[MsCut, Side, Side]:
     """Split the sorted blocks `nodes` (at least 2) by a balanced monotone
     staircase cut, given the walls within them as MIS BAG edges (in bag
     order) and the nets counted on them (`_count_pins`).  Under MDS each
@@ -282,7 +282,7 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
     """Recursively bipartition the floorplan over its nets; root is MIS, levels alternate."""
     fp.require_valid()
     mis = build_bag(fp, Orientation.MIS)
-    areas = {b.id: b.area for b in fp.blocks}
+    areas = [b.area for b in fp.blocks]
     cuts: list[MsCut] = []
     # (blocks, their walls and nets, depth); each cut hands its sides their
     # walls and nets, and pushes its right side before its left, so cuts come
@@ -298,7 +298,7 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
         cuts.append(cut)
         stack.append((cut.right_set, *right, depth + 1))
         stack.append((cut.left_set, *left, depth + 1))
-    return MscTree(cuts, {Orientation.MIS: mis, Orientation.MDS: mis.mirrored()})
+    return MscTree(cuts, mis)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,7 @@ def tree_text(tree: MscTree) -> str:
     """Indented text rendering of the MSC tree, walking its preorder cuts."""
     out = io.StringIO()
     cuts = iter(enumerate(tree.cuts))
-    stack = [(tuple(tree.bags[Orientation.MIS].nodes), 0)]  # (blocks, depth), right side pushed first
+    stack = [(tuple(tree.bag.nodes), 0)]  # (blocks, depth), right side pushed first
     while stack:
         blocks, depth = stack.pop()
         pad = "  " * depth

@@ -69,8 +69,8 @@ def structural_counts():
             junctions = enumerate_tjunctions(fp)
             bag = build_bag(fp, Orientation.MIS)
             tree = build_msc_tree(fp)
-            bx1, by1 = fp.origin
-            bx2, by2 = bx1 + fp.width, by1 + fp.height
+            bx1, by1, w, h = fp.box
+            bx2, by2 = bx1 + w, by1 + h
             tol = fp.tol
             border = sum(1 for x, y in junctions
                          if abs(x - bx1) < tol or abs(x - bx2) < tol

@@ -70,7 +70,7 @@ def test_vertical_stack_orientation_conventions():
 def test_corner_contact_is_not_adjacency():
     # a valid mosaic never has corner-only contact (it would need four walls
     # meeting at a point), so exercise the rule on the raw pair detector
-    fp = make_fp([(0, 0, 1, 1), (1, 1, 1, 1)], bbox=(0, 0, 2, 2))
+    fp = make_fp([(0, 0, 1, 1), (1, 1, 1, 1)])
     horiz, vert = _adjacent_pairs(fp)
     assert horiz == [] and vert == []
 
@@ -93,16 +93,18 @@ def test_pinwheel_bag():
 
 def test_sweep_runs_once_per_floorplan(monkeypatch):
     """One tree build sweeps the walls once, one `_touching_pairs` call per
-    wall axis, and its MDS BAG is the MIS one mirrored."""
+    wall axis, and keeps only its MIS BAG, whose mirror is the MDS one."""
     import msroute.adjacency as adjacency
 
     fp = generate_random_floorplan(30, 60, 2, seed=4)
     calls = []
-    sweep = adjacency._touching_pairs
-    monkeypatch.setattr(adjacency, "_touching_pairs", lambda *a: calls.append(1) or sweep(*a))
+    sweep, mirrored = adjacency._touching_pairs, adjacency.Bag.mirrored
+    monkeypatch.setattr(adjacency, "_touching_pairs", lambda *a: calls.append("sweep") or sweep(*a))
+    monkeypatch.setattr(adjacency.Bag, "mirrored", lambda bag: calls.append("mirror") or mirrored(bag))
     tree = build_msc_tree(fp)
-    assert len(calls) == 2  # one sweep per wall axis
-    v_edges = [[e for e in tree.bags[o].edges if e.span.axis is Axis.V] for o in Orientation]
+    assert calls == ["sweep", "sweep"]  # one sweep per wall axis, and no BAG mirrored
+    assert tree.bag.orientation is Orientation.MIS
+    v_edges = [[e for e in bag.edges if e.span.axis is Axis.V] for bag in (tree.bag, tree.bag.mirrored())]
     assert len(v_edges[0]) == len(v_edges[1]) > 0
     assert all(a is b for a, b in zip(*v_edges))  # the MDS BAG shares the MIS one's V edges
 
@@ -136,7 +138,7 @@ def test_region_geometry_memory_is_not_quadratic():
 
 
 def test_bag_requires_valid_floorplan():
-    fp = make_fp([(0, 0, 1, 1), (0.5, 0, 1, 1)], bbox=(0, 0, 1.5, 1))
+    fp = make_fp([(0, 0, 1, 1), (0.5, 0, 1, 1)])
     with pytest.raises(ValidationError):
         build_bag(fp, Orientation.MIS)
 
@@ -148,8 +150,8 @@ def test_bag_edge_count_identity_on_mosaics():
         fp = generate_random_floorplan(n, 0, 2, seed=seed)
         bag = build_bag(fp, Orientation.MIS)
         junctions = enumerate_tjunctions(fp)
-        bx1, by1 = fp.origin
-        bx2, by2 = bx1 + fp.width, by1 + fp.height
+        bx1, by1, w, h = fp.box
+        bx2, by2 = bx1 + w, by1 + h
         tol = fp.tol
         b = sum(1 for x, y in junctions
                 if abs(x - bx1) < tol or abs(x - bx2) < tol

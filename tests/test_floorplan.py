@@ -30,16 +30,9 @@ from msroute.router import RunConfig, route_floorplan
 from msroute.staircase import BalanceMode
 
 
-def make_fp(rects, nets=None, bbox=None):
+def make_fp(rects, nets=None):
     """Hand-built floorplan from (x, y, w, h) tuples."""
-    blocks = [Block(id=i, name=f"bk{i}", x=x, y=y, width=w, height=h, placed=True)
-              for i, (x, y, w, h) in enumerate(rects)]
-    if bbox is None:
-        x0 = min(b.x for b in blocks)
-        y0 = min(b.y for b in blocks)
-        bbox = (x0, y0, max(b.x2 for b in blocks) - x0, max(b.y2 for b in blocks) - y0)
-    return Floorplan(origin=(bbox[0], bbox[1]), width=bbox[2], height=bbox[3],
-                     blocks=blocks, nets=nets or [])
+    return Floorplan([Block(f"bk{i}", x, y, w, h) for i, (x, y, w, h) in enumerate(rects)], nets or [])
 
 
 def pinwheel(xa, xb, ya, yb, w, h):
@@ -96,10 +89,10 @@ def with_nets(fp, k, seed):
     """fp's blocks with k two- or three-pin nets whose pins sit at block centres."""
     rng = random.Random(seed)
     n = len(fp.blocks)
-    nets = [Net(i, f"n{i}", [Pin(bid, 0.0, 0.0, *fp.blocks[bid].center)
-                             for bid in rng.sample(range(n), min(n, rng.randint(2, 3)))])
+    nets = [Net(f"n{i}", [Pin(bid, 0.0, 0.0, *fp.blocks[bid].center)
+                          for bid in rng.sample(range(n), min(n, rng.randint(2, 3)))])
             for i in range(k if n >= 2 else 0)]
-    return Floorplan(origin=fp.origin, width=fp.width, height=fp.height, blocks=fp.blocks, nets=nets)
+    return Floorplan(fp.blocks, nets)
 
 
 # generated mosaics and nested (non-guillotine) pinwheels, with nets
@@ -114,8 +107,7 @@ def jittered(fp, jitter, seed):
     """A copy of fp whose block corners and sizes move by less than `jitter`."""
     rng = random.Random(seed)
     move = lambda v: v + rng.uniform(-jitter, jitter)
-    return make_fp([(move(b.x), move(b.y), move(b.width), move(b.height)) for b in fp.blocks],
-                   bbox=(*fp.origin, fp.width, fp.height))
+    return make_fp([(move(b.x), move(b.y), move(b.width), move(b.height)) for b in fp.blocks])
 
 
 @st.composite
@@ -154,7 +146,7 @@ def dense_overlapping_pairs(x1, y1, x2, y2, tol):
 
 def make_net(net_id, points, name=None):
     pins = [Pin(block_id=0, dx=0.0, dy=0.0, x=x, y=y) for x, y in points]
-    return Net(id=net_id, name=name or f"n{net_id}", pins=pins)
+    return Net(name=name or f"n{net_id}", pins=pins)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +171,7 @@ def test_parse_blocks_nine_blocks():
     )
     blocks = parse_blocks(text)
     assert len(blocks) == 9
-    assert [b.id for b in blocks] == list(range(9))
+    assert [b.name for b in blocks] == [f"bk{i}" for i in range(9)]  # a block's id is its position
 
 
 def test_parse_blocks_malformed_line_reports_lineno():
@@ -229,7 +221,7 @@ def test_a_block_named_ucla_is_parsed_and_only_the_header_line_skipped():
 def test_parse_pl_places_block():
     blocks = parse_blocks("bk1 hardrectilinear 4 (0,0) (0,1) (1,1) (1,0)")
     parse_pl("bk1 0 0", blocks)
-    assert blocks[0].placed and (blocks[0].x, blocks[0].y) == (0.0, 0.0)
+    assert (blocks[0].x, blocks[0].y) == (0.0, 0.0)
 
 
 def test_parse_pl_unknown_block():
@@ -260,7 +252,6 @@ def test_parse_pl_rejects_a_far_corner_beyond_the_float_range(pl):
     blocks = parse_blocks("bk0 hardrectilinear 4 (0,0) (0,1e308) (1e308,1e308) (1e308,0)")
     with pytest.raises(ParseError, match=r"line 1: block 'bk0' has its far corner beyond the float range"):
         parse_pl(pl, blocks)
-    assert not blocks[0].placed
 
 
 def test_parse_floorplan_rejects_a_bounding_box_beyond_the_float_range():
@@ -275,7 +266,7 @@ def test_parse_pl_round_trip_from_generator():
     bt, pt, nt = serialize_floorplan(fp)
     blocks = parse_blocks(bt)
     parse_pl(pt, blocks)
-    assert all(b.placed for b in blocks)
+    assert [f"{b.name} {b.x:.6f} {b.y:.6f}" for b in blocks] == pt.splitlines()
     assert len(blocks) == 9
 
 
@@ -368,10 +359,7 @@ def _content_lines_by_regex(text):
 def _parse_nets_by_lines(text, blocks):
     """Test oracle: the .nets parser that listed the content lines first and
     read each net by index, before the one-pass parse replaced it."""
-    index = {b.name: b for b in blocks}
-    for b in blocks:
-        if not b.placed:
-            raise ParseError(f"block {b.name!r} is unplaced; parse the .pl file first")
+    index = {b.name: (i, b) for i, b in enumerate(blocks)}
     nets = []
     lines = list(_content_lines_by_regex(text))
     i = 0
@@ -390,7 +378,6 @@ def _parse_nets_by_lines(text, blocks):
         if degree < 2:
             raise InvalidNetError(f"line {lineno}: net with degree {degree} (< 2)")
         name = parts[1] if len(parts) > 1 else f"n{len(nets)}"
-        net_id = len(nets)
         pins = []
         for j in range(degree):
             if i + 1 + j >= len(lines) or lines[i + 1 + j][1].startswith("NetDegree"):
@@ -398,9 +385,9 @@ def _parse_nets_by_lines(text, blocks):
             pl_no, pin_line = lines[i + 1 + j]
             tokens = pin_line.replace(":", " ").split()
             bname = tokens[0]
-            block = index.get(bname)
-            if block is None:
+            if bname not in index:
                 raise ParseError(f"pin on unknown block {bname!r}", pl_no)
+            bid, block = index[bname]
             dx = dy = 0.0
             numeric = [t.lstrip("%") for t in tokens[2:]]
             if len(numeric) == 1:
@@ -410,8 +397,8 @@ def _parse_nets_by_lines(text, blocks):
             cx, cy = block.center
             px = min(max(cx + dx, block.x), block.x2)
             py = min(max(cy + dy, block.y), block.y2)
-            pins.append(Pin(block_id=block.id, dx=dx, dy=dy, x=px, y=py))
-        nets.append(Net(id=net_id, name=name, pins=pins))
+            pins.append(Pin(block_id=bid, dx=dx, dy=dy, x=px, y=py))
+        nets.append(Net(name=name, pins=pins))
         i += 1 + degree
     return nets
 
@@ -456,7 +443,7 @@ def _parsed(parse, text, blocks):
         nets = parse(text, blocks)
     except (ParseError, InvalidNetError, IndexError) as exc:
         return type(exc), str(exc)
-    return [(net.id, net.name, compute_hpwl(net), [(p.block_id, p.dx, p.dy, p.x, p.y) for p in net.pins])
+    return [(net.name, compute_hpwl(net), [(p.block_id, p.dx, p.dy, p.x, p.y) for p in net.pins])
             for net in nets]
 
 
@@ -555,7 +542,7 @@ def test_hpwl_examples():
 
 
 def test_hpwl_rejects_single_pin():
-    net = Net(id=0, name="bad", pins=[Pin(0, 0, 0, 1.0, 1.0)])
+    net = Net(name="bad", pins=[Pin(0, 0, 0, 1.0, 1.0)])
     with pytest.raises(InvalidNetError):
         compute_hpwl(net)
 
@@ -582,7 +569,7 @@ def test_validate_two_unit_blocks_pass():
 
 
 def test_validate_overlap():
-    fp = make_fp([(0, 0, 1, 1), (0.5, 0, 1, 1)], bbox=(0, 0, 1.5, 1))
+    fp = make_fp([(0, 0, 1, 1), (0.5, 0, 1, 1)])
     report = validate_floorplan(fp)
     assert not report.passed
     assert "overlap" in report.kinds()
@@ -596,7 +583,8 @@ def test_validate_plus_crossing():
 
 
 def test_validate_coverage_gap():
-    fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)], bbox=(0, 0, 3, 1))
+    # the rectangle is the blocks' bounding box, so a gap lies between blocks
+    fp = make_fp([(0, 0, 1, 1), (2, 0, 1, 1)])
     report = validate_floorplan(fp)
     assert not report.passed
     assert "coverage" in report.kinds()
@@ -608,6 +596,23 @@ def test_validate_coverage_gap_whose_areas_overflow():
     report = validate_floorplan(fp)
     assert not report.passed
     assert report.kinds() == {"coverage"}
+
+
+@pytest.mark.parametrize("block_id", [40, -1])
+def test_validate_rejects_a_pin_on_no_block(block_id):
+    # a pin's block_id is a position in fp.blocks: 40 names no block, and -1
+    # must not be read as the last one
+    fp = generate_random_floorplan(12, 20, 3, seed=4)
+    fp.nets[5].pins[1].block_id = block_id
+    report = validate_floorplan(fp)
+    assert [(v.kind, v.message) for v in report.violations] == [
+        ("pin", f"net n5 has a pin on block {block_id}, not one of the 12 blocks")]
+    with pytest.raises(ValidationError, match="net n5 has a pin on block"):
+        route_floorplan(fp, RunConfig.from_name("FCN", layers=2))
+
+
+def test_validate_passes_an_empty_floorplan():
+    assert validate_floorplan(Floorplan([], [])).passed
 
 
 def test_validate_violations_carry_coordinates():
@@ -654,7 +659,7 @@ def test_validate_nested_and_corner_contact():
     report = validate_floorplan(nested)
     assert [v.message for v in report.violations if v.kind == "overlap"] == [
         "blocks bk0 and bk1 overlap", "blocks bk0 and bk2 overlap", "blocks bk1 and bk2 overlap"]
-    corner = validate_floorplan(make_fp([(0, 0, 1, 1), (1, 1, 1, 1)], bbox=(0, 0, 2, 2)))
+    corner = validate_floorplan(make_fp([(0, 0, 1, 1), (1, 1, 1, 1)]))
     assert corner.kinds() == {"coverage"}
 
 

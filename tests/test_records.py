@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from msroute.adjacency import BagEdge, Orientation, Span
+from msroute.adjacency import BagEdge, Span
 from msroute.floorplan import Block, Net, Pin, generate_random_floorplan, load_floorplan, save_floorplan
 from msroute.metrics import summarize, write_report
 from msroute.routegraph import PinAttachment, RegionModel, SegmentUsage, build_gsrg, junction_graph_csv
@@ -41,8 +41,8 @@ def _whole_pipeline(tmp_path) -> None:
         junction_graph_csv(region.graph, None, layers)
         tree_text(region.tree)
         segments_csv(region.graph.segments)
-        for orientation in Orientation:
-            region.tree.bags[orientation].as_dot()
+        region.tree.bag.as_dot()
+        region.tree.bag.mirrored().as_dot()
 
 
 def test_pipeline_leaves_no_msroute_object_to_the_cycle_collector(tmp_path):

@@ -336,7 +336,7 @@ def host_segment(jg, x, y):
 
 def _net_on(fp, points):
     pins = [Pin(block_id=0, dx=0, dy=0, x=x, y=y) for x, y in points]
-    return Net(id=0, name="n0", pins=pins)
+    return Net(name="n0", pins=pins)
 
 
 def test_gsrg_two_pin_net_has_two_attachments():
@@ -354,7 +354,7 @@ def test_gsrg_five_pin_net_has_ten_edges():
     jg = _prepared(fp).region.graph
     import random
     rng = random.Random(0)
-    net = _net_on(fp, [(rng.uniform(0, fp.width), rng.uniform(0, fp.height)) for _ in range(5)])
+    net = _net_on(fp, [(rng.uniform(0, fp.box[2]), rng.uniform(0, fp.box[3])) for _ in range(5)])
     gsrg = build_gsrg(jg, net)
     assert len(gsrg.pins) == 5
     assert sum(2 for _ in gsrg.pins) == 10
@@ -434,7 +434,7 @@ def test_indexed_host_matches_the_scan(n, seed, all_walls, data):
             mid = (a.fixed + b.fixed) / 2 + draw(nudge)
             along = lo + draw(st.floats(0, 1)) * (hi - lo)
             points.append((mid, along) if a.axis is Axis.V else (along, mid))
-        points.append((draw(st.floats(-1.0, fp.width + 1.0)), draw(st.floats(-1.0, fp.height + 1.0))))
+        points.append((draw(st.floats(-1.0, fp.box[2] + 1.0)), draw(st.floats(-1.0, fp.box[3] + 1.0))))
     for x, y in points:
         assert jg.host(x, y) is host_segment(jg, x, y), (x, y)
 
@@ -444,7 +444,7 @@ def test_gsrg_reversibility():
     jg = _prepared(fp).region.graph
     adj_before = [list(lst) for lst in jg.adj]
     usable_before = list(jg.usable)
-    net = _net_on(fp, [(1.0, 1.0), (fp.width - 1.0, fp.height - 1.0)])
+    net = _net_on(fp, [(1.0, 1.0), (fp.box[2] - 1.0, fp.box[3] - 1.0)])
     build_gsrg(jg, net)
     assert jg.adj == adj_before
     assert jg.usable == usable_before

@@ -62,7 +62,7 @@ def _pin(x, y, block_id=0):
 
 
 def _net(points, net_id=0, name=None):
-    return Net(id=net_id, name=name or f"n{net_id}", pins=[_pin(x, y) for x, y in points])
+    return Net(name=name or f"n{net_id}", pins=[_pin(x, y) for x, y in points])
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +72,19 @@ def test_order_nets_hpwl_then_degree():
     nets = [_net([(0, 0), (5, 5), (2, 2)], 0),       # hpwl 10, degree 3
             _net([(0, 0), (5, 5)], 1),               # hpwl 10, degree 2
             _net([(0, 0), (12, 8)], 2)]              # hpwl 20, degree 2
-    assert [n.id for n in order_nets(nets)] == [1, 0, 2]
+    assert [n.name for n in order_nets(nets)] == ["n1", "n0", "n2"]
 
 
 def test_order_nets_reads_each_nets_hpwl_from_its_pins():
-    nets = [Net(0, "far", [_pin(0, 0), _pin(12, 8)]),     # hpwl 20
-            Net(1, "near", [_pin(0, 0), _pin(1, 1)]),     # hpwl 2
-            Net(2, "mid", [_pin(0, 0), _pin(5, 5)])]      # hpwl 10
-    assert [n.id for n in order_nets(nets)] == [1, 2, 0]
+    nets = [Net("far", [_pin(0, 0), _pin(12, 8)]),     # hpwl 20
+            Net("near", [_pin(0, 0), _pin(1, 1)]),     # hpwl 2
+            Net("mid", [_pin(0, 0), _pin(5, 5)])]      # hpwl 10
+    assert [n.name for n in order_nets(nets)] == ["near", "mid", "far"]
 
 
-def test_order_nets_equal_keys_keep_id_order():
+def test_order_nets_equal_keys_keep_list_order():
     nets = [_net([(0, 0), (3, 3)], i) for i in (2, 0, 1)]
-    assert [n.id for n in order_nets(nets)] == [0, 1, 2]
+    assert [n.name for n in order_nets(nets)] == ["n2", "n0", "n1"]
 
 
 def test_order_nets_empty():
@@ -568,7 +568,7 @@ def _starved(seg):
 def _t_mosaic_state(layers=1, bc_capacity=1):
     """A over B/C with one 3-pin net whose second pair crosses a full wall."""
     fp = make_fp([(0, 0, 1, 2), (1, 0, 1, 1), (1, 1, 1, 1)])
-    net = Net(0, "n0", [
+    net = Net("n0", [
         Pin(0, 0.5, -0.75, 1.0, 0.25),   # on the A|B wall
         Pin(1, -0.5, 0.25, 1.0, 0.75),   # on the A|B wall
         Pin(2, 0.5, 0.0, 2.0, 1.5),      # near the B|C wall
@@ -600,7 +600,7 @@ def _failed_nets_leave_no_trace(fp, config):
         before = _usage_snapshot(state)
         if route_net(state, net).status == "FAILED":
             failed += 1
-            assert _usage_snapshot(state) == before, f"net {net.id}"
+            assert _usage_snapshot(state) == before, f"net {net.name}"
     return failed
 
 
@@ -688,18 +688,17 @@ def test_route_all_zero_nets():
     assert report.totals["wirelength"] == 0.0
 
 
-def test_route_all_keeps_one_result_per_net_when_ids_repeat():
-    """Results follow the nets' positions, not their ids: with every id 0 the
-    priority order is unchanged (equal keys keep list order), so each net
-    gets the result it gets with distinct ids."""
+def test_route_all_keeps_one_result_per_net_when_nets_repeat():
+    """Results follow the nets' positions: a net listed twice, with the same
+    name and pins, gets a result and a report row of its own at each position."""
     config = RunConfig.from_name("FCN", layers=2)
-    distinct = route_floorplan(generate_random_floorplan(10, 6, 3, seed=2), config)
     fp = generate_random_floorplan(10, 6, 3, seed=2)
-    for net in fp.nets:
-        net.id = 0
+    fp.nets.append(Net(fp.nets[0].name, fp.nets[0].pins))
     repeated = route_floorplan(fp, config)
-    assert len({id(result) for result in repeated.results}) == len(fp.nets)
-    assert repeated.results == distinct.results
+    assert len({id(result) for result in repeated.results}) == len(fp.nets) == 7
+    assert repeated.results[6].status == "ROUTED"
+    rows = summarize(repeated).nets
+    assert [row["id"] for row in rows] == list(range(7)) and rows[6]["name"] == rows[0]["name"]
 
 
 def test_route_all_small_instance_full_routability():

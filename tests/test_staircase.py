@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, enumerate_tjunctions
-from msroute.floorplan import Net, Pin, generate_random_floorplan
+from msroute.floorplan import Floorplan, Net, Pin, generate_random_floorplan
 from msroute import staircase
 from msroute.staircase import (
     BalanceMode,
@@ -28,8 +28,8 @@ from msroute.staircase import (
     tree_text,
 )
 
-from msroute.routegraph import RegionModel
-from msroute.router import RoutingState, RunConfig, route_all
+from msroute.routegraph import RegionModel, junction_graph_csv
+from msroute.router import RoutingState, RunConfig, route_all, route_floorplan
 
 from test_floorplan import make_fp, make_net, mosaics, nested_pinwheels, pinwheel, with_nets
 
@@ -37,33 +37,34 @@ from test_floorplan import make_fp, make_net, mosaics, nested_pinwheels, pinwhee
 # ---------------------------------------------------------------------------
 # independent geometric oracle (from raw rectangles only)
 
-def _shared_wall(bi, bj, tol=1e-9):
-    """Shared boundary of two blocks: ('V'|'H', fixed, lo, hi, left_or_below_id)."""
+def _shared_wall(blocks, i, j, tol=1e-9):
+    """Shared boundary of blocks i and j: ('V'|'H', fixed, lo, hi, left_or_below_id)."""
+    bi, bj = blocks[i], blocks[j]
     if abs(bi.x2 - bj.x) < tol:
         lo, hi = max(bi.y, bj.y), min(bi.y2, bj.y2)
         if hi - lo > tol:
-            return ("V", bj.x, lo, hi, bi.id)
+            return ("V", bj.x, lo, hi, i)
     if abs(bj.x2 - bi.x) < tol:
         lo, hi = max(bi.y, bj.y), min(bi.y2, bj.y2)
         if hi - lo > tol:
-            return ("V", bi.x, lo, hi, bj.id)
+            return ("V", bi.x, lo, hi, j)
     if abs(bi.y2 - bj.y) < tol:
         lo, hi = max(bi.x, bj.x), min(bi.x2, bj.x2)
         if hi - lo > tol:
-            return ("H", bj.y, lo, hi, bi.id)
+            return ("H", bj.y, lo, hi, i)
     if abs(bj.y2 - bi.y) < tol:
         lo, hi = max(bi.x, bj.x), min(bi.x2, bj.x2)
         if hi - lo > tol:
-            return ("H", bi.y, lo, hi, bj.id)
+            return ("H", bi.y, lo, hi, j)
     return None
 
 
 def _all_walls(fp):
     walls = []
-    for bi, bj in itertools.combinations(fp.blocks, 2):
-        wall = _shared_wall(bi, bj)
+    for i, j in itertools.combinations(range(len(fp.blocks)), 2):
+        wall = _shared_wall(fp.blocks, i, j)
         if wall:
-            walls.append((wall, bi.id, bj.id))
+            walls.append((wall, i, j))
     return walls
 
 
@@ -125,7 +126,7 @@ def _fresh_cut(bag, nets, balance=BalanceMode.NUMBER, areas=None):
     afresh from the bag and the nets (its walls as MIS edges, `_count_pins`),
     not handed down a tree; NUMBER reads no areas."""
     o, blocks = bag.orientation, tuple(sorted(bag.nodes))
-    areas = areas or dict.fromkeys(blocks, 0.0)
+    areas = areas or [0.0] * (blocks[-1] + 1)
     walls = bag.edges if o is Orientation.MIS else bag.mirrored().edges
     return bipartition(o, blocks, walls, _count_pins(nets, set(blocks)), balance, areas)[0]
 
@@ -160,8 +161,8 @@ def test_bipartition_matches_exhaustive_oracle():
 
 def test_bipartition_cut_nets_use_pin_presence():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
-    crossing = Net(0, "x", [Pin(0, 0, 0, 0.5, 0.5), Pin(1, 0, 0, 1.5, 0.5)])
-    local = Net(1, "l", [Pin(0, 0, 0, 0.2, 0.2), Pin(0, 0, 0, 0.8, 0.8)])
+    crossing = Net("x", [Pin(0, 0, 0, 0.5, 0.5), Pin(1, 0, 0, 1.5, 0.5)])
+    local = Net("l", [Pin(0, 0, 0, 0.2, 0.2), Pin(0, 0, 0, 0.8, 0.8)])
     cut = _fresh_cut(build_bag(fp, Orientation.MIS), [crossing, local])
     assert cut.cut_nets == [0]
 
@@ -170,11 +171,11 @@ def test_area_balance_bound():
     for seed in range(4):
         fp = generate_random_floorplan(12, 0, 2, seed=seed)
         bag = build_bag(fp, Orientation.MIS)
-        areas = {b.id: b.area for b in fp.blocks}
+        areas = [b.area for b in fp.blocks]
         cut = _fresh_cut(bag, [], BalanceMode.AREA, areas)
         left_area = sum(areas[b] for b in cut.left_set)
         right_area = sum(areas[b] for b in cut.right_set)
-        assert abs(left_area - right_area) <= max(areas.values()) + 1e-6
+        assert abs(left_area - right_area) <= max(areas) + 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_region_invariants_on_generated_mosaics(n, nets_per_block, seed, balance
     assert [degree[jid] for jid in range(len(junctions))] == [3] * (len(junctions) - 4) + [2] * 4
     cut_walls = Counter(frozenset((e.src, e.dst)) for cut in tree.cuts for e in cut.cut_edges)
     assert all(count == 1 for count in cut_walls.values())
-    assert set(cut_walls) == {frozenset((e.src, e.dst)) for e in tree.bags[Orientation.MIS].edges}
+    assert set(cut_walls) == {frozenset((e.src, e.dst)) for e in tree.bag.edges}
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -372,6 +373,29 @@ def test_region_invariants_and_routes_on_nested_pinwheels(n, seed, share):
         for name in ("FCN", "FCH", "BCL"):
             run = route_all(RoutingState.prepare(region, RunConfig.from_name(name, layers=4)))
             assert len(run.results) == len(fp.nets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fp=mosaics, data=st.data())
+def test_answers_do_not_depend_on_the_block_order(fp, data):
+    """A block is named by its position, so listing the blocks in another
+    order (each pin's block index remapped) renames the BAG's nodes and
+    leaves the segments and the routed junction graph as they are."""
+    order = data.draw(st.permutations(range(len(fp.blocks))))
+    position = {b: i for i, b in enumerate(order)}
+    permuted = Floorplan([fp.blocks[b] for b in order],
+                         [Net(net.name, [replace(p, block_id=position[p.block_id]) for p in net.pins])
+                          for net in fp.nets])
+    mis = {(position[e.src], position[e.dst], e.span) for e in build_bag(fp, Orientation.MIS).edges}
+    assert {(e.src, e.dst, e.span) for e in build_bag(permuted, Orientation.MIS).edges} == mis
+    config = RunConfig.from_name("FCN", layers=2)
+    for balance in BalanceMode:
+        answers = []
+        for f in (fp, permuted):
+            state = route_floorplan(f, config, balance).state
+            answers.append((segments_csv(state.region.graph.segments),
+                            junction_graph_csv(state.region.graph, state.usage, 2)))
+        assert answers[0] == answers[1]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +427,7 @@ def test_capacity_matches_brute_force_oracle():
     _, _, segments = _prepared(fp)
     nets = []
     for i in range(7):
-        pts = [(rng.uniform(0, fp.width), rng.uniform(0, fp.height)) for _ in range(3)]
+        pts = [(rng.uniform(0, fp.box[2]), rng.uniform(0, fp.box[3])) for _ in range(3)]
         nets.append(make_net(i, pts))
     # pins on border pieces: at midpoints, and at a junction shared by two pieces
     border = [s for s in segments if s.region_id < 0]
@@ -483,7 +507,7 @@ def _nets_on_the_walls(draw):
 
     nets = []
     for net_id in range(draw(st.integers(0, 12))):
-        points = [(coord(xs, fp.width), coord(ys, fp.height)) for _ in range(draw(st.integers(2, 4)))]
+        points = [(coord(xs, fp.box[2]), coord(ys, fp.box[3])) for _ in range(draw(st.integers(2, 4)))]
         nets.append(make_net(net_id, points))
     return fp, segments, nets
 
@@ -528,7 +552,7 @@ def test_tree_cuts_equal_bipartition_on_the_full_instance(n, nets_per_block, see
     else:  # non-guillotine regions
         fp = with_nets(make_fp(nested_pinwheels(n, seed, share)), n * nets_per_block, seed)
     full = {o: build_bag(fp, o) for o in Orientation}
-    areas = {b.id: b.area for b in fp.blocks}
+    areas = [b.area for b in fp.blocks]
     for balance in BalanceMode:
         for cut in build_msc_tree(fp, balance).cuts:
             blocks = set(cut.left_set) | set(cut.right_set)
@@ -612,7 +636,7 @@ def test_each_cut_is_the_bag_edges_it_crosses_in_staircase_order():
     given_back = 0
     for fp in instances:
         bags = {o: build_bag(fp, o) for o in Orientation}
-        areas = {b.id: b.area for b in fp.blocks}
+        areas = [b.area for b in fp.blocks]
         for balance in BalanceMode:
             for cut in build_msc_tree(fp, balance).cuts:
                 o, left, right = cut.orientation, set(cut.left_set), set(cut.right_set)
@@ -660,7 +684,7 @@ def _eager_cut(bag, nets, balance, areas):
         if abs(total_area - 2.0 * (a_area - areas[last])) < abs(total_area - 2.0 * a_area):
             absorbed.pop()
     left = set(absorbed)
-    return tuple(sorted(left)), [net.id for net, blocks in zip(nets, on) if blocks & left and blocks - left]
+    return tuple(sorted(left)), [i for i, blocks in enumerate(on) if blocks & left and blocks - left]
 
 
 @st.composite
@@ -677,7 +701,7 @@ def _mosaics_with_nets(draw):
     nets = []
     for net_id, blocks in enumerate(draw(st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=6), max_size=12))):
         pins = [Pin(b, 0.0, 0.0, rects[b][0] + rects[b][2] / 2, rects[b][1] + rects[b][3] / 2) for b in blocks]
-        nets.append(Net(net_id, f"n{net_id}", pins))
+        nets.append(Net(f"n{net_id}", pins))
     return make_fp(rects, nets)
 
 
@@ -689,10 +713,11 @@ def _mosaics_with_nets(draw):
 @example(fp=generate_random_floorplan(26, 52, 6, seed=16), balance=BalanceMode.NUMBER)
 def test_ordered_pick_equals_the_eager_scan(fp, balance):
     tree = build_msc_tree(fp, balance)
-    areas = {b.id: b.area for b in fp.blocks}
+    bags = {Orientation.MIS: tree.bag, Orientation.MDS: tree.bag.mirrored()}
+    areas = [b.area for b in fp.blocks]
     for cut in tree.cuts:
         blocks = set(cut.left_set) | set(cut.right_set)
-        edges = [e for e in tree.bags[cut.orientation].edges if e.src in blocks and e.dst in blocks]
+        edges = [e for e in bags[cut.orientation].edges if e.src in blocks and e.dst in blocks]
         left_set, cut_nets = _eager_cut(Bag(cut.orientation, sorted(blocks), edges), fp.nets, balance, areas)
         assert cut.left_set == left_set
         assert cut.cut_nets == cut_nets

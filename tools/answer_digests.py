@@ -30,7 +30,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from msroute.adjacency import Orientation  # noqa: E402
 from msroute.floorplan import generate_random_floorplan  # noqa: E402
 from msroute.metrics import summarize  # noqa: E402
 from msroute.routegraph import RegionModel, junction_graph_csv  # noqa: E402
@@ -56,8 +55,8 @@ def answer_digests(sizes: list[int]):
             label = f"n={n} k={k} seed={SEED} {balance.value}"
             yield f"{label} msc_tree.txt", _digest(tree_text(region.tree))
             yield f"{label} segments.csv", _digest(segments_csv(region.graph.segments))
-            yield f"{label} bag_mis.dot", _digest(region.tree.bags[Orientation.MIS].as_dot())
-            yield f"{label} bag_mds.dot", _digest(region.tree.bags[Orientation.MDS].as_dot())
+            yield f"{label} bag_mis.dot", _digest(region.tree.bag.as_dot())
+            yield f"{label} bag_mds.dot", _digest(region.tree.bag.mirrored().as_dot())
             if n >= ROUTE_BELOW:
                 continue
             for name, layers in ROUTES:
