@@ -48,11 +48,14 @@ for e in cut.cut_edges:
 
 section("Routing segments and reference capacities")
 all_j = msr.all_junctions(fp)
+# no junction lies inside a wall, so each cut wall is one segment and so is
+# each block side on the border: 3(n-1)-b walls and b+4 sides, with b the
+# T-junctions on the border
 segments = msr.extract_segments(tree, fp, all_j)
 msr.assign_capacities(segments, fp.nets, fp.tol)
 interior = [s for s in segments if s.region_id >= 0]
 border = [s for s in segments if s.region_id < 0]
-print(f"{len(interior)} interior wall segments + {len(border)} border pieces "
+print(f"{len(interior)} cut wall segments + {len(border)} border block sides "
       f"= 3n+1 = {3 * len(fp.blocks) + 1}")
 print("capacity r counts the nets whose pin box touches the wall (floor 1);")
 print("border walls count only pins sitting on them, so they are usually 0:")

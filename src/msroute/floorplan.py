@@ -90,7 +90,7 @@ class Net:
 
 @dataclass
 class Violation:
-    kind: str  # overlap | coverage (a gap, sliver or unmatched corner) | crossing | pin
+    kind: str  # overlap | coverage (a gap, sliver or unmatched corner) | crossing | pin | net (under 2 pins)
     message: str
     x: float
     y: float
@@ -140,10 +140,11 @@ class Floorplan:
         return validate_floorplan(self)
 
     def require_valid(self) -> ValidationReport:
-        """The validation report; raise if the floorplan is not a clean mosaic."""
+        """The validation report; raise if the floorplan is not a clean mosaic
+        or has no blocks."""
         report = self.validation
-        if not report.passed:
-            msgs = "; ".join(v.message for v in report.violations[:5])
+        if not report.passed or not self.blocks:  # an empty floorplan validates but has nothing to build
+            msgs = "; ".join(v.message for v in report.violations[:5]) or "no blocks"
             raise ValidationError(f"invalid floorplan: {msgs}", report.violations)
         return report
 
@@ -488,19 +489,26 @@ def _overlapping_pairs(x1, y1, x2, y2, tol: float) -> list[tuple[int, int]]:
 
 
 def validate_floorplan(fp: Floorplan) -> ValidationReport:
-    """Check the mosaic properties: every pin on one of the blocks,
-    non-overlap, full coverage of the blocks' bounding box, and absence of
-    four-block '+' crossings.  Violations are report entries, not exceptions.
+    """Check the mosaic properties: every net with at least 2 pins, every
+    pin on one of the blocks, non-overlap, full coverage of the blocks'
+    bounding box, and absence of four-block '+' crossings.  Violations are
+    report entries, not exceptions; a floorplan with no blocks passes, and
+    `Floorplan.require_valid` refuses it.
 
     The one owner of the mosaic contract: besides the raw checks it checks
-    the snapped rectangles every later stage reads, so a floorplan that
-    passes builds.  Each block keeps a positive snapped width and height,
-    each snapped point holding block corners holds two (a T-junction), and
-    each corner of the snapped bounding rectangle holds one."""
+    the snapped rectangles every later stage reads, so a floorplan with
+    blocks that passes builds.  Each block keeps a positive snapped width
+    and height, each snapped point holding block corners holds two (a
+    T-junction), and each corner of the snapped bounding rectangle holds
+    one."""
     blocks = fp.blocks
     violations = [Violation("pin", f"net {net.name} has a pin on block {p.block_id}, not one of the "
                                    f"{len(blocks)} blocks", p.x, p.y)
                   for net in fp.nets for p in net.pins if not 0 <= p.block_id < len(blocks)]
+    # a net joins its pins, so it needs two, as `parse_nets` and `compute_hpwl` say too
+    violations += [Violation("net", f"net {net.name} has {net.degree} pin(s), not 2 or more",
+                             *((net.pins[0].x, net.pins[0].y) if net.pins else (math.nan, math.nan)))
+                   for net in fp.nets if net.degree < 2]
     if not blocks:
         return ValidationReport(violations)
     tol = fp.tol

@@ -24,13 +24,16 @@ its ends.  So a node's work scales with its size, not with the whole
 instance.  Every adjacency wall is consumed by exactly one cut
 (the tree node separating its two blocks), so the cut walls plus the
 floorplan border cover all routing channels.
+
+No junction lies inside a cut wall or inside a block's side on the border,
+so each is one segment: the 3(n-1)-b cut walls and the b+4 border sides,
+with b the T-junctions on the border, make 3n+1 segments.
 """
 
 from __future__ import annotations
 
 import bisect
 import io
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -305,48 +308,37 @@ def build_msc_tree(fp: Floorplan, balance: BalanceMode = BalanceMode.NUMBER) -> 
 # segments
 
 def extract_segments(tree: MscTree, fp: Floorplan, junctions) -> list[Segment]:
-    """Split every cut wall and border wall at the junctions lying on it.
+    """Each cut wall and each block side on the border as one segment.
 
-    `junctions` must be the full set of (x, y) points (interior T-junctions
-    plus the floorplan corners, as adjacency.all_junctions lists them); each
-    resulting segment is bounded by exactly two of them, named by their list
-    indices.
+    On a mosaic that passed validation neither holds a junction inside it:
+    along a cut wall only its two blocks meet, and along a border side only
+    its block and the outside, so a block corner there would be an overlap.
+    Both ends are block corners, which validation makes junctions.  That is
+    validation's fact, and this reads it: a span's ends are named by their
+    index in `junctions`, the full list of (x, y) points (interior
+    T-junctions plus the floorplan corners, as adjacency.all_junctions lists
+    them), and an end that is not one of them is an error.
     """
-    vlines: dict[float, list[tuple[float, int]]] = {}
-    hlines: dict[float, list[tuple[float, int]]] = {}
-    for jid, (x, y) in enumerate(junctions):
-        vlines.setdefault(x, []).append((y, jid))
-        hlines.setdefault(y, []).append((x, jid))
-    for line in vlines.values():
-        line.sort()
-    for line in hlines.values():
-        line.sort()
-
-    walls = [(e.span, region) for region, cut in enumerate(tree.cuts) for e in cut.cut_edges]
-    bx1, by1, bx2, by2 = fp.snapped[4]
-    borders = (Span(Axis.H, by1, bx1, bx2), Span(Axis.H, by2, bx1, bx2),
-               Span(Axis.V, bx1, by1, by2), Span(Axis.V, bx2, by1, by2))
-    walls += [(span, -(side + 1)) for side, span in enumerate(borders)]
-
-    # (axis, fixed, lo, hi, region, j1, j2) per piece; no two share (axis, fixed, lo)
-    pieces = []
-    for span, region in walls:
-        # on a validated mosaic every wall ends at junctions and holds no two at one point
-        line = (vlines if span.axis is Axis.V else hlines).get(span.fixed, [])
-        first = bisect.bisect_left(line, (span.lo, -1))  # junction ids are >= 0
-        on_span = line[first:bisect.bisect_right(line, (span.hi, math.inf), first)]
-        if len(on_span) < 2 or on_span[0][0] != span.lo or on_span[-1][0] != span.hi:
-            raise InternalError(f"wall {span} endpoints are not junction-bounded ({on_span})")
-        for (c1, ja), (c2, jb) in zip(on_span, on_span[1:]):
-            if c2 <= c1:
-                raise InternalError(f"zero-length piece on wall {span}")
-            pieces.append((span.axis, span.fixed, c1, c2, region, ja, jb))
+    jid = {point: i for i, point in enumerate(junctions)}
+    # (axis, fixed, lo, hi, region) per segment; no two share (axis, fixed, lo)
+    pieces = [(e.span.axis, e.span.fixed, e.span.lo, e.span.hi, region)
+              for region, cut in enumerate(tree.cuts) for e in cut.cut_edges]
+    sx1, sy1, sx2, sy2, (bx1, by1, bx2, by2) = fp.snapped
+    # the border walls bottom, top, left and right, each as the block sides on it
+    borders = ((Axis.H, by1, sy1, sx1, sx2), (Axis.H, by2, sy2, sx1, sx2),
+               (Axis.V, bx1, sx1, sy1, sy2), (Axis.V, bx2, sx2, sy1, sy2))
+    for side, (axis, fixed, on, lo, hi) in enumerate(borders):
+        pieces += [(axis, fixed, lo[i], hi[i], -(side + 1)) for i, c in enumerate(on) if c == fixed]
 
     pieces.sort()
-    return [
-        Segment(id=i, region_id=region, axis=axis, fixed=fixed, lo=lo, hi=hi, j1=ja, j2=jb)
-        for i, (axis, fixed, lo, hi, region, ja, jb) in enumerate(pieces)
-    ]
+    segments = []
+    for i, (axis, fixed, lo, hi, region) in enumerate(pieces):
+        ends = ((fixed, lo), (fixed, hi)) if axis is Axis.V else ((lo, fixed), (hi, fixed))
+        if ends[0] not in jid or ends[1] not in jid:
+            raise InternalError(f"wall {axis.value} {fixed} [{lo}, {hi}] does not end at junctions")
+        segments.append(Segment(id=i, region_id=region, axis=axis, fixed=fixed, lo=lo, hi=hi,
+                                j1=jid[ends[0]], j2=jid[ends[1]]))
+    return segments
 
 
 def _touching(walls: list[tuple[float, float, float]], boxes: list[tuple[float, float, float, float]],

@@ -23,20 +23,20 @@ def test_two_runs_print_the_same_digests():
     first, second = _run("1"), _run("2")
     assert first == second
     lines = first.splitlines()
-    # per balance mode: 4 region dumps, then 2 answers for each of the 6 presets
+    # per balance mode: 5 region dumps, then 2 answers for each of the 6 presets
     # at M=2 and 4 and FCN and BCH at M=8
-    assert len(lines) == 2 * (4 + 14 * 2)
+    assert len(lines) == 2 * (5 + 14 * 2)
     assert all(re.fullmatch(r"[0-9a-f]{64}  n=\d+ k=\d+ seed=1000 (NUMBER|AREA) .+", line) for line in lines)
 
 
 def test_answers_equal_the_committed_file():
     # n = 40 and 120 cover every routed configuration in a few seconds, and
-    # n = 1200 adds its 8 region dumps, the scale of the region-only
+    # n = 1200 adds its 10 region dumps, the scale of the region-only
     # benchmark, in about a second; the file's n = 300 lines are checked by
     # running the tool by hand
     committed = [line for line in _ANSWERS.read_text().splitlines()
                  if line.split()[1] in ("n=40", "n=120", "n=1200")]
-    assert len(committed) == 136
+    assert len(committed) == 142
     assert _run("0", sizes="40,120,1200").splitlines() == committed
 
 

@@ -615,6 +615,23 @@ def test_validate_passes_an_empty_floorplan():
     assert validate_floorplan(Floorplan([], [])).passed
 
 
+def test_an_empty_floorplan_is_refused_at_build():
+    # it validates, but has no rectangle to build regions in
+    with pytest.raises(ValidationError, match="no blocks"):
+        RegionModel.build(Floorplan([], []))
+
+
+@pytest.mark.parametrize("pins", [0, 1])
+def test_a_net_with_fewer_than_two_pins_is_refused_at_build(pins):
+    fp = generate_random_floorplan(6, 4, 3, seed=1)
+    fp.nets.append(Net("x", fp.nets[0].pins[:pins]))
+    report = validate_floorplan(fp)
+    assert [(v.kind, v.message) for v in report.violations] == [
+        ("net", f"net x has {pins} pin(s), not 2 or more")]
+    with pytest.raises(ValidationError, match="net x has"):
+        route_floorplan(fp, RunConfig.from_name("FCN", layers=2))
+
+
 def test_validate_violations_carry_coordinates():
     fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)])
     report = validate_floorplan(fp)

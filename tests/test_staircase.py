@@ -1,7 +1,9 @@
 """Staircase bipartitioning, MSC tree, segment extraction, capacities."""
 
+import bisect
 import hashlib
 import itertools
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msroute.adjacency import Axis, Bag, Orientation, all_junctions, build_bag, enumerate_tjunctions
+from msroute.adjacency import Axis, Bag, Orientation, Span, all_junctions, build_bag, enumerate_tjunctions
+from msroute.errors import InternalError
 from msroute.floorplan import Floorplan, Net, Pin, generate_random_floorplan
 from msroute import staircase
 from msroute.staircase import (
@@ -31,7 +34,7 @@ from msroute.staircase import (
 from msroute.routegraph import RegionModel, junction_graph_csv
 from msroute.router import RoutingState, RunConfig, route_all, route_floorplan
 
-from test_floorplan import make_fp, make_net, mosaics, nested_pinwheels, pinwheel, with_nets
+from test_floorplan import floorplans, make_fp, make_net, mosaics, nested_pinwheels, pinwheel, with_nets
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +326,68 @@ def test_segment_endpoints_are_junctions():
                     assert (px, py) == end
                 else:
                     assert (px, py) == (end[1], end[0])
+
+
+def _split_walls_at_junctions(tree, fp, junctions):
+    """Test oracle: every cut wall and every whole border wall split at the
+    junctions lying on it, by two bisections on the junctions of the wall's
+    line; `extract_segments` must give the same segments without splitting."""
+    vlines, hlines = {}, {}
+    for jid, (x, y) in enumerate(junctions):
+        vlines.setdefault(x, []).append((y, jid))
+        hlines.setdefault(y, []).append((x, jid))
+    for line in (*vlines.values(), *hlines.values()):
+        line.sort()
+    walls = [(e.span, region) for region, cut in enumerate(tree.cuts) for e in cut.cut_edges]
+    bx1, by1, bx2, by2 = fp.snapped[4]
+    borders = (Span(Axis.H, by1, bx1, bx2), Span(Axis.H, by2, bx1, bx2),
+               Span(Axis.V, bx1, by1, by2), Span(Axis.V, bx2, by1, by2))
+    walls += [(span, -(side + 1)) for side, span in enumerate(borders)]
+    pieces = []
+    for span, region in walls:
+        line = (vlines if span.axis is Axis.V else hlines).get(span.fixed, [])
+        first = bisect.bisect_left(line, (span.lo, -1))
+        on_span = line[first:bisect.bisect_right(line, (span.hi, math.inf), first)]
+        assert len(on_span) >= 2 and on_span[0][0] == span.lo and on_span[-1][0] == span.hi
+        for (c1, ja), (c2, jb) in zip(on_span, on_span[1:]):
+            assert c1 < c2
+            pieces.append((span.axis, span.fixed, c1, c2, region, ja, jb))
+    pieces.sort()
+    return [Segment(id=i, region_id=region, axis=axis, fixed=fixed, lo=lo, hi=hi, j1=ja, j2=jb)
+            for i, (axis, fixed, lo, hi, region, ja, jb) in enumerate(pieces)]
+
+
+def _fields(seg):
+    return (seg.id, seg.region_id, seg.axis, seg.fixed.hex(), seg.lo.hex(), seg.hi.hex(),
+            seg.j1, seg.j2, seg.r, seg.length.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(fp=st.one_of(mosaics, floorplans().filter(lambda fp: fp.validation.passed)),
+       balance=st.sampled_from(list(BalanceMode)))
+def test_each_wall_is_one_segment_as_splitting_at_the_junctions_gives(fp, balance):
+    tree = build_msc_tree(fp, balance)
+    junctions = all_junctions(fp)
+    segments = extract_segments(tree, fp, junctions)
+    assert [_fields(s) for s in segments] == [_fields(s) for s in _split_walls_at_junctions(tree, fp, junctions)]
+    # one segment per cut wall, and one per block side on the snapped box
+    cut_walls = Counter((e.span.axis, e.span.fixed, e.span.lo, e.span.hi)
+                        for cut in tree.cuts for e in cut.cut_edges)
+    sx1, sy1, sx2, sy2, (bx1, by1, bx2, by2) = fp.snapped
+    sides = Counter(side for i in range(len(fp.blocks)) for side, on in (
+        ((Axis.H, by1, sx1[i], sx2[i]), sy1[i] == by1), ((Axis.H, by2, sx1[i], sx2[i]), sy2[i] == by2),
+        ((Axis.V, bx1, sy1[i], sy2[i]), sx1[i] == bx1), ((Axis.V, bx2, sy1[i], sy2[i]), sx2[i] == bx2)) if on)
+    assert Counter((s.axis, s.fixed, s.lo, s.hi) for s in segments if s.region_id >= 0) == cut_walls
+    assert Counter((s.axis, s.fixed, s.lo, s.hi) for s in segments if s.region_id < 0) == sides
+    assert len(segments) == 3 * len(fp.blocks) + 1
+
+
+def test_a_wall_end_that_is_no_junction_is_an_internal_error():
+    fp = make_fp([(0, 0, 1, 1), (1, 0, 1, 1)])
+    junctions = all_junctions(fp)
+    assert junctions[0] == (1.0, 0.0)  # the cut wall's lower end
+    with pytest.raises(InternalError, match="does not end at junctions"):
+        extract_segments(build_msc_tree(fp), fp, junctions[1:])
 
 
 def test_junction_incident_segments_degree():

@@ -2,7 +2,8 @@
 
 An instance is `generate_random_floorplan(n, round(5.44 * n), 6, seed=1000)`, built
 in both balance modes.  For each, the tool prints the digests of the region
-dumps: `tree_text`, `segments_csv` and the MIS and MDS `.dot` files.  Below
+dumps: `tree_text`, `segments_csv`, the MIS and MDS `.dot` files and the
+unrouted `junction_graph_csv` at M = 8.  Below
 n = 1200 blocks it also routes the region with the six presets at
 M = 2 and 4 and with FCN and BCH at M = 8, and prints the digests of
 `to_json(include_timing=False)` and of `junction_graph_csv` after the route.
@@ -57,6 +58,7 @@ def answer_digests(sizes: list[int]):
             yield f"{label} segments.csv", _digest(segments_csv(region.graph.segments))
             yield f"{label} bag_mis.dot", _digest(region.tree.bag.as_dot())
             yield f"{label} bag_mds.dot", _digest(region.tree.bag.mirrored().as_dot())
+            yield f"{label} junction_graph.csv", _digest(junction_graph_csv(region.graph, None, 8))
             if n >= ROUTE_BELOW:
                 continue
             for name, layers in ROUTES:
